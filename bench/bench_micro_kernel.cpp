@@ -1,16 +1,15 @@
-// Microbenchmarks for the simulator substrate: event queues, RNG, routing
+// Microbenchmarks for the simulator substrate: calendar queue, RNG, routing
 // table construction and end-to-end simulation rate.
 //
 // Two modes:
 //  - default: the google-benchmark suite below.
 //  - `--json FILE [--fast]`: the PR perf record.  Runs the engine-kernel
-//    A/B (legacy std::function + 4-ary heap vs POD events + calendar
-//    queue, identical schedule shapes), an end-to-end cross-engine
-//    run_point comparison, and the invariant-layer cost A/B (ledgers
-//    off / ledgers on / full checked mode), then writes the `micro_kernel`
-//    section consumed by tools/perf_check.py.  Run this binary first when
-//    regenerating BENCH_*.json — it starts the file fresh;
-//    bench_parallel_scaling merges its section afterwards.
+//    rate (POD events + calendar queue), an end-to-end run_point rate, and
+//    the invariant-layer cost A/B (ledgers off / ledgers on / full checked
+//    mode), then writes the `micro_kernel` section consumed by
+//    tools/perf_check.py.  Run this binary first when regenerating
+//    BENCH_*.json — it starts the file fresh; bench_parallel_scaling
+//    merges its section afterwards.
 //  - `--shard-ab-only [--fast]`: just the serial-vs-sharded engine A/B
 //    with its determinism cross-check (the TSan CI lane's entry point).
 #include <benchmark/benchmark.h>
@@ -28,7 +27,6 @@
 #include "route/simple_routes.hpp"
 #include "route/updown.hpp"
 #include "sim/calendar_queue.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/workspace.hpp"
@@ -39,21 +37,6 @@
 namespace {
 
 using namespace itb;
-
-void BM_EventQueuePushPop(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  std::vector<TimePs> times(n);
-  for (auto& t : times) t = static_cast<TimePs>(rng.next_below(1'000'000));
-  for (auto _ : state) {
-    EventQueue q;
-    for (const TimePs t : times) q.push(t, [] {});
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop().first);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(65536);
 
 void BM_CalendarQueuePushPop(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -130,14 +113,14 @@ void BM_SimulationEventRate(benchmark::State& state) {
 BENCHMARK(BM_SimulationEventRate)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// --json mode: the engine-kernel A/B and end-to-end comparison behind the
-// committed BENCH_*.json perf record.
+// --json mode: the engine-kernel and end-to-end rates behind the committed
+// BENCH_*.json perf record.
 // ---------------------------------------------------------------------------
 
-/// Steady-state churn shape shared by both kernels: hold `held` pending
-/// events, then `ops` times pop the minimum, dispatch it, and push one
-/// replacement a pseudo-random (precomputed, identical for both engines)
-/// delay later — the pop/push/dispatch mix of the simulation hot loop.
+/// Steady-state churn shape of the kernel: hold `held` pending events, then
+/// `ops` times pop the minimum, dispatch it, and push one replacement a
+/// pseudo-random (precomputed, identical across runs) delay later — the
+/// pop/push/dispatch mix of the simulation hot loop.
 constexpr std::size_t kHeld = 1024;
 constexpr std::size_t kDeltaMask = 8191;
 
@@ -156,38 +139,6 @@ struct KernelCtx {
     sink += static_cast<std::uint64_t>(ch) + static_cast<std::uint64_t>(a);
   }
 };
-
-double legacy_kernel_ops_per_sec(std::uint64_t ops,
-                                 const std::vector<TimePs>& deltas) {
-  EventQueue q;
-  KernelCtx ctx;
-  std::size_t d = 0;
-  TimePs now = 0;
-  // Captures mirror the network's real closures ([this, ch, a]) and stay
-  // within std::function's small-buffer optimisation.
-  auto push = [&](TimePs at, std::int32_t ch, std::int32_t a) {
-    KernelCtx* c = &ctx;
-    q.push(at, [c, ch, a] { c->dispatch(ch, a); });
-  };
-  for (std::size_t i = 0; i < kHeld; ++i) {
-    push(deltas[d++ & kDeltaMask], static_cast<std::int32_t>(i), 1);
-  }
-  TimePs at = 0;
-  EventFn fn;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    q.pop_into(at, fn);
-    fn();
-    now = at;
-    push(now + deltas[d++ & kDeltaMask], static_cast<std::int32_t>(i & 1023),
-         2);
-  }
-  const double secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  benchmark::DoNotOptimize(ctx.sink);
-  return static_cast<double>(ops) / secs;
-}
 
 double pod_kernel_ops_per_sec(std::uint64_t ops,
                               const std::vector<TimePs>& deltas) {
@@ -225,14 +176,12 @@ double pod_kernel_ops_per_sec(std::uint64_t ops,
   return static_cast<double>(ops) / secs;
 }
 
-RunResult end_to_end_point(const Testbed& tb, EngineKind engine,
-                           const BenchOptions& opts) {
+RunResult end_to_end_point(const Testbed& tb, const BenchOptions& opts) {
   UniformPattern pat(tb.topo().num_hosts());
   RunConfig cfg;
   cfg.load_flits_per_ns_per_switch = 0.02;
   cfg.warmup = opts.fast ? us(40) : us(150);
   cfg.measure = opts.fast ? us(100) : us(400);
-  cfg.engine = engine;
   // Best events/sec of 3 (the simulated outcome is deterministic; only the
   // wall clock varies) — the committed record's rates would otherwise carry
   // one run's scheduling luck.
@@ -476,17 +425,14 @@ int run_shard_ab_only(const BenchOptions& opts) {
 int run_json_mode(const BenchOptions& opts) {
   const std::vector<TimePs> deltas = make_deltas();
   const std::uint64_t ops = opts.fast ? 1'000'000 : 4'000'000;
-  // Warm both kernels once, then measure (first touch pages the calendar
+  // Warm the kernel once, then measure (first touch pages the calendar
   // ring and the heap storage).
-  (void)legacy_kernel_ops_per_sec(ops / 10, deltas);
   (void)pod_kernel_ops_per_sec(ops / 10, deltas);
-  const double legacy_ops = legacy_kernel_ops_per_sec(ops, deltas);
   const double pod_ops = pod_kernel_ops_per_sec(ops, deltas);
 
   Testbed tb(make_torus_2d(8, 8, 8));
   tb.warm_all();
-  const RunResult legacy_e2e = end_to_end_point(tb, EngineKind::kLegacy, opts);
-  const RunResult pod_e2e = end_to_end_point(tb, EngineKind::kPod, opts);
+  const RunResult pod_e2e = end_to_end_point(tb, opts);
 
   // Invariant-layer cost A/B (same POD workload): ledgers off, ledgers on
   // (the shipped default), and full checked mode (route verification +
@@ -555,14 +501,10 @@ int run_json_mode(const BenchOptions& opts) {
 
   std::printf("engine kernel (%zu held, %llu ops):\n", kHeld,
               static_cast<unsigned long long>(ops));
-  std::printf("  legacy  %8.2f Mops/s\n", legacy_ops / 1e6);
-  std::printf("  pod     %8.2f Mops/s   speedup %.2fx\n", pod_ops / 1e6,
-              pod_ops / legacy_ops);
+  std::printf("  pod     %8.2f Mops/s\n", pod_ops / 1e6);
   std::printf("end-to-end run_point (torus, ITB-RR, uniform 0.02):\n");
-  std::printf("  legacy  %8.2f Mev/s\n", legacy_e2e.events_per_sec / 1e6);
-  std::printf("  pod     %8.2f Mev/s   speedup %.2fx   coalesced %llu\n",
+  std::printf("  pod     %8.2f Mev/s   coalesced %llu\n",
               pod_e2e.events_per_sec / 1e6,
-              pod_e2e.events_per_sec / legacy_e2e.events_per_sec,
               static_cast<unsigned long long>(pod_e2e.events_coalesced));
   std::printf("invariant-layer cost (POD, best of 3):\n");
   std::printf("  ledgers off %8.2f Mev/s\n", ledger_off.events_per_sec / 1e6);
@@ -624,22 +566,16 @@ int run_json_mode(const BenchOptions& opts) {
   w.key("engine_kernel").begin_object();
   w.key("held_events").value(static_cast<std::uint64_t>(kHeld));
   w.key("ops").value(ops);
-  w.key("legacy_ops_per_sec").value(legacy_ops);
   w.key("pod_ops_per_sec").value(pod_ops);
-  w.key("speedup").value(pod_ops / legacy_ops);
   w.end_object();
   w.key("end_to_end").begin_object();
   w.key("testbed").value("torus");
   w.key("scheme").value("ITB-RR");
   w.key("load").value(0.02);
-  w.key("legacy_events_per_sec").value(legacy_e2e.events_per_sec);
   w.key("pod_events_per_sec").value(pod_e2e.events_per_sec);
-  w.key("speedup").value(pod_e2e.events_per_sec / legacy_e2e.events_per_sec);
-  w.key("legacy_events").value(legacy_e2e.events);
   w.key("pod_events").value(pod_e2e.events);
   w.key("pod_events_coalesced").value(pod_e2e.events_coalesced);
   w.key("pod_peak_event_queue_len").value(pod_e2e.peak_event_queue_len);
-  w.key("legacy_peak_event_queue_len").value(legacy_e2e.peak_event_queue_len);
   w.end_object();
   w.key("checked_overhead").begin_object();
   w.key("ledger_off_events_per_sec").value(ledger_off.events_per_sec);
@@ -722,12 +658,11 @@ int run_json_mode(const BenchOptions& opts) {
   write_json_section(opts.json, "micro_kernel", w.str());
   std::printf("wrote micro_kernel section to %s\n", opts.json.c_str());
 
-  // Cross-engine sanity: same simulated outcome, or the numbers above are
-  // comparing different simulations.
-  if (legacy_e2e.delivered != pod_e2e.delivered ||
-      legacy_e2e.avg_latency_ns != pod_e2e.avg_latency_ns ||
-      pod_e2e.fc_violations != 0) {
-    std::printf("CROSS-ENGINE MISMATCH: results differ between engines\n");
+  // Flow control must hold on the measured run, or the rate above is
+  // measuring a broken simulation.
+  if (pod_e2e.fc_violations != 0) {
+    std::printf("FLOW-CONTROL VIOLATION: end-to-end run overflowed a slack "
+                "buffer\n");
     return 1;
   }
   // The ledgers are pure observers: toggling them must not change the

@@ -46,17 +46,16 @@ struct RunConfig {
   bool poisson = false;
   /// Also collect per-channel utilization over the measurement window.
   bool collect_link_util = false;
-  /// Event engine for this point (A/B benchmarking and the golden
-  /// cross-engine determinism tests; normally leave the default).
+  /// Event engine for this point (normally leave the default kPod).
   /// kPodParallel shards one simulation across `shards` worker threads with
   /// the conservative window engine (sim/parallel_engine.hpp) and produces
   /// identical simulated metrics to kPod.  Tracing and profiling run
   /// sharded (per-lane rings, merged at harvest); only the adaptive path
   /// selector's feedback loop still falls back to kPod.  RunResult::shards
   /// reports what actually ran.
-  EngineKind engine = kDefaultEngine;
+  EngineKind engine = EngineKind::kPod;
   /// Worker-lane count for kPodParallel (clamped to the topology's switch
-  /// count and the engine's lane cap; ignored by the serial engines).
+  /// count and the engine's lane cap; ignored by kPod).
   int shards = 1;
   /// Checked-simulation mode: verify the scheme's routing table (legality,
   /// minimality, split placement) before the run and sample a wait-graph

@@ -58,12 +58,9 @@ void Network::reset(const Topology& topo, const RouteSet& routes,
   topo_ = &topo;
   routes_ = &routes;
   params_ = params;
-  pod_ = sim_->engine() == EngineKind::kPod;
-  coalesce_ = pod_ && params.coalesce_chunk_flow;
   ledger_ = params.ledger_checks;
   par_ = par;
-  assert((par_ == nullptr || pod_) && "sharded runs require the POD engine");
-  if (pod_) sim_->set_pod_handler(this);
+  sim_->set_pod_handler(this);
   if (par_ != nullptr) par_->bind(this, this);
 
   // --- wire up channels ---
@@ -277,57 +274,34 @@ void Network::dispatch_event(const Event& e) {
 }
 
 void Network::sched_event(TimePs delay, EventKind kind, ChannelId ch, int a) {
-  if (pod_) {
-    if (par_ == nullptr) {
-      sim_->schedule_event_in(delay, kind, ch, a);
-      return;
-    }
-    // Sharded run: route the event to the lane owning the half of the
-    // channel it mutates.  Arrivals land on the receiver half; everything
-    // else (chunk transmit completion, stop/go credits reaching the sender,
-    // routing-delay expiry) acts on the sender half.
-    Channel& c = chan(ch);
-    const std::int16_t target = (kind == EventKind::kChunkArrived ||
-                                 kind == EventKind::kBurstArrived)
-                                    ? c.recv_lane
-                                    : c.send_lane;
-    Simulator& s = *shard::tl_sim;
-    if (target == shard::tl_lane) {
-      s.schedule_event_in(delay, kind, ch, a);
-      return;
-    }
-    // Cross-lane: carry the key this lane would have pushed with, so the
-    // receiving lane's calendar merges the event into the serial order.
-    BoundaryMsg m{s.now() + delay, s.next_shard_key(),
-                  /*announce_pkt=*/nullptr, /*announce_len=*/0, ch, a, kind};
-    if (kind == EventKind::kChunkArrived && c.announce_pending) {
-      m.announce_pkt = c.owner;
-      m.announce_len = c.flow_len;
-      c.announce_pending = false;
-    }
-    par_->post(target, m);
+  if (par_ == nullptr) {
+    sim_->schedule_event_in(delay, kind, ch, a);
     return;
   }
-  switch (kind) {
-    case EventKind::kChunkSent:
-      sim_->schedule_in(delay, [this, ch, a] { chunk_sent(ch, a); });
-      break;
-    case EventKind::kChunkArrived:
-      sim_->schedule_in(delay, [this, ch, a] { chunk_arrived(ch, a); });
-      break;
-    case EventKind::kStopArrived:
-      sim_->schedule_in(delay, [this, ch] { stop_arrived(ch); });
-      break;
-    case EventKind::kGoArrived:
-      sim_->schedule_in(delay, [this, ch] { go_arrived(ch); });
-      break;
-    case EventKind::kGrantDone:
-      sim_->schedule_in(delay, [this, ch] { grant_done(ch); });
-      break;
-    default:
-      assert(false && "no legacy closure for this kind");
-      break;
+  // Sharded run: route the event to the lane owning the half of the
+  // channel it mutates.  Arrivals land on the receiver half; everything
+  // else (chunk transmit completion, stop/go credits reaching the sender,
+  // routing-delay expiry) acts on the sender half.
+  Channel& c = chan(ch);
+  const std::int16_t target = (kind == EventKind::kChunkArrived ||
+                               kind == EventKind::kBurstArrived)
+                                  ? c.recv_lane
+                                  : c.send_lane;
+  Simulator& s = *shard::tl_sim;
+  if (target == shard::tl_lane) {
+    s.schedule_event_in(delay, kind, ch, a);
+    return;
   }
+  // Cross-lane: carry the key this lane would have pushed with, so the
+  // receiving lane's calendar merges the event into the serial order.
+  BoundaryMsg m{s.now() + delay, s.next_shard_key(),
+                /*announce_pkt=*/nullptr, /*announce_len=*/0, ch, a, kind};
+  if (kind == EventKind::kChunkArrived && c.announce_pending) {
+    m.announce_pkt = c.owner;
+    m.announce_len = c.flow_len;
+    c.announce_pending = false;
+  }
+  par_->post(target, m);
 }
 
 Packet* Network::alloc_packet() {
@@ -495,7 +469,8 @@ void Network::chunk_sent(ChannelId ch, int k) {
   if (c.coalesce_flow && !first_chunk) {
     if (c.sent == c.flow_len) {
       // Tail chunk: land it together with every suppressed flit, pushed at
-      // the exact moment the legacy engine pushes the tail arrival.
+      // the exact moment the coalescing-off schedule pushes the tail
+      // arrival.
       sched_event(c.prop_delay, EventKind::kBurstArrived, ch,
                   c.burst_flits + k);
     } else {
@@ -636,8 +611,8 @@ void Network::chunk_arrived(ChannelId ch, int k) {
 
 void Network::burst_arrived(ChannelId ch, int flits) {
   // Coalesced delivery tail: the suppressed intermediate flits and the tail
-  // chunk all land now, at the exact time the legacy per-chunk tail arrival
-  // fires.  The entry is necessarily the newest one on this NIC channel —
+  // chunk all land now, at the exact time the coalescing-off per-chunk
+  // tail arrival fires.  The entry is necessarily the newest one on this NIC channel —
   // the next flow cannot start arriving before our sender released the
   // channel, which is also when this event was pushed.
   Channel& c = chan(ch);
@@ -708,7 +683,8 @@ void Network::grant(ChannelId out_ch, ChannelId in_ch, Packet* pkt) {
   // classification is stable from here until the header reaches the NIC
   // (current_leg only advances at in-transit hosts, before re-injection).
   out.coalesce_flow =
-      coalesce_ && out.dst_host != kNoHost && pkt->on_final_leg();
+      params_.coalesce_chunk_flow && out.dst_host != kNoHost &&
+      pkt->on_final_leg();
   out.burst_flits = 0;
   out.grant_pending = true;
   in.entries.front().out_ch = out_ch;
@@ -815,14 +791,10 @@ void Network::nic_header_arrived(ChannelId in_ch, BufferEntry& entry) {
     ready_delay += params_.host_memory_penalty;
     trace(TraceKind::kSpill, p->id, in_ch, kNoSwitch, n.id);
   }
-  if (pod_) {
-    // The in-transit host and its NIC live on this lane, so the ready event
-    // is always local.
-    cursim().schedule_event_in(ready_delay, EventKind::kItbReady, /*ch=*/-1,
-                               /*a=*/0, p);
-  } else {
-    sim_->schedule_in(ready_delay, [this, p] { itb_ready(p); });
-  }
+  // The in-transit host and its NIC live on this lane, so the ready event
+  // is always local.
+  cursim().schedule_event_in(ready_delay, EventKind::kItbReady, /*ch=*/-1,
+                             /*a=*/0, p);
 }
 
 void Network::itb_ready(Packet* p) {

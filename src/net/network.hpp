@@ -94,8 +94,8 @@ class Network : public PodHandler, public ShardHooks {
           const MyrinetParams& params, PathPolicy policy,
           std::uint64_t seed = 1);
 
-  /// POD-engine dispatch: one switch over EventKind, no type erasure.
-  /// Registered with the Simulator at construction (POD engine only).
+  /// Event dispatch: one switch over EventKind, no type erasure.
+  /// Registered with the Simulator by every reset().
   void handle_event(const Event& e) override;
 
   Network(const Network&) = delete;
@@ -104,8 +104,8 @@ class Network : public PodHandler, public ShardHooks {
   /// Rebind this network to a (possibly different) topology/route set and
   /// return every queue, ledger and counter to its just-constructed state,
   /// reusing channel/NIC/packet-storage capacity in place.  The owning
-  /// Simulator must have been reset first — the engine kind is re-read from
-  /// it and the POD handler re-registered.  A run on a reset network is
+  /// Simulator must have been reset first — the POD handler is
+  /// re-registered on it.  A run on a reset network is
   /// bit-identical to one on a freshly constructed network (same RNG
   /// streams, same (time, seq) event order) — the workspace determinism
   /// contract, enforced by test_workspace.
@@ -202,7 +202,7 @@ class Network : public PodHandler, public ShardHooks {
     return n;
   }
   /// Per-chunk arrival events elided by delivery tail-burst coalescing.
-  /// Zero on the legacy engine or when coalesce_chunk_flow is off.
+  /// Zero when coalesce_chunk_flow is off.
   [[nodiscard]] std::uint64_t chunk_events_coalesced() const {
     std::uint64_t n = 0;
     for (const LaneState& l : lane_) n += l.chunk_events_coalesced;
@@ -353,10 +353,10 @@ class Network : public PodHandler, public ShardHooks {
     // sender-side dynamic state
     Packet* owner = nullptr;
     ChannelId src_in_ch = -1;  // feeding input buffer (switch senders)
-    // Delivery tail-burst coalescing (POD engine): when the flow streams a
-    // packet's final leg into a NIC, intermediate arrivals are pure sinks —
-    // suppress them, accumulate their flits, and land everything with the
-    // tail chunk as one kBurstArrived.
+    // Delivery tail-burst coalescing: when the flow streams a packet's
+    // final leg into a NIC, intermediate arrivals are pure sinks — suppress
+    // them, accumulate their flits, and land everything with the tail chunk
+    // as one kBurstArrived.
     bool coalesce_flow = false;
     int burst_flits = 0;       // suppressed flits awaiting the tail event
     // NIC senders: kNoHost when the flow streams from resident NIC memory
@@ -475,10 +475,8 @@ class Network : public PodHandler, public ShardHooks {
                : lane_profs_ + static_cast<std::size_t>(shard::tl_lane);
   }
 
-  /// Schedule an engine step `delay` from now.  POD engine: a trivially
-  /// copyable Event record; legacy engine: the original std::function
-  /// closure.  Both push at the same moment, so the (time, push-order)
-  /// schedule — and therefore every simulated result — is identical.
+  /// Schedule an engine step `delay` from now as a trivially copyable Event
+  /// record (sharded: on the lane owning the half of `ch` it mutates).
   void sched_event(TimePs delay, EventKind kind, ChannelId ch, int a = 0);
 
   // Mutable engine state owned by one lane of a sharded run.  Serial
@@ -569,9 +567,7 @@ class Network : public PodHandler, public ShardHooks {
   // reset — see heap_allocs_this_run.
   std::uint64_t heap_allocs_run_base_ = 0;
   std::uint64_t delivery_ties_ = 0;
-  bool pod_ = false;       // simulator runs the POD engine
-  bool coalesce_ = false;  // pod_ && params.coalesce_chunk_flow
-  bool ledger_ = true;     // params.ledger_checks (always-on invariant tier)
+  bool ledger_ = true;  // params.ledger_checks (always-on invariant tier)
   ParallelEngine* par_ = nullptr;  // non-null while sharded
   InvariantRecorder checks_;
 };

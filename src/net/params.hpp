@@ -62,11 +62,12 @@ struct MyrinetParams {
   int chunk_flits = 8;
 
   /// Coalesce the per-chunk arrival events of a packet's final leg into a
-  /// single tail event (POD engine only; legacy always steps per chunk).
-  /// Legal because those arrivals are pure sinks — a NIC applies no flow
-  /// control, the header work happened on the first chunk, and nothing
-  /// reads the entry until the tail delivers — so eliding them preserves
-  /// the (time, push-order) schedule of every remaining event bit-for-bit.
+  /// single tail event (false steps per chunk: the reference schedule the
+  /// coalescing differential tests compare against).  Legal because those
+  /// arrivals are pure sinks — a NIC applies no flow control, the header
+  /// work happened on the first chunk, and nothing reads the entry until
+  /// the tail delivers — so eliding them preserves the (time, push-order)
+  /// schedule of every remaining event bit-for-bit.
   bool coalesce_chunk_flow = true;
 
   /// Always-on invariant ledgers (flit/credit conservation, buffer bounds,

@@ -10,9 +10,8 @@
 // (new events usually carry the latest time, i.e. the far end of a sorted
 // bucket).  Far future (beyond the horizon): a 4-ary POD min-heap.  The
 // global minimum is the smaller of the bucket minimum and the heap top,
-// compared by (time, seq), so the FIFO-stable ordering contract of the
-// legacy EventQueue is preserved exactly; far events are never migrated
-// into the ring.
+// compared by (time, seq), so simultaneous events fire exactly in push
+// order (FIFO-stable); far events are never migrated into the ring.
 //
 // The window start (`base_`) only advances lazily, past buckets verified
 // empty while locating the minimum.  A push whose bucket index falls behind

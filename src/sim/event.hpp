@@ -1,11 +1,9 @@
 // POD event record for the hot simulation path.
 //
-// The legacy engine schedules type-erased std::function callbacks; the POD
-// engine schedules trivially-copyable Event records that the network model
-// dispatches through one switch.  Both engines share the same ordering
-// contract: events fire by (time, seq), where seq is the scheduling order,
-// so simultaneous events fire FIFO and every run is a pure function of its
-// inputs.
+// The engine schedules trivially-copyable Event records that the network
+// model dispatches through one switch.  Events fire by (time, seq), where
+// seq is the scheduling order, so simultaneous events fire FIFO and every
+// run is a pure function of its inputs.
 #pragma once
 
 #include <cstdint>
@@ -14,33 +12,20 @@
 
 namespace itb {
 
-/// Which engine a Simulator runs.  kLegacy is the original
-/// std::function-over-4-ary-heap loop (kept for A/B benchmarking and the
-/// golden differential tests); kPod is the POD-event calendar-queue engine
-/// with chunk-flow coalescing.  kPodParallel is a harness-level selector
-/// (RunConfig::engine): one simulation sharded across RunConfig::shards
-/// lanes, each lane an ordinary kPod Simulator driven by the conservative
-/// window scheduler in sim/parallel_engine.hpp — a Simulator itself is
-/// never constructed with kPodParallel.
-enum class EngineKind : std::uint8_t { kLegacy, kPod, kPodParallel };
+/// Harness-level engine selector (RunConfig::engine).  kPod runs one
+/// Simulator: POD events over the calendar queue, with chunk-flow
+/// coalescing.  kPodParallel shards one simulation across RunConfig::shards
+/// lanes, each lane an ordinary Simulator driven by the conservative window
+/// scheduler in sim/parallel_engine.hpp.
+enum class EngineKind : std::uint8_t { kPod, kPodParallel };
 
 [[nodiscard]] inline const char* to_string(EngineKind e) {
   switch (e) {
-    case EngineKind::kLegacy: return "legacy";
     case EngineKind::kPod: return "pod";
     case EngineKind::kPodParallel: return "pod_parallel";
   }
   return "?";
 }
-
-/// Compile-time default engine.  The ITB_LEGACY_EVENTS CMake option flips
-/// the default back to the legacy engine for A/B measurements without
-/// touching call sites.
-#ifdef ITB_LEGACY_EVENTS
-inline constexpr EngineKind kDefaultEngine = EngineKind::kLegacy;
-#else
-inline constexpr EngineKind kDefaultEngine = EngineKind::kPod;
-#endif
 
 /// Event taxonomy of the POD engine (dispatched in Network::handle_event,
 /// except kCallback which the Simulator runs itself).
@@ -78,7 +63,7 @@ class PodHandler {
   ~PodHandler() = default;
 };
 
-/// (time, seq) strict weak order shared by both engine queues.
+/// (time, seq) strict weak order of the calendar queue.
 [[nodiscard]] inline bool event_before(const Event& a, const Event& b) {
   return a.at < b.at || (a.at == b.at && a.seq < b.seq);
 }

@@ -47,7 +47,7 @@ void ParallelEngine::configure(PartitionPlan plan) {
   plan_ = std::move(plan);
   for (int i = 0; i < k; ++i) {
     Lane& lane = *lanes_[static_cast<std::size_t>(i)];
-    lane.sim.reset(EngineKind::kPod);
+    lane.sim.reset();
     lane.sim.enable_shard_keys(i);
     lane.drain_buf.clear();
     lane.posted = 0;

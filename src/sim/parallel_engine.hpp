@@ -189,7 +189,7 @@ class ParallelEngine {
   };
 
   struct alignas(64) Lane {
-    Simulator sim{EngineKind::kPod};
+    Simulator sim;
     std::thread thread;
     std::vector<BoundaryMsg> drain_buf;  // reused across drains
     std::uint64_t posted = 0;            // messages this lane sent

@@ -6,10 +6,6 @@
 namespace itb {
 
 void Simulator::schedule_fn(TimePs at, EventFn fn) {
-  if (engine_ == EngineKind::kLegacy) {
-    queue_.push(at, std::move(fn));
-    return;
-  }
   std::int32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -38,38 +34,6 @@ void Simulator::run_callback_slot(std::int32_t slot) {
 }
 
 std::uint64_t Simulator::run_until(TimePs deadline) {
-  return engine_ == EngineKind::kPod ? run_until_pod(deadline)
-                                     : run_until_legacy(deadline);
-}
-
-std::uint64_t Simulator::run_while(const std::function<bool()>& keep_going) {
-  return engine_ == EngineKind::kPod ? run_while_pod(keep_going)
-                                     : run_while_legacy(keep_going);
-}
-
-std::uint64_t Simulator::run_until_legacy(TimePs deadline) {
-  std::uint64_t n = 0;
-  stop_requested_ = false;
-  TimePs at;
-  EventFn fn;
-  while (!queue_.empty() && !stop_requested_) {
-    if (queue_.next_time() > deadline) break;
-    queue_.pop_into(at, fn);
-    if (at < now_) ++causality_violations_;
-    now_ = at;
-    fn();
-    ++n;
-  }
-  executed_ += n;
-  // Advance the clock to the deadline even if the queue drained early, so
-  // that rate computations over [0, deadline] are well defined.
-  if (deadline != kTimeNever && now_ < deadline && queue_.next_time() > deadline) {
-    now_ = deadline;
-  }
-  return n;
-}
-
-std::uint64_t Simulator::run_until_pod(TimePs deadline) {
   std::uint64_t n = 0;
   stop_requested_ = false;
   Event e;
@@ -96,6 +60,8 @@ std::uint64_t Simulator::run_until_pod(TimePs deadline) {
     ++n;
   }
   executed_ += n;
+  // Advance the clock to the deadline even if the queue drained early, so
+  // that rate computations over [0, deadline] are well defined.
   if (deadline != kTimeNever && now_ < deadline &&
       calendar_.next_time() > deadline) {
     now_ = deadline;
@@ -103,24 +69,7 @@ std::uint64_t Simulator::run_until_pod(TimePs deadline) {
   return n;
 }
 
-std::uint64_t Simulator::run_while_legacy(
-    const std::function<bool()>& keep_going) {
-  std::uint64_t n = 0;
-  stop_requested_ = false;
-  TimePs at;
-  EventFn fn;
-  while (!queue_.empty() && !stop_requested_ && keep_going()) {
-    queue_.pop_into(at, fn);
-    if (at < now_) ++causality_violations_;
-    now_ = at;
-    fn();
-    ++n;
-  }
-  executed_ += n;
-  return n;
-}
-
-std::uint64_t Simulator::run_while_pod(const std::function<bool()>& keep_going) {
+std::uint64_t Simulator::run_while(const std::function<bool()>& keep_going) {
   std::uint64_t n = 0;
   stop_requested_ = false;
   while (!calendar_.empty() && !stop_requested_ && keep_going()) {

@@ -8,41 +8,35 @@
 
 #include "sim/calendar_queue.hpp"
 #include "sim/event.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/time.hpp"
 
 namespace itb {
 
+/// Callback payload of schedule_in / schedule_at.  Captures should stay
+/// within the small-buffer optimisation of std::function (one pointer plus
+/// one word on libstdc++) to keep scheduling allocation-free.
+using EventFn = std::function<void()>;
+
 /// Owns the clock and the event queue and drives the run loop.  Components
-/// hold a reference to the Simulator and schedule callbacks on it; they must
+/// hold a reference to the Simulator and schedule events on it; they must
 /// outlive the run.
 ///
-/// Two engines share this interface (selected at construction):
-///  - kLegacy: std::function callbacks over the 4-ary EventQueue heap.
-///  - kPod: trivially-copyable Event records over the CalendarQueue,
-///    dispatched to the registered PodHandler (the Network).  schedule_in /
-///    schedule_at still work — the callback is parked in a slot slab and
-///    fired through a kCallback event — so generators, detectors and tests
-///    are engine-agnostic.
-/// Both engines uphold the same contract: events fire by (time, seq), equal
-/// timestamps in scheduling order.
+/// Trivially-copyable Event records go through the CalendarQueue and are
+/// dispatched to the registered PodHandler (the Network).  schedule_in /
+/// schedule_at park a callback in a slot slab and fire it through a
+/// kCallback event, so generators, detectors and tests need no handler.
+/// Events fire by (time, seq): equal timestamps in scheduling order.
 class Simulator {
  public:
-  explicit Simulator(EngineKind engine = kDefaultEngine) : engine_(engine) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  [[nodiscard]] EngineKind engine() const { return engine_; }
-
   /// Return the simulator to its just-constructed state (clock at 0, empty
-  /// queues, counters zeroed, no pod handler), keeping queue/slab capacity.
+  /// queue, counters zeroed, no pod handler), keeping queue/slab capacity.
   /// The next run is bit-identical to one on a fresh Simulator — the
   /// workspace-reuse determinism contract (see sim/workspace.hpp).
-  void reset(EngineKind engine) {
-    assert(engine != EngineKind::kPodParallel &&
-           "lanes of a sharded run are plain kPod Simulators");
-    engine_ = engine;
-    queue_.clear();
+  void reset() {
     calendar_.clear();
     handler_ = nullptr;
     for (EventFn& fn : slots_) fn = nullptr;  // release captures, keep slab
@@ -75,18 +69,15 @@ class Simulator {
   }
 
   /// Events pending right now (time-series sampler: queue-depth signal).
-  [[nodiscard]] std::size_t queue_len() const {
-    return engine_ == EngineKind::kPod ? calendar_.size() : queue_.size();
-  }
+  [[nodiscard]] std::size_t queue_len() const { return calendar_.size(); }
 
   /// High-water mark of pending events across the run.
   [[nodiscard]] std::size_t peak_queue_len() const {
-    return engine_ == EngineKind::kPod ? calendar_.peak_size()
-                                       : queue_.peak_size();
+    return calendar_.peak_size();
   }
 
   /// Register the receiver of non-callback POD events (the Network).  Must
-  /// be set before any schedule_event_* call; ignored on the legacy engine.
+  /// be set before any schedule_event_* call.
   void set_pod_handler(PodHandler* h) { handler_ = h; }
 
   // --- shard mode (one lane of a conservative parallel run) -------------
@@ -111,9 +102,8 @@ class Simulator {
   static constexpr int kShardLaneBits = 6;    // PartitionPlan::kMaxLanes = 64
   static constexpr int kShardTimeShift = kShardCountBits + kShardLaneBits;
 
-  /// Enter shard mode as lane `lane` (call right after reset(kPod)).
+  /// Enter shard mode as lane `lane` (call right after reset()).
   void enable_shard_keys(std::int32_t lane) {
-    assert(engine_ == EngineKind::kPod);
     assert(lane >= 0 && lane < (1 << kShardLaneBits));
     shard_lane_ = lane;
   }
@@ -138,7 +128,7 @@ class Simulator {
   void schedule_event_keyed_at(TimePs at, std::uint64_t key, EventKind kind,
                                std::int32_t ch, std::int32_t a = 0,
                                void* p = nullptr) {
-    assert(engine_ == EngineKind::kPod && shard_lane_ >= 0);
+    assert(shard_lane_ >= 0);
     if (at < now_) ++causality_violations_;
     calendar_.push_keyed(at, key, kind, ch, a, p);
   }
@@ -148,7 +138,7 @@ class Simulator {
   [[nodiscard]] std::uint64_t order_ties() const { return order_ties_; }
 
   /// Shard key of the event currently being dispatched (valid inside a
-  /// handler while in shard mode; run_until_pod records it before the
+  /// handler while in shard mode; run_until records it before the
   /// dispatch).  This is what makes per-lane telemetry mergeable: every
   /// trace record stamped with (now, current_key) sorts into the exact
   /// serial total order, because keys are globally unique across lanes.
@@ -166,10 +156,9 @@ class Simulator {
     schedule_fn(at, std::move(fn));
   }
 
-  /// Schedule a POD event (pod engine only) at absolute time `at`.
+  /// Schedule a POD event at absolute time `at`.
   void schedule_event_at(TimePs at, EventKind kind, std::int32_t ch,
                          std::int32_t a = 0, void* p = nullptr) {
-    assert(engine_ == EngineKind::kPod);
     assert(at >= now_);
     if (shard_lane_ >= 0) {
       calendar_.push_keyed(at, next_shard_key(), kind, ch, a, p);
@@ -178,7 +167,7 @@ class Simulator {
     }
   }
 
-  /// Schedule a POD event (pod engine only) `delay` picoseconds from now.
+  /// Schedule a POD event `delay` picoseconds from now.
   void schedule_event_in(TimePs delay, EventKind kind, std::int32_t ch,
                          std::int32_t a = 0, void* p = nullptr) {
     assert(delay >= 0);
@@ -201,17 +190,10 @@ class Simulator {
   void schedule_fn(TimePs at, EventFn fn);
   void run_callback_slot(std::int32_t slot);
 
-  std::uint64_t run_until_legacy(TimePs deadline);
-  std::uint64_t run_until_pod(TimePs deadline);
-  std::uint64_t run_while_legacy(const std::function<bool()>& keep_going);
-  std::uint64_t run_while_pod(const std::function<bool()>& keep_going);
-
-  EngineKind engine_;
-  EventQueue queue_;        // legacy engine
-  CalendarQueue calendar_;  // pod engine
+  CalendarQueue calendar_;
   PodHandler* handler_ = nullptr;
-  // Parked callbacks for kCallback events (pod engine): slot slab + free
-  // list, so steady-state scheduling never allocates.
+  // Parked callbacks for kCallback events: slot slab + free list, so
+  // steady-state scheduling never allocates.
   std::vector<EventFn> slots_;
   std::vector<std::int32_t> free_slots_;
   TimePs now_ = 0;
@@ -223,7 +205,7 @@ class Simulator {
   TimePs key_t_ = -1;          // instant next_shard_key last reset for
   std::uint64_t key_n_ = 0;    // pushes at key_t_ so far
   TimePs tie_at_ = -1;         // (time, key) of the last popped event,
-  std::uint64_t tie_key_ = 0;  // for order-tie detection in run_until_pod
+  std::uint64_t tie_key_ = 0;  // for order-tie detection in run_until
   std::uint64_t order_ties_ = 0;
 };
 

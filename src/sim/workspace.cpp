@@ -9,9 +9,7 @@ void SimWorkspace::prepare(EngineKind engine, const Topology& topo,
                            PathPolicy policy, std::uint64_t net_seed,
                            int shards) {
   parallel_ = (engine == EngineKind::kPodParallel);
-  // kPodParallel is a harness-level selector: the coordinator clock (like
-  // every lane) runs the plain POD engine.
-  sim_.reset(parallel_ ? EngineKind::kPod : engine);
+  sim_.reset();
   ParallelEngine* par = nullptr;
   if (parallel_) {
     // configure() keeps the worker threads (and each lane's warmed calendar

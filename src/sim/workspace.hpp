@@ -13,7 +13,7 @@
 //
 // Determinism contract: a point run in a reused workspace is bit-identical
 // to the same point run in a freshly constructed one — same RNG streams,
-// same (time, seq) event order, same RunResult — in both engines and in
+// same (time, seq) event order, same RunResult — serial, sharded and in
 // checked mode.  Every component's reset() is written against that contract
 // and test_workspace enforces it, including across different topologies in
 // one workspace.  Host-side observability (workspace_reuses,
@@ -53,7 +53,7 @@ class SimWorkspace {
   /// lanes (clamped by the partition plan): sim() becomes the coordinator
   /// clock (watchdog ticks, empty-queue time pinning) and the lanes live in
   /// engine(); drive both through the window protocol (see
-  /// harness/runner.cpp).  `shards` is ignored by the serial engines.
+  /// harness/runner.cpp).  `shards` is ignored by kPod.
   void prepare(EngineKind engine, const Topology& topo, const RouteSet& routes,
                const MyrinetParams& params, PathPolicy policy,
                std::uint64_t net_seed, int shards = 1);

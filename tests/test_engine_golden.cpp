@@ -1,13 +1,13 @@
-// Golden cross-engine determinism: the POD calendar-queue engine must
-// reproduce the legacy std::function engine bit-for-bit.
+// Golden determinism of the event engine: committed fixtures pin the
+// simulated results, and a coalescing differential pins the one schedule
+// optimisation.
 //
-// The engines share one ordering contract — events fire by (time, seq),
-// equal timestamps FIFO in push order — and the network pushes each POD
-// event at the exact moment it would have pushed the legacy closure, so
-// every simulated quantity (delivery stream, latencies, spills, buffer
-// peaks) is identical.  Delivery tail-burst coalescing only elides events
-// that nothing observes, so it holds with coalescing on or off; with it
-// off the executed-event *counts* match exactly as well.
+// Delivery tail-burst coalescing (params.coalesce_chunk_flow) elides the
+// intermediate chunk arrivals of a packet's final leg and lands them with
+// the tail.  Those arrivals are pure sinks, so with coalescing off (one
+// event per chunk: the reference schedule) every simulated quantity —
+// delivery stream, latencies, spills, buffer peaks — must be identical,
+// and the executed-event count may differ only by the elided arrivals.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -49,9 +49,12 @@ struct EngineRun {
 
 /// One fig.7-style point (4x4 torus, 2 hosts/switch) driven directly so the
 /// full delivery stream can be captured, not just aggregate metrics.
-EngineRun run_engine(EngineKind engine, RoutingScheme scheme, double load,
-                     bool coalesce, const Testbed& tb) {
-  Simulator sim(engine);
+/// `drain`: after stopping the generator, run until every packet has been
+/// delivered, so no elided arrival is still pending at the end.
+EngineRun run_engine(RoutingScheme scheme, const DestinationPattern& pat,
+                     double load, std::uint64_t seed, bool coalesce,
+                     const Testbed& tb, bool drain = false) {
+  Simulator sim;
   MyrinetParams params;
   params.coalesce_chunk_flow = coalesce;
   Network net(sim, tb.topo(), tb.routes(scheme), params, policy_of(scheme),
@@ -63,12 +66,12 @@ EngineRun run_engine(EngineKind engine, RoutingScheme scheme, double load,
   TrafficConfig tcfg;
   tcfg.load_flits_per_ns_per_switch = load;
   tcfg.payload_bytes = 512;
-  tcfg.seed = 42;
-  UniformPattern pat(tb.topo().num_hosts());
+  tcfg.seed = seed;
   TrafficGenerator gen(sim, net, pat, tcfg);
   gen.start();
   sim.run_until(us(300));
   gen.stop();
+  if (drain) sim.run_until();
 
   out.events = sim.events_executed();
   out.events_coalesced = net.chunk_events_coalesced();
@@ -79,49 +82,54 @@ EngineRun run_engine(EngineKind engine, RoutingScheme scheme, double load,
   return out;
 }
 
-void expect_same_stream(const EngineRun& legacy, const EngineRun& pod) {
-  EXPECT_EQ(legacy.fc_violations, 0u);
-  EXPECT_EQ(pod.fc_violations, 0u);
-  EXPECT_EQ(legacy.spills, pod.spills);
-  EXPECT_EQ(legacy.max_occupancy, pod.max_occupancy);
-  EXPECT_EQ(legacy.end_time, pod.end_time);
-  ASSERT_EQ(legacy.deliveries.size(), pod.deliveries.size());
-  for (std::size_t i = 0; i < legacy.deliveries.size(); ++i) {
-    ASSERT_TRUE(legacy.deliveries[i] == pod.deliveries[i])
+/// Coalescing on vs off: identical delivery stream, and coalescing really
+/// elides events, and only events.  Every elided chunk arrival is
+/// accounted, so the coalescing-off count is bracketed by the on count and
+/// the on count plus elisions (arrivals pending at the deadline make the
+/// upper bound an inequality).
+void expect_coalescing_invisible(const EngineRun& on, const EngineRun& off) {
+  EXPECT_EQ(on.fc_violations, 0u);
+  EXPECT_EQ(off.fc_violations, 0u);
+  EXPECT_EQ(on.spills, off.spills);
+  EXPECT_EQ(on.max_occupancy, off.max_occupancy);
+  EXPECT_EQ(on.end_time, off.end_time);
+  ASSERT_EQ(on.deliveries.size(), off.deliveries.size());
+  for (std::size_t i = 0; i < on.deliveries.size(); ++i) {
+    ASSERT_TRUE(on.deliveries[i] == off.deliveries[i])
         << "delivery stream diverges at record " << i;
   }
+  EXPECT_EQ(off.events_coalesced, 0u);
+  EXPECT_GT(on.events_coalesced, 0u);
+  EXPECT_LT(on.events, off.events);
+  EXPECT_LE(off.events, on.events + on.events_coalesced);
 }
 
 TEST(EngineGolden, MidLoadDeliveryStreamIdentical) {
   Testbed tb(make_torus_2d(4, 4, 2));
+  UniformPattern pat(tb.topo().num_hosts());
   for (const RoutingScheme scheme :
        {RoutingScheme::kUpDown, RoutingScheme::kItbRr}) {
-    const EngineRun legacy =
-        run_engine(EngineKind::kLegacy, scheme, 0.02, true, tb);
-    const EngineRun pod = run_engine(EngineKind::kPod, scheme, 0.02, true, tb);
     SCOPED_TRACE(to_string(scheme));
-    expect_same_stream(legacy, pod);
-    EXPECT_GT(legacy.deliveries.size(), 100u) << "point should carry traffic";
-    // Coalescing really elides events, and only events: every elided chunk
-    // arrival is accounted, so the legacy count is bracketed by the POD
-    // count and the POD count plus elisions (arrivals pending at the
-    // deadline make the upper bound an inequality).
-    EXPECT_GT(pod.events_coalesced, 0u);
-    EXPECT_LT(pod.events, legacy.events);
-    EXPECT_LE(legacy.events, pod.events + pod.events_coalesced);
+    const EngineRun on = run_engine(scheme, pat, 0.02, 42, true, tb);
+    const EngineRun off = run_engine(scheme, pat, 0.02, 42, false, tb);
+    expect_coalescing_invisible(on, off);
+    EXPECT_GT(on.deliveries.size(), 100u) << "point should carry traffic";
   }
 }
 
 TEST(EngineGolden, CoalescingOffMatchesEventForEvent) {
+  // Drained to quiescence, no elided arrival is left pending, so the
+  // bracket closes: the coalescing-off schedule executes exactly the
+  // coalesced schedule's events plus one per elided chunk arrival.
   Testbed tb(make_torus_2d(4, 4, 2));
-  const EngineRun legacy =
-      run_engine(EngineKind::kLegacy, RoutingScheme::kItbRr, 0.02, false, tb);
-  const EngineRun pod =
-      run_engine(EngineKind::kPod, RoutingScheme::kItbRr, 0.02, false, tb);
-  expect_same_stream(legacy, pod);
-  EXPECT_EQ(pod.events_coalesced, 0u);
-  EXPECT_EQ(legacy.events, pod.events)
-      << "without coalescing the engines must execute identical schedules";
+  UniformPattern pat(tb.topo().num_hosts());
+  const EngineRun on =
+      run_engine(RoutingScheme::kItbRr, pat, 0.02, 42, true, tb, true);
+  const EngineRun off =
+      run_engine(RoutingScheme::kItbRr, pat, 0.02, 42, false, tb, true);
+  expect_coalescing_invisible(on, off);
+  EXPECT_EQ(off.events, on.events + on.events_coalesced)
+      << "coalescing must elide exactly the counted arrivals";
 }
 
 TEST(EngineGolden, HighLoadWithItbsStillIdentical) {
@@ -130,42 +138,20 @@ TEST(EngineGolden, HighLoadWithItbsStillIdentical) {
   // detour paths that create in-transit hops.
   Testbed tb(make_torus_2d(4, 4, 2));
   BitReversalPattern pat(tb.topo().num_hosts());
-  auto run = [&](EngineKind engine) {
-    Simulator sim(engine);
-    Network net(sim, tb.topo(), tb.routes(RoutingScheme::kItbRr),
-                MyrinetParams{}, PathPolicy::kRoundRobin, 42 ^ 0x9e37u);
-    EngineRun out;
-    net.set_delivery_callback(
-        [&out](const DeliveryRecord& r) { out.deliveries.push_back(r); });
-    TrafficConfig tcfg;
-    tcfg.load_flits_per_ns_per_switch = 0.08;
-    tcfg.payload_bytes = 512;
-    tcfg.seed = 7;
-    TrafficGenerator gen(sim, net, pat, tcfg);
-    gen.start();
-    sim.run_until(us(300));
-    gen.stop();
-    out.events = sim.events_executed();
-    out.events_coalesced = net.chunk_events_coalesced();
-    out.fc_violations = net.flow_control_violations();
-    out.spills = net.itb_spills();
-    out.max_occupancy = net.max_buffer_occupancy();
-    out.end_time = sim.now();
-    return out;
-  };
-  const EngineRun legacy = run(EngineKind::kLegacy);
-  const EngineRun pod = run(EngineKind::kPod);
-  expect_same_stream(legacy, pod);
+  const EngineRun on = run_engine(RoutingScheme::kItbRr, pat, 0.08, 7, true, tb);
+  const EngineRun off =
+      run_engine(RoutingScheme::kItbRr, pat, 0.08, 7, false, tb);
+  expect_coalescing_invisible(on, off);
   std::uint64_t itb_hops = 0;
-  for (const DeliveryRecord& r : legacy.deliveries) {
+  for (const DeliveryRecord& r : on.deliveries) {
     itb_hops += static_cast<std::uint64_t>(r.itbs_used);
   }
   EXPECT_GT(itb_hops, 0u) << "point should exercise the ITB mechanism";
 }
 
-/// RunResult comparison for cross-engine runs: every simulated metric must
-/// match; executed-event counts and queue peaks legitimately differ (that
-/// is the point of coalescing), wall-clock always differs.
+/// RunResult comparison for coalescing on vs off: every simulated metric
+/// must match; executed-event counts and queue peaks legitimately differ
+/// (that is the point of coalescing), wall-clock always differs.
 void expect_same_metrics(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.offered, b.offered);
   EXPECT_EQ(a.accepted, b.accepted);
@@ -198,10 +184,9 @@ void expect_same_metrics(const RunResult& a, const RunResult& b) {
 //
 //   ITB_UPDATE_GOLDEN=1 ctest -R GoldenFixture
 //
-// The config pins everything build-dependent: the POD engine explicitly
-// (not kDefaultEngine, which ITB_LEGACY_EVENTS flips) and checked=false
-// explicitly (not the ITB_CHECKED-dependent default — watchdog sampling
-// adds events), so every build produces the identical canonical string.
+// The config pins everything build-dependent: checked=false explicitly
+// (not the ITB_CHECKED-dependent default — watchdog sampling adds events),
+// so every build produces the identical canonical string.
 
 RunResult run_golden_cell(const Testbed& tb, const DestinationPattern& pat,
                           RoutingScheme scheme) {
@@ -273,7 +258,7 @@ TEST(GoldenFixture, CanonicalJsonIsDeterministicAcrossRepeats) {
   EXPECT_TRUE(same_simulated_metrics(a, b));
 }
 
-TEST(EngineGolden, RunPointMatchesAcrossEngines) {
+TEST(EngineGolden, RunPointMatchesWithCoalescingOff) {
   Testbed tb(make_torus_2d(4, 4, 2));
   UniformPattern pat(tb.topo().num_hosts());
   RunConfig cfg;
@@ -281,13 +266,15 @@ TEST(EngineGolden, RunPointMatchesAcrossEngines) {
   cfg.warmup = us(50);
   cfg.measure = us(150);
   cfg.collect_link_util = true;
-  cfg.engine = EngineKind::kLegacy;
-  const RunResult legacy = run_point(tb, RoutingScheme::kItbRr, pat, cfg);
-  cfg.engine = EngineKind::kPod;
-  const RunResult pod = run_point(tb, RoutingScheme::kItbRr, pat, cfg);
-  expect_same_metrics(legacy, pod);
-  EXPECT_GT(pod.events_coalesced, 0u);
-  EXPECT_LE(pod.peak_event_queue_len, legacy.peak_event_queue_len);
+  const RunResult on = run_point(tb, RoutingScheme::kItbRr, pat, cfg);
+  cfg.params.coalesce_chunk_flow = false;
+  const RunResult off = run_point(tb, RoutingScheme::kItbRr, pat, cfg);
+  expect_same_metrics(on, off);
+  EXPECT_EQ(off.events_coalesced, 0u);
+  EXPECT_GT(on.events_coalesced, 0u);
+  EXPECT_LT(on.events, off.events);
+  EXPECT_LE(off.events, on.events + on.events_coalesced);
+  EXPECT_LE(on.peak_event_queue_len, off.peak_event_queue_len);
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // close, bit-for-bit equal — for K = 1, 2 and 8, on every testbed, with
 // deep checks on.  The only field exempted is peak_event_queue_len: the
 // sharded value is a sum of per-lane high-water marks, which bounds but
-// does not equal the serial queue's peak (same normalization the PR-2
-// cross-engine goldens apply to engine-specific observability).
+// does not equal the serial queue's peak (queue peaks are execution
+// telemetry, not simulated results).
 //
 // The suite also pins the partition plan's invariants (contiguity,
 // host-follows-switch, lookahead derivation) and the order-tie telemetry

@@ -1,4 +1,4 @@
-// Unit tests for the discrete-event kernel: event queue ordering, simulator
+// Unit tests for the discrete-event kernel: calendar queue edges, simulator
 // clock semantics, RNG determinism and distribution sanity, statistics.
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "sim/calendar_queue.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
@@ -25,66 +24,26 @@ TEST(Time, ConversionsAreExact) {
   EXPECT_DOUBLE_EQ(to_ns(6250), 6.25);
 }
 
-TEST(EventQueue, PopsInTimeOrder) {
-  EventQueue q;
-  std::vector<int> fired;
-  q.push(30, [&] { fired.push_back(3); });
-  q.push(10, [&] { fired.push_back(1); });
-  q.push(20, [&] { fired.push_back(2); });
-  while (!q.empty()) {
-    auto [t, fn] = q.pop();
-    fn();
-  }
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, TiesFireInInsertionOrder) {
-  EventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 100; ++i) {
-    q.push(42, [&fired, i] { fired.push_back(i); });
-  }
-  while (!q.empty()) q.pop().second();
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
-}
-
-TEST(EventQueue, InterleavedPushPopKeepsOrder) {
-  EventQueue q;
-  Rng rng(7);
-  std::vector<TimePs> popped;
-  TimePs now = 0;
-  for (int round = 0; round < 50; ++round) {
-    for (int i = 0; i < 20; ++i) {
-      q.push(now + static_cast<TimePs>(rng.next_below(1000)), [] {});
-    }
-    for (int i = 0; i < 10 && !q.empty(); ++i) {
-      auto [t, fn] = q.pop();
-      EXPECT_GE(t, now);
-      now = t;
-      popped.push_back(t);
-    }
-  }
-  while (!q.empty()) {
-    auto [t, fn] = q.pop();
-    EXPECT_GE(t, now);
-    now = t;
-    popped.push_back(t);
-  }
-  EXPECT_TRUE(std::is_sorted(popped.begin(), popped.end()));
-  EXPECT_EQ(popped.size(), 50u * 20u);
-}
-
-TEST(EventQueue, NextTimeReportsHead) {
-  EventQueue q;
-  EXPECT_EQ(q.next_time(), kTimeNever);
-  q.push(99, [] {});
-  EXPECT_EQ(q.next_time(), 99);
-}
-
 // --- CalendarQueue boundary behaviour -------------------------------------
 // The parallel engine leans on pop_if_at_most at its window deadlines, so
 // the edges matter: a deadline exactly on a bucket boundary, and events
 // sitting exactly at the near-ring horizon (the near/far split).
+
+TEST(CalendarQueue, NextTimeReportsHead) {
+  // next_time() is what run_until pins the clock against once the queue
+  // idles: kTimeNever when empty, otherwise the earliest event wherever it
+  // lives (near ring or far heap).
+  CalendarQueue q;
+  EXPECT_EQ(q.next_time(), kTimeNever);
+  q.push(CalendarQueue::kHorizonPs + 5, EventKind::kCallback, 0, 0, nullptr);
+  EXPECT_EQ(q.next_time(), CalendarQueue::kHorizonPs + 5);
+  q.push(99, EventKind::kCallback, 1, 0, nullptr);
+  EXPECT_EQ(q.next_time(), 99);
+  (void)q.pop();
+  EXPECT_EQ(q.next_time(), CalendarQueue::kHorizonPs + 5);
+  (void)q.pop();
+  EXPECT_EQ(q.next_time(), kTimeNever);
+}
 
 TEST(CalendarQueue, PopIfAtMostIsInclusiveAtBucketEdge) {
   CalendarQueue q;

@@ -11,7 +11,6 @@
 #include "harness/runner.hpp"
 #include "harness/testbed.hpp"
 #include "sim/calendar_queue.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "topo/generators.hpp"
@@ -32,46 +31,6 @@ struct RefQueue {
     return e;
   }
 };
-
-class EventQueueFuzz : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(EventQueueFuzz, MatchesReferenceOrder) {
-  Rng rng(GetParam());
-  EventQueue q;
-  RefQueue ref;
-  std::vector<std::uint64_t> popped_seq;
-  std::uint64_t push_seq = 0;
-  TimePs now = 0;
-
-  for (int op = 0; op < 20000; ++op) {
-    const bool do_push = q.empty() || rng.next_bool(0.55);
-    if (do_push) {
-      const TimePs t = now + static_cast<TimePs>(rng.next_below(500));
-      const std::uint64_t id = push_seq++;
-      q.push(t, [&popped_seq, id] { popped_seq.push_back(id); });
-      ref.push(t);
-    } else {
-      auto [t, fn] = q.pop();
-      EXPECT_GE(t, now);
-      now = t;
-      fn();
-      const auto [rt, rseq] = ref.pop();
-      ASSERT_EQ(t, rt);
-      ASSERT_EQ(popped_seq.back(), rseq);
-    }
-  }
-  while (!q.empty()) {
-    auto [t, fn] = q.pop();
-    fn();
-    const auto [rt, rseq] = ref.pop();
-    ASSERT_EQ(t, rt);
-    ASSERT_EQ(popped_seq.back(), rseq);
-  }
-  EXPECT_TRUE(ref.q.empty());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFuzz,
-                         ::testing::Range<std::uint64_t>(400, 408));
 
 class CalendarQueueFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 

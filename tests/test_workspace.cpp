@@ -1,8 +1,8 @@
 // Workspace-reuse determinism suite: the tentpole contract of the
 // run-reuse layer is that a point run in a RESET workspace is bit-identical
 // to the same point run in a freshly constructed one — same RNG draws, same
-// (time, seq) event order, same metrics — in both engines, for every
-// scheme, with checked mode on.  These tests pit run_point_in against
+// (time, seq) event order, same metrics — for every scheme, with checked
+// mode on, serial or sharded.  These tests pit run_point_in against
 // explicit fresh/reused SimWorkspaces and assert exactly that, plus the
 // arena layer's headline property: zero engine heap allocations once a
 // workspace has warmed to the workload's high-water mark.
@@ -16,12 +16,13 @@
 namespace itb {
 namespace {
 
-RunConfig small_config(EngineKind engine) {
+RunConfig small_config(EngineKind engine, int shards = 1) {
   RunConfig cfg;
   cfg.load_flits_per_ns_per_switch = 0.02;
   cfg.warmup = us(30);
   cfg.measure = us(80);
   cfg.engine = engine;
+  cfg.shards = shards;
   cfg.checked = true;  // deep checks must survive reuse too
   cfg.collect_link_util = true;  // widest determinism surface
   return cfg;
@@ -61,15 +62,6 @@ TEST(Workspace, ReuseBitIdenticalPodAllSchemes) {
                                 RoutingScheme::kItbRr}) {
     SCOPED_TRACE(to_string(s));
     expect_reuse_identical(tb, s, EngineKind::kPod);
-  }
-}
-
-TEST(Workspace, ReuseBitIdenticalLegacyAllSchemes) {
-  Testbed tb(make_torus_2d(4, 4, 4));
-  for (const RoutingScheme s : {RoutingScheme::kUpDown, RoutingScheme::kItbSp,
-                                RoutingScheme::kItbRr}) {
-    SCOPED_TRACE(to_string(s));
-    expect_reuse_identical(tb, s, EngineKind::kLegacy);
   }
 }
 
@@ -138,30 +130,35 @@ TEST(Workspace, RunPointMatchesExplicitWorkspace) {
 }
 
 TEST(Workspace, EngineSwitchInsideOneWorkspace) {
-  // prepare() may flip the engine between runs; each engine's results must
-  // match that engine's fresh-workspace reference.
+  // prepare() may flip between serial and sharded runs; each engine's
+  // results must match that engine's fresh-workspace reference.
   Testbed tb(make_torus_2d(4, 4, 4));
   UniformPattern pat(tb.topo().num_hosts());
   const RunConfig pod_cfg = small_config(EngineKind::kPod);
-  const RunConfig legacy_cfg = small_config(EngineKind::kLegacy);
+  const RunConfig par_cfg = small_config(EngineKind::kPodParallel, 4);
 
-  SimWorkspace fresh_pod, fresh_legacy;
+  SimWorkspace fresh_pod, fresh_par;
   const RunResult pod_ref =
       run_point_in(fresh_pod, tb, RoutingScheme::kItbRr, pat, pod_cfg);
-  const RunResult legacy_ref =
-      run_point_in(fresh_legacy, tb, RoutingScheme::kItbRr, pat, legacy_cfg);
+  const RunResult par_ref =
+      run_point_in(fresh_par, tb, RoutingScheme::kItbRr, pat, par_cfg);
+  EXPECT_EQ(par_ref.shards, 4u);
 
   SimWorkspace ws;
   const RunResult pod1 =
       run_point_in(ws, tb, RoutingScheme::kItbRr, pat, pod_cfg);
-  const RunResult legacy1 =
-      run_point_in(ws, tb, RoutingScheme::kItbRr, pat, legacy_cfg);
+  const RunResult par1 =
+      run_point_in(ws, tb, RoutingScheme::kItbRr, pat, par_cfg);
   const RunResult pod2 =
       run_point_in(ws, tb, RoutingScheme::kItbRr, pat, pod_cfg);
+  const RunResult par2 =
+      run_point_in(ws, tb, RoutingScheme::kItbRr, pat, par_cfg);
 
   EXPECT_TRUE(same_simulated_metrics(pod_ref, pod1));
-  EXPECT_TRUE(same_simulated_metrics(legacy_ref, legacy1));
+  EXPECT_TRUE(same_simulated_metrics(par_ref, par1));
   EXPECT_TRUE(same_simulated_metrics(pod_ref, pod2));
+  EXPECT_TRUE(same_simulated_metrics(par_ref, par2));
+  EXPECT_EQ(par2.shards, 4u);
 }
 
 }  // namespace

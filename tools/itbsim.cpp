@@ -67,7 +67,7 @@ using namespace itb;
                "  --seed N         RNG seed (default 42)\n"
                "  --chunk N        engine chunk size in flits, 1..8 (default "
                "8)\n"
-               "  --engine E       legacy | pod | pod_parallel (default pod;\n"
+               "  --engine E       pod | pod_parallel (default pod;\n"
                "                   pod_parallel shards ONE simulation across\n"
                "                   --shards worker threads, same results)\n"
                "  --shards N       worker lanes for --engine pod_parallel\n"
@@ -183,8 +183,7 @@ std::unique_ptr<DestinationPattern> make_pattern(const std::string& spec,
 }
 
 std::optional<EngineKind> parse_engine(const std::string& name) {
-  for (const EngineKind e :
-       {EngineKind::kLegacy, EngineKind::kPod, EngineKind::kPodParallel}) {
+  for (const EngineKind e : {EngineKind::kPod, EngineKind::kPodParallel}) {
     if (name == to_string(e)) return e;
   }
   return std::nullopt;

@@ -21,13 +21,11 @@ def rates(record):
     out = {}
     mk = record.get("micro_kernel", {})
     kern = mk.get("engine_kernel", {})
-    for key in ("legacy_ops_per_sec", "pod_ops_per_sec"):
-        if key in kern:
-            out[f"engine_kernel.{key}"] = kern[key]
+    if "pod_ops_per_sec" in kern:
+        out["engine_kernel.pod_ops_per_sec"] = kern["pod_ops_per_sec"]
     e2e = mk.get("end_to_end", {})
-    for key in ("legacy_events_per_sec", "pod_events_per_sec"):
-        if key in e2e:
-            out[f"end_to_end.{key}"] = e2e[key]
+    if "pod_events_per_sec" in e2e:
+        out["end_to_end.pod_events_per_sec"] = e2e["pod_events_per_sec"]
     overhead = mk.get("checked_overhead", {})
     for key in ("ledger_off_events_per_sec", "ledger_on_events_per_sec",
                 "checked_events_per_sec"):

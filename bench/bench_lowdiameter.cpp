@@ -11,22 +11,14 @@
 //      switches, which is exactly the story this bench tells.
 //   2. A scale/acceptance section: >= 1024-switch cells (hyperx 32x32;
 //      plus dragonfly a=16 p=8 h=8 in --full) run checked (route verifier
-//      + deadlock watchdog) with ITB-RR, serially and sharded across the
-//      conservative parallel engine at 4 and 8 lanes, holding every
-//      sharded run to bit-identical simulated metrics and zero invariant
-//      violations.  The partition plan's per-lane cut degrees are
-//      reported: dense graphs cut almost everything, and the plan (not
-//      the engine) is what has to absorb that irregularity.
+//      + deadlock watchdog) with ITB-RR and must record zero invariant
+//      violations.
 //
-// Exit status is the acceptance gate: non-zero if any sharded run
-// diverges from its serial twin or any checked run records a violation.
+// Exit status is the acceptance gate: non-zero if any checked run records
+// a violation.
 #include "bench_common.hpp"
 
-#include <algorithm>
-
 #include "harness/json.hpp"
-#include "net/params.hpp"
-#include "sim/partition.hpp"
 
 using namespace itb;
 using namespace itb::bench;
@@ -153,21 +145,16 @@ int main(int argc, char** argv) {
   ttable.print(std::cout);
 
   // ------------------------------------------------------------- scale
-  // Checked >=1k-switch cells: serial POD vs conservative parallel engine
-  // at 4 and 8 lanes, bit-identical or bust.
+  // Checked >=1k-switch cells: zero invariant violations or bust.
   const std::vector<std::string> scale_beds =
       opts.fast ? std::vector<std::string>{"hyperx32x32"}
                 : std::vector<std::string>{"hyperx32x32", "dragonfly16"};
-  const std::vector<int> shard_ladder = {4, 8};
 
   struct ScaleCell {
     std::string testbed;
     int switches = 0;
     int hosts = 0;
     RunResult serial;
-    std::vector<RunResult> sharded;   // by shard_ladder
-    std::vector<bool> identical;      // by shard_ladder
-    PartitionPlan plan;               // at shard_ladder.back()
     std::uint64_t table_bytes = 0;
     double build_ms = 0.0;
   };
@@ -191,68 +178,32 @@ int main(int argc, char** argv) {
     cfg.warmup = us(opts.fast ? 15 : 40);
     cfg.measure = us(opts.fast ? 40 : 120);
     cfg.load_flits_per_ns_per_switch = 0.004;
-    cfg.engine = EngineKind::kPod;
     cell.serial = run_point(tb, RoutingScheme::kItbRr, pattern, cfg);
-    if (cell.serial.invariant_violations != 0) scale_ok = false;
-
-    cfg.engine = EngineKind::kPodParallel;
-    for (const int shards : shard_ladder) {
-      cfg.shards = shards;
-      RunResult r = run_point(tb, RoutingScheme::kItbRr, pattern, cfg);
-      RunResult cmp = r;
-      // Per-lane queue peaks sum differently than one serial queue; every
-      // other simulated field must match exactly.
-      cmp.peak_event_queue_len = cell.serial.peak_event_queue_len;
-      const bool same = same_simulated_metrics(cell.serial, cmp) &&
-                        r.invariant_violations == 0;
-      if (!same) {
-        std::printf("DETERMINISM VIOLATION: %s differs at --shards %d\n",
-                    name.c_str(), shards);
-        scale_ok = false;
-      }
-      cell.identical.push_back(same);
-      cell.sharded.push_back(std::move(r));
+    if (cell.serial.invariant_violations != 0) {
+      std::printf("INVARIANT VIOLATION: %s recorded %llu violation(s)\n",
+                  name.c_str(),
+                  static_cast<unsigned long long>(
+                      cell.serial.invariant_violations));
+      scale_ok = false;
     }
-    cell.plan = make_contiguous_plan(tb.topo(), cfg.params,
-                                     shard_ladder.back());
     scale.push_back(std::move(cell));
   }
 
-  std::printf("\nscale cells (checked, ITB-RR, serial vs pod_parallel):\n");
-  TextTable stable({"testbed", "sw", "hosts", "shards", "accepted", "lat(ns)",
-                    "windows", "boundary", "cut-min", "cut-max", "identical"});
+  std::printf("\nscale cells (checked, ITB-RR):\n");
+  TextTable stable({"testbed", "sw", "hosts", "accepted", "lat(ns)",
+                    "events", "violations"});
   for (const ScaleCell& c : scale) {
     char acc[32], lat[32];
     std::snprintf(acc, sizeof acc, "%.4f", c.serial.accepted);
     std::snprintf(lat, sizeof lat, "%.0f", c.serial.avg_latency_ns);
     stable.add_row({c.testbed, std::to_string(c.switches),
-                    std::to_string(c.hosts), "1", acc, lat, "-", "-", "-",
-                    "-", "-"});
-    for (std::size_t k = 0; k < c.sharded.size(); ++k) {
-      const RunResult& r = c.sharded[k];
-      char sacc[32], slat[32];
-      std::snprintf(sacc, sizeof sacc, "%.4f", r.accepted);
-      std::snprintf(slat, sizeof slat, "%.0f", r.avg_latency_ns);
-      int cut_min = 0, cut_max = 0;
-      if (!c.plan.lane_cut_channels.empty()) {
-        cut_min = *std::min_element(c.plan.lane_cut_channels.begin(),
-                                    c.plan.lane_cut_channels.end());
-        cut_max = *std::max_element(c.plan.lane_cut_channels.begin(),
-                                    c.plan.lane_cut_channels.end());
-      }
-      stable.add_row({c.testbed, std::to_string(c.switches),
-                      std::to_string(c.hosts),
-                      std::to_string(shard_ladder[k]), sacc, slat,
-                      std::to_string(r.windows_executed),
-                      std::to_string(r.boundary_events),
-                      std::to_string(cut_min), std::to_string(cut_max),
-                      c.identical[k] ? "yes" : "NO"});
-    }
+                    std::to_string(c.hosts), acc, lat,
+                    std::to_string(c.serial.events),
+                    std::to_string(c.serial.invariant_violations)});
   }
   stable.print(std::cout);
-  std::printf("scale determinism: %s\n",
-              scale_ok ? "OK (all shard counts bit-identical, 0 violations)"
-                       : "VIOLATED");
+  std::printf("scale invariants: %s\n",
+              scale_ok ? "OK (0 violations)" : "VIOLATED");
 
   if (!opts.json.empty()) {
     {
@@ -293,7 +244,7 @@ int main(int argc, char** argv) {
     {
       JsonWriter w;
       w.begin_object();
-      w.key("deterministic").value(scale_ok);
+      w.key("violation_free").value(scale_ok);
       w.key("cells").begin_array();
       for (const ScaleCell& c : scale) {
         w.begin_object();
@@ -310,33 +261,6 @@ int main(int argc, char** argv) {
         w.key("invariant_violations").value(c.serial.invariant_violations);
         w.key("checked").value(c.serial.checked);
         w.end_object();
-        w.key("plan").begin_object();
-        w.key("shards").value(c.plan.shards);
-        w.key("lookahead_ps").value(c.plan.lookahead);
-        w.key("boundary_channels").value(c.plan.boundary_channels);
-        w.key("lane_switches").begin_array();
-        for (const int v : c.plan.lane_switches) w.value(v);
-        w.end_array();
-        w.key("lane_cut_channels").begin_array();
-        for (const int v : c.plan.lane_cut_channels) w.value(v);
-        w.end_array();
-        w.end_object();
-        w.key("sharded").begin_array();
-        for (std::size_t k = 0; k < c.sharded.size(); ++k) {
-          const RunResult& r = c.sharded[k];
-          w.begin_object();
-          w.key("shards").value(shard_ladder[k]);
-          w.key("identical_to_serial").value(
-              static_cast<bool>(c.identical[k]));
-          w.key("invariant_violations").value(r.invariant_violations);
-          w.key("events").value(r.events);
-          w.key("window_ns").value(r.window_ns);
-          w.key("windows_executed").value(r.windows_executed);
-          w.key("boundary_events").value(r.boundary_events);
-          w.key("boundary_ties").value(r.boundary_ties);
-          w.end_object();
-        }
-        w.end_array();
         w.end_object();
       }
       w.end_array();

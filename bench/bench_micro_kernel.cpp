@@ -10,8 +10,6 @@
 //    tools/perf_check.py.  Run this binary first when regenerating
 //    BENCH_*.json — it starts the file fresh; bench_parallel_scaling
 //    merges its section afterwards.
-//  - `--shard-ab-only [--fast]`: just the serial-vs-sharded engine A/B
-//    with its determinism cross-check (the TSan CI lane's entry point).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -205,7 +203,6 @@ RunResult overhead_point(const Testbed& tb, const BenchOptions& opts,
   cfg.load_flits_per_ns_per_switch = 0.02;
   cfg.warmup = opts.fast ? us(40) : us(150);
   cfg.measure = opts.fast ? us(100) : us(400);
-  cfg.engine = EngineKind::kPod;
   cfg.params.ledger_checks = ledgers;
   cfg.checked = checked;
   const int reps = 3;
@@ -238,7 +235,6 @@ RunResult telemetry_point(const Testbed& tb, const BenchOptions& opts,
   cfg.load_flits_per_ns_per_switch = 0.02;
   cfg.warmup = opts.fast ? us(40) : us(150);
   cfg.measure = opts.fast ? us(100) : us(400);
-  cfg.engine = EngineKind::kPod;
   tweak(cfg);
   const int reps = 3;
   RunResult best = run_point(tb, RoutingScheme::kItbRr, pat, cfg);
@@ -255,7 +251,6 @@ WorkspaceAb workspace_ab(const Testbed& tb, const BenchOptions& opts) {
   cfg.load_flits_per_ns_per_switch = 0.02;
   cfg.warmup = opts.fast ? us(40) : us(150);
   cfg.measure = opts.fast ? us(100) : us(400);
-  cfg.engine = EngineKind::kPod;
   const int reps = 3;
   WorkspaceAb ab;
   {
@@ -343,85 +338,6 @@ RouteStoreAb route_store_ab(const Topology& topo, const UpDown& ud) {
   return ab;
 }
 
-/// Serial-vs-sharded A/B: the same end-to-end point on the serial POD
-/// engine and on the conservative window engine at K = 2/4/8 lanes.
-/// Bit-identical simulated metrics is the contract (the differential suite
-/// in tests/test_parallel_engine.cpp enforces it; re-checked here so the
-/// perf record can't carry rates from diverged simulations).  Rates are
-/// best of `reps`; on a single-core bench box the sharded rates sit below
-/// serial — the record tracks them anyway so a multicore box shows the
-/// speedup and a regression shows up as a ratio shift, not an absolute.
-struct ShardAb {
-  RunResult serial;
-  std::vector<std::pair<int, RunResult>> sharded;  // {K, best run}
-  bool identical = true;
-};
-
-ShardAb shard_ab(const Testbed& tb, const BenchOptions& opts) {
-  UniformPattern pat(tb.topo().num_hosts());
-  RunConfig cfg;
-  cfg.load_flits_per_ns_per_switch = 0.02;
-  cfg.warmup = opts.fast ? us(40) : us(150);
-  cfg.measure = opts.fast ? us(100) : us(400);
-  cfg.engine = EngineKind::kPod;
-  const int reps = 3;
-  ShardAb ab;
-  ab.serial = run_point(tb, RoutingScheme::kItbRr, pat, cfg);
-  for (int i = 1; i < reps; ++i) {
-    RunResult r = run_point(tb, RoutingScheme::kItbRr, pat, cfg);
-    if (r.events_per_sec > ab.serial.events_per_sec) ab.serial = std::move(r);
-  }
-  cfg.engine = EngineKind::kPodParallel;
-  for (const int k : {2, 4, 8}) {
-    cfg.shards = k;
-    RunResult best = run_point(tb, RoutingScheme::kItbRr, pat, cfg);
-    for (int i = 1; i < reps; ++i) {
-      RunResult r = run_point(tb, RoutingScheme::kItbRr, pat, cfg);
-      if (r.events_per_sec > best.events_per_sec) best = std::move(r);
-    }
-    // peak_event_queue_len is the one field legitimately different in a
-    // sharded run (sum of per-lane peaks); normalize it like the tests do.
-    RunResult cmp = best;
-    cmp.peak_event_queue_len = ab.serial.peak_event_queue_len;
-    if (!same_simulated_metrics(ab.serial, cmp) ||
-        best.events != ab.serial.events) {
-      ab.identical = false;
-    }
-    ab.sharded.emplace_back(k, std::move(best));
-  }
-  return ab;
-}
-
-void print_shard_ab(const ShardAb& ab) {
-  std::printf("sharded engine (POD serial vs pod_parallel, best of 3):\n");
-  std::printf("  serial  %8.2f Mev/s\n", ab.serial.events_per_sec / 1e6);
-  for (const auto& [k, r] : ab.sharded) {
-    std::printf("  K=%d     %8.2f Mev/s   speedup %.2fx   windows %llu   "
-                "boundary %llu (ties %llu)\n",
-                k, r.events_per_sec / 1e6,
-                r.events_per_sec / ab.serial.events_per_sec,
-                static_cast<unsigned long long>(r.windows_executed),
-                static_cast<unsigned long long>(r.boundary_events),
-                static_cast<unsigned long long>(r.boundary_ties));
-  }
-  std::printf("  bit-identical %s\n", ab.identical ? "yes" : "NO");
-}
-
-/// `--shard-ab-only`: just the serial-vs-sharded determinism/perf A/B, for
-/// the TSan CI lane (the full --json record would re-run every section
-/// under TSan's ~10x slowdown for no extra thread coverage).
-int run_shard_ab_only(const BenchOptions& opts) {
-  Testbed tb(make_torus_2d(8, 8, 8));
-  tb.warm_all();
-  const ShardAb ab = shard_ab(tb, opts);
-  print_shard_ab(ab);
-  if (!ab.identical) {
-    std::printf("SHARD A/B MISMATCH: sharded run differs from serial\n");
-    return 1;
-  }
-  return 0;
-}
-
 int run_json_mode(const BenchOptions& opts) {
   const std::vector<TimePs> deltas = make_deltas();
   const std::uint64_t ops = opts.fast ? 1'000'000 : 4'000'000;
@@ -450,8 +366,6 @@ int run_json_mode(const BenchOptions& opts) {
 
   const RouteStoreAb rs_ab = route_store_ab(tb.topo(), tb.updown());
 
-  const ShardAb sh_ab = shard_ab(tb, opts);
-
   // Telemetry cost A/B (same POD workload): the tracer/sampler/profiler
   // hooks are compiled into the hot path unconditionally and gated by null
   // pointers, so the disabled baseline IS the ledgers-on run above — the
@@ -473,31 +387,6 @@ int run_json_mode(const BenchOptions& opts) {
       1.0 - sampled.events_per_sec / tele_off.events_per_sec;
   const double profiled_overhead =
       1.0 - profiled.events_per_sec / tele_off.events_per_sec;
-
-  // Sharded telemetry A/B: tracing/profiling no longer fall back to
-  // serial, so their cost under the parallel engine is a perf surface of
-  // its own — per-lane rings + the keyed record path + the harvest merge.
-  // The disabled sharded baseline is measured fresh (same tweak shape) so
-  // the overhead fraction isolates telemetry, not sharding.
-  const auto sharded_tweak = [](RunConfig& c) {
-    c.engine = EngineKind::kPodParallel;
-    c.shards = 4;
-  };
-  const RunResult sh_off = telemetry_point(tb, opts, sharded_tweak);
-  const RunResult sh_traced = telemetry_point(tb, opts, [](RunConfig& c) {
-    c.engine = EngineKind::kPodParallel;
-    c.shards = 4;
-    c.trace = true;
-  });
-  const RunResult sh_profiled = telemetry_point(tb, opts, [](RunConfig& c) {
-    c.engine = EngineKind::kPodParallel;
-    c.shards = 4;
-    c.profile = true;
-  });
-  const double sh_traced_overhead =
-      1.0 - sh_traced.events_per_sec / sh_off.events_per_sec;
-  const double sh_profiled_overhead =
-      1.0 - sh_profiled.events_per_sec / sh_off.events_per_sec;
 
   std::printf("engine kernel (%zu held, %llu ops):\n", kHeld,
               static_cast<unsigned long long>(ops));
@@ -521,17 +410,6 @@ int run_json_mode(const BenchOptions& opts) {
               sampled.samples.size());
   std::printf("  profiled %8.2f Mev/s   overhead %+.1f%%\n",
               profiled.events_per_sec / 1e6, profiled_overhead * 100.0);
-  std::printf("telemetry cost sharded (pod_parallel K=%llu, best of 3):\n",
-              static_cast<unsigned long long>(sh_off.shards));
-  std::printf("  disabled %8.2f Mev/s\n", sh_off.events_per_sec / 1e6);
-  std::printf("  traced   %8.2f Mev/s   overhead %+.1f%%   records %llu   "
-              "barrier %.1f ms\n",
-              sh_traced.events_per_sec / 1e6, sh_traced_overhead * 100.0,
-              static_cast<unsigned long long>(sh_traced.trace_records),
-              sh_traced.barrier_wait_ms);
-  std::printf("  profiled %8.2f Mev/s   overhead %+.1f%%   imbalance %.2f\n",
-              sh_profiled.events_per_sec / 1e6, sh_profiled_overhead * 100.0,
-              sh_profiled.lane_imbalance);
   std::printf("route store (ITB table, 512-host torus, best of 3):\n");
   std::printf("  nested build %8.2f ms   %8.2f KiB\n", rs_ab.nested_build_ms,
               static_cast<double>(rs_ab.nested_bytes) / 1024.0);
@@ -547,7 +425,6 @@ int run_json_mode(const BenchOptions& opts) {
               rs_ab.parallel_jobs, rs_ab.flat_build_jobsn_ms,
               rs_ab.flat_build_jobs1_ms / rs_ab.flat_build_jobsn_ms,
               rs_ab.parallel_identical ? "yes" : "NO");
-  print_shard_ab(sh_ab);
   std::printf("workspace reuse (POD, best of 3):\n");
   std::printf("  fresh   %8.2f Mev/s   run allocs %llu\n",
               ws_ab.fresh.events_per_sec / 1e6,
@@ -596,15 +473,6 @@ int run_json_mode(const BenchOptions& opts) {
   w.key("trace_dropped").value(traced.trace_dropped);
   w.key("sample_windows")
       .value(static_cast<std::uint64_t>(sampled.samples.size()));
-  w.key("sharded_shards").value(sh_off.shards);
-  w.key("sharded_disabled_events_per_sec").value(sh_off.events_per_sec);
-  w.key("sharded_traced_events_per_sec").value(sh_traced.events_per_sec);
-  w.key("sharded_profiled_events_per_sec").value(sh_profiled.events_per_sec);
-  w.key("sharded_traced_overhead_frac").value(sh_traced_overhead);
-  w.key("sharded_profiled_overhead_frac").value(sh_profiled_overhead);
-  w.key("sharded_trace_records").value(sh_traced.trace_records);
-  w.key("sharded_barrier_wait_ms").value(sh_traced.barrier_wait_ms);
-  w.key("sharded_lane_imbalance").value(sh_traced.lane_imbalance);
   w.end_object();
   w.key("route_store").begin_object();
   w.key("testbed").value("torus 8x8, 8 hosts/switch (512 hosts)");
@@ -625,23 +493,6 @@ int run_json_mode(const BenchOptions& opts) {
   // The end_to_end section's pod rate IS the flat-store e2e number;
   // perf_check compares it against the nested-era baseline in BENCH_pr5.
   w.key("flat_e2e_events_per_sec").value(pod_e2e.events_per_sec);
-  w.end_object();
-  w.key("shard_ab").begin_object();
-  w.key("serial_events_per_sec").value(sh_ab.serial.events_per_sec);
-  w.key("shards").begin_array();
-  for (const auto& [k, r] : sh_ab.sharded) {
-    w.begin_object();
-    w.key("shards").value(k);
-    w.key("events_per_sec").value(r.events_per_sec);
-    w.key("speedup").value(r.events_per_sec / sh_ab.serial.events_per_sec);
-    w.key("window_ns").value(r.window_ns);
-    w.key("windows_executed").value(r.windows_executed);
-    w.key("boundary_events").value(r.boundary_events);
-    w.key("boundary_ties").value(r.boundary_ties);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("bit_identical").value(sh_ab.identical);
   w.end_object();
   w.key("workspace").begin_object();
   w.key("fresh_events_per_sec").value(ws_ab.fresh.events_per_sec);
@@ -693,28 +544,12 @@ int run_json_mode(const BenchOptions& opts) {
     std::printf("WORKSPACE A/B MISMATCH: reused run differs from fresh\n");
     return 1;
   }
-  // Sharding must not change the simulation either — the record's sharded
-  // rates are only meaningful if they ran the identical simulation.
-  if (!sh_ab.identical) {
-    std::printf("SHARD A/B MISMATCH: sharded run differs from serial\n");
-    return 1;
-  }
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool shard_only = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--shard-ab-only") == 0) {
-      shard_only = true;
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-      break;
-    }
-  }
-  if (shard_only) return run_shard_ab_only(itb::parse_bench_args(argc, argv));
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
       return run_json_mode(itb::parse_bench_args(argc, argv));

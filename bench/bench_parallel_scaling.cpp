@@ -7,10 +7,6 @@
 //
 // Expected shape: near-linear speedup up to the physical core count
 // (>= 3x at --jobs 4 on a 4-core machine), flat beyond it.
-//
-// A second table covers intra-run sharding: the SAME point split across
-// 1/2/4/8 lanes by the conservative window engine (--engine pod_parallel),
-// again held to bit-identical simulated metrics against the serial run.
 #include "bench_common.hpp"
 
 #include <chrono>
@@ -110,56 +106,6 @@ int main(int argc, char** argv) {
               deterministic ? "OK (all jobs values bit-identical)"
                             : "VIOLATED");
 
-  // Intra-run sharding: where the table above spreads independent points
-  // across workers, this splits ONE simulation across K lanes with the
-  // conservative window engine (sim/parallel_engine.hpp) and holds it to
-  // the same contract — bit-identical simulated metrics at every K.
-  struct ShardSample {
-    int shards;
-    RunResult run;
-  };
-  std::vector<ShardSample> shard_samples;
-  bool shard_deterministic = true;
-  RunConfig scfg = cfg;
-  scfg.engine = EngineKind::kPod;
-  const RunResult shard_serial =
-      run_point(tb, RoutingScheme::kItbRr, pattern, scfg);
-  scfg.engine = EngineKind::kPodParallel;
-  for (const int shards : {1, 2, 4, 8}) {
-    scfg.shards = shards;
-    RunResult r = run_point(tb, RoutingScheme::kItbRr, pattern, scfg);
-    RunResult cmp = r;
-    cmp.peak_event_queue_len = shard_serial.peak_event_queue_len;
-    if (!same_simulated_metrics(shard_serial, cmp) ||
-        r.events != shard_serial.events) {
-      std::printf("DETERMINISM VIOLATION: sharded run differs at "
-                  "--shards %d\n", shards);
-      shard_deterministic = false;
-    }
-    shard_samples.push_back({shards, std::move(r)});
-  }
-
-  TextTable shard_table({"shards", "window(ns)", "windows", "boundary",
-                         "ties", "Mevents/s", "speedup"});
-  for (const ShardSample& s : shard_samples) {
-    char win[32], evps[32], speed[32];
-    std::snprintf(win, sizeof win, "%.1f", s.run.window_ns);
-    std::snprintf(evps, sizeof evps, "%.2f", s.run.events_per_sec / 1e6);
-    std::snprintf(speed, sizeof speed, "%.2fx",
-                  s.run.events_per_sec / shard_serial.events_per_sec);
-    shard_table.add_row({std::to_string(s.shards), win,
-                         std::to_string(s.run.windows_executed),
-                         std::to_string(s.run.boundary_events),
-                         std::to_string(s.run.boundary_ties), evps, speed});
-  }
-  std::printf("\nintra-run sharding (one point, --engine pod_parallel, "
-              "serial %.2f Mevents/s):\n",
-              shard_serial.events_per_sec / 1e6);
-  shard_table.print(std::cout);
-  std::printf("shard determinism: %s\n",
-              shard_deterministic ? "OK (all K bit-identical to serial)"
-                                  : "VIOLATED");
-
   if (!opts.json.empty()) {
     JsonWriter w;
     w.begin_object();
@@ -181,25 +127,9 @@ int main(int argc, char** argv) {
       w.end_object();
     }
     w.end_array();
-    w.key("shard_serial_events_per_sec").value(shard_serial.events_per_sec);
-    w.key("shard_deterministic").value(shard_deterministic);
-    w.key("shard_samples").begin_array();
-    for (const ShardSample& s : shard_samples) {
-      w.begin_object();
-      w.key("shards").value(s.shards);
-      w.key("events_per_sec").value(s.run.events_per_sec);
-      w.key("speedup").value(s.run.events_per_sec /
-                             shard_serial.events_per_sec);
-      w.key("window_ns").value(s.run.window_ns);
-      w.key("windows_executed").value(s.run.windows_executed);
-      w.key("boundary_events").value(s.run.boundary_events);
-      w.key("boundary_ties").value(s.run.boundary_ties);
-      w.end_object();
-    }
-    w.end_array();
     w.end_object();
     write_json_section(opts.json, "parallel_scaling", w.str());
     std::printf("wrote parallel_scaling section to %s\n", opts.json.c_str());
   }
-  return deterministic && shard_deterministic ? 0 : 1;
+  return deterministic ? 0 : 1;
 }

@@ -89,22 +89,6 @@ class InvariantRecorder {
     return stored_;
   }
 
-  /// Merge (and drain) another recorder into this one.  The parallel
-  /// engine's per-lane recorders are absorbed into the Network's primary
-  /// recorder at every sync point, in lane order — deterministic because
-  /// each lane's own record order is.
-  void absorb(InvariantRecorder& other) {
-    for (std::size_t k = 0; k < static_cast<std::size_t>(kNumInvariantKinds);
-         ++k) {
-      counts_[k] += other.counts_[k];
-    }
-    total_ += other.total_;
-    for (InvariantViolation& v : other.stored_) {
-      if (stored_.size() < kMaxStored) stored_.push_back(std::move(v));
-    }
-    other.clear();
-  }
-
   void clear() {
     total_ = 0;
     for (auto& c : counts_) c = 0;

@@ -72,21 +72,6 @@ constexpr ResultField kFields[] = {
      [](const RunResult& r) { return u64(r.peak_event_queue_len); }},
     {"events_coalesced", FieldType::kU64, kSim,
      [](const RunResult& r) { return u64(r.events_coalesced); }},
-    // Parallel-engine observability: kHost because they describe how the
-    // point was executed (lane count, barrier windows, mailbox traffic),
-    // not what it simulated — a sharded run must equal the serial run on
-    // every kSim row above, which is exactly what test_parallel_engine
-    // asserts.
-    {"shards", FieldType::kU64, kHost,
-     [](const RunResult& r) { return u64(r.shards); }},
-    {"window_ns", FieldType::kF64, kHost,
-     [](const RunResult& r) { return f64(r.window_ns); }},
-    {"windows_executed", FieldType::kU64, kHost,
-     [](const RunResult& r) { return u64(r.windows_executed); }},
-    {"boundary_events", FieldType::kU64, kHost,
-     [](const RunResult& r) { return u64(r.boundary_events); }},
-    {"boundary_ties", FieldType::kU64, kHost,
-     [](const RunResult& r) { return u64(r.boundary_ties); }},
     {"workspace_reuses", FieldType::kU64, kHost,
      [](const RunResult& r) { return u64(r.workspace_reuses); }},
     {"arena_bytes_peak", FieldType::kU64, kHost,
@@ -115,20 +100,6 @@ constexpr ResultField kFields[] = {
      [](const RunResult& r) { return boolean(r.checked); }},
     {"invariant_violations", FieldType::kU64, kSim,
      [](const RunResult& r) { return u64(r.invariant_violations); }},
-    // Engine health layer (kHost like the parallel-engine block above:
-    // barrier waits and mailbox depths are execution artefacts, not
-    // simulated outcomes).  Appended after the pinned kSim rows so the
-    // canonical JSON order — and the committed goldens — are untouched.
-    {"barrier_wait_ms", FieldType::kF64, kHost,
-     [](const RunResult& r) { return f64(r.barrier_wait_ms); }},
-    {"lane_imbalance", FieldType::kF64, kHost,
-     [](const RunResult& r) { return f64(r.lane_imbalance); }},
-    {"mailbox_depth_peak", FieldType::kU64, kHost,
-     [](const RunResult& r) { return u64(r.mailbox_depth_peak); }},
-    {"cross_lane_credits", FieldType::kU64, kHost,
-     [](const RunResult& r) { return u64(r.cross_lane_credits); }},
-    {"trace_dropped_max_lane", FieldType::kU64, kHost,
-     [](const RunResult& r) { return u64(r.trace_dropped_max_lane); }},
 };
 
 }  // namespace

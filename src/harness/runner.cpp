@@ -1,10 +1,10 @@
 #include "harness/runner.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <mutex>
 #include <optional>
 #include <set>
+#include <stdexcept>
 
 #include "check/route_verify.hpp"
 #include "check/watchdog.hpp"
@@ -83,83 +83,34 @@ RunResult run_point(const Testbed& tb, RoutingScheme scheme,
 RunResult run_point_in(SimWorkspace& ws, const Testbed& tb,
                        RoutingScheme scheme, const DestinationPattern& pattern,
                        const RunConfig& cfg) {
+  if (cfg.measure <= 0) {
+    throw std::invalid_argument(
+        "run_point: the measurement window must be positive");
+  }
+  if (cfg.warmup < 0) {
+    throw std::invalid_argument("run_point: the warm-up must not be negative");
+  }
   const auto wall_start = std::chrono::steady_clock::now();
   const RouteSet& routes = tb.routes(scheme);
-  // Serial fallback for the one run kind that still needs serial-only
-  // machinery: the adaptive selector feeds delivered-latency back into
-  // route choice through one shared feedback table.  Tracing and profiling
-  // run sharded — each lane writes its own ring/profiler, merged at
-  // harvest.  RunResult::shards reports what actually ran.
-  EngineKind engine = cfg.engine;
-  if (engine == EngineKind::kPodParallel &&
-      policy_of(scheme) == PathPolicy::kAdaptive) {
-    engine = EngineKind::kPod;
-  }
-  ws.prepare(engine, tb.topo(), routes, cfg.params, policy_of(scheme),
-             cfg.seed ^ 0x9e37u, cfg.shards);
+  ws.prepare(cfg.engine, tb.topo(), routes, cfg.params, policy_of(scheme),
+             cfg.seed ^ 0x9e37u);
   Simulator& sim = ws.sim();
   Network& net = ws.net();
   MetricsCollector& metrics = ws.metrics();
   metrics.attach(net);
-  const bool par = ws.parallel();
-  ParallelEngine& eng = ws.engine();
-
-  // One step of simulated time, engine-agnostic.  Sharded: run the lanes'
-  // window protocol to t, let the coordinator clock (watchdog ticks) catch
-  // up, then merge the lanes' buffered deliveries into the metrics stream —
-  // every observer below reads at these sync points only.
-  const auto advance = [&](TimePs t) {
-    if (par) {
-      eng.run_until(t);
-      sim.run_until(t);
-      net.flush_deliveries();
-    } else {
-      sim.run_until(t);
-    }
-  };
-  const auto engine_counters = [&] {
-    EngineCounters c{sim.events_executed(), sim.queue_len()};
-    if (par) {
-      c.events_executed += eng.events_executed();
-      c.queue_len += eng.queue_len();
-    }
-    return c;
-  };
 
   // Telemetry attachments: the workspace owns the buffers (so their storage
   // survives reuse); the network only sees non-null pointers when this run
   // asked for them — disabled runs pay one untaken branch per hook.
-  // Sharded runs get one ring/profiler per lane, written lock-free by the
-  // owning worker and merged at harvest (see obs/trace.hpp).
-  const int k = par ? eng.lanes() : 0;
   if (cfg.trace) {
-    if (par) {
-      PacketTracer* lt = ws.lane_tracers(k);
-      for (int i = 0; i < k; ++i) {
-        lt[i].configure_lane(cfg.trace_capacity,
-                             static_cast<std::uint8_t>(i));
-      }
-      net.set_tracer(lt);
-    } else {
-      ws.tracer().configure(cfg.trace_capacity);
-      net.set_tracer(&ws.tracer());
-    }
+    ws.tracer().configure(cfg.trace_capacity);
+    net.set_tracer(&ws.tracer());
   }
   PhaseProfiler* prof = nullptr;
   if (cfg.profile) {
     ws.profiler().clear();
     prof = &ws.profiler();
     net.set_profiler(prof);
-    if (par) {
-      PhaseProfiler* lp = ws.lane_profilers(k);
-      for (int i = 0; i < k; ++i) lp[i].clear();
-      net.set_lane_profilers(lp);
-    }
-  }
-  // Per-window health rings feed the Perfetto lane tracks; only worth the
-  // per-window bookkeeping when something will export them.
-  if (par && (cfg.trace || cfg.profile)) {
-    eng.enable_window_stats(4096);
   }
 
   std::optional<DeadlockWatchdog> watchdog;
@@ -178,7 +129,7 @@ RunResult run_point_in(SimWorkspace& ws, const Testbed& tb,
 
   {
     ScopedPhase phase(prof, Phase::kWarmup);
-    advance(cfg.warmup);
+    sim.run_until(cfg.warmup);
   }
   metrics.reset_window(sim.now());
   net.reset_channel_stats();
@@ -193,21 +144,18 @@ RunResult run_point_in(SimWorkspace& ws, const Testbed& tb,
       // Slice the window at sample boundaries.  run_until executes events
       // by their own timestamps and pins the clock to each boundary, so
       // the sliced run is event-for-event identical to the single
-      // run_until below — sampling never perturbs the simulation.  (The
-      // sharded engine re-anchors its window grid at each boundary, which
-      // changes how work packs into barrier windows but never the per-lane
-      // (time, key) event order, so the same holds there.)
-      sampler.begin(sim.now(), cfg.sample_link_util, engine_counters(), net,
-                    metrics, cfg.sample_itb_pool);
+      // run_until below — sampling never perturbs the simulation.
+      sampler.begin(sim.now(), cfg.sample_link_util, sim, net, metrics,
+                    cfg.sample_itb_pool);
       for (TimePs b = cfg.warmup + cfg.sample_period; b < window_end;
            b += cfg.sample_period) {
-        advance(b);
-        sampler.sample(sim.now(), engine_counters(), net, metrics);
+        sim.run_until(b);
+        sampler.sample(sim.now(), sim, net, metrics);
       }
-      advance(window_end);
-      sampler.sample(sim.now(), engine_counters(), net, metrics);
+      sim.run_until(window_end);
+      sampler.sample(sim.now(), sim, net, metrics);
     } else {
-      advance(window_end);
+      sim.run_until(window_end);
     }
   }
   const TimePs window = sim.now() - cfg.warmup;
@@ -250,8 +198,7 @@ RunResult run_point_in(SimWorkspace& ws, const Testbed& tb,
   // are still in flight, so not quiescent), the simulator's causality
   // ledger, then everything the ledgers/checkers recorded during the run.
   net.audit_invariants(/*quiescent=*/false);
-  const std::uint64_t causality =
-      sim.causality_violations() + (par ? eng.causality_violations() : 0);
+  const std::uint64_t causality = sim.causality_violations();
   if (causality > 0) {
     net.invariants().record(
         InvariantKind::kCausality, sim.now(),
@@ -265,23 +212,6 @@ RunResult run_point_in(SimWorkspace& ws, const Testbed& tb,
 
   r.events = sim.events_executed();
   r.peak_event_queue_len = sim.peak_queue_len();
-  if (par) {
-    // Lane events + coordinator events reproduce the serial total exactly
-    // (every serial event executes on exactly one lane or the coordinator);
-    // summed per-lane peaks only bound the serial high-water mark.
-    r.events += eng.events_executed();
-    r.peak_event_queue_len += eng.peak_queue_len();
-    r.shards = static_cast<std::uint64_t>(eng.lanes());
-    r.window_ns = to_ns(eng.plan().lookahead);
-    r.windows_executed = eng.windows_executed();
-    r.boundary_events = eng.boundary_events();
-    r.boundary_ties = eng.order_ties() + net.delivery_ties();
-    r.barrier_wait_ms =
-        static_cast<double>(eng.barrier_wait_ns_total()) / 1e6;
-    r.lane_imbalance = eng.lane_imbalance();
-    r.mailbox_depth_peak = eng.mailbox_depth_peak();
-    r.cross_lane_credits = eng.cross_lane_credits();
-  }
   r.events_coalesced = net.chunk_events_coalesced();
   r.route_table_bytes = routes.table_bytes();
   r.route_build_ms = routes.build_ms();
@@ -293,43 +223,15 @@ RunResult run_point_in(SimWorkspace& ws, const Testbed& tb,
   r.arena_bytes_peak = net.arena_bytes_peak();
   r.heap_allocs_steady_state = net.heap_allocs_this_run();
   if (cfg.trace) {
-    if (par) {
-      // Per-lane rings: sum the bookkeeping, then merge into the serial
-      // record order (dense packet-id renumber included).
-      PacketTracer* lt = ws.lane_tracers(k);
-      for (int i = 0; i < k; ++i) {
-        r.trace_records += lt[i].recorded();
-        r.trace_dropped += lt[i].dropped();
-        r.trace_dropped_max_lane =
-            std::max(r.trace_dropped_max_lane, lt[i].dropped());
-        lt[i].disable();
-      }
-      r.trace = merge_lane_traces(lt, static_cast<std::size_t>(k));
-    } else {
-      r.trace_records = ws.tracer().recorded();
-      r.trace_dropped = ws.tracer().dropped();
-      r.trace = ws.tracer().snapshot();
-      ws.tracer().disable();
-    }
+    r.trace_records = ws.tracer().recorded();
+    r.trace_dropped = ws.tracer().dropped();
+    r.trace = ws.tracer().snapshot();
+    ws.tracer().disable();
     net.set_tracer(nullptr);
   }
   if (cfg.profile) {
     const auto& totals = ws.profiler().totals();
     r.profile.assign(totals.begin(), totals.end());
-    if (par) {
-      // Element-wise sum of the lane profilers into the coordinator's
-      // aggregate: per-event phases accrue on lanes, harness phases on the
-      // coordinator, so the union is the whole run.
-      PhaseProfiler* lp = ws.lane_profilers(k);
-      for (int i = 0; i < k; ++i) {
-        const auto& lane_totals = lp[i].totals();
-        for (std::size_t p = 0; p < r.profile.size(); ++p) {
-          r.profile[p].wall_ns += lane_totals[p].wall_ns;
-          r.profile[p].calls += lane_totals[p].calls;
-        }
-      }
-      net.set_lane_profilers(nullptr);
-    }
     net.set_profiler(nullptr);
   }
   const auto wall = std::chrono::steady_clock::now() - wall_start;

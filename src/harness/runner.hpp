@@ -39,24 +39,15 @@ namespace itb {
 struct RunConfig {
   double load_flits_per_ns_per_switch = 0.01;
   int payload_bytes = 512;
-  TimePs warmup = us(200);
-  TimePs measure = us(600);
+  TimePs warmup = us(200);   // >= 0; run_point throws otherwise
+  TimePs measure = us(600);  // > 0; run_point throws otherwise
   std::uint64_t seed = 42;
   MyrinetParams params;
   bool poisson = false;
   /// Also collect per-channel utilization over the measurement window.
   bool collect_link_util = false;
-  /// Event engine for this point (normally leave the default kPod).
-  /// kPodParallel shards one simulation across `shards` worker threads with
-  /// the conservative window engine (sim/parallel_engine.hpp) and produces
-  /// identical simulated metrics to kPod.  Tracing and profiling run
-  /// sharded (per-lane rings, merged at harvest); only the adaptive path
-  /// selector's feedback loop still falls back to kPod.  RunResult::shards
-  /// reports what actually ran.
+  /// Event engine for this point; kPod is the only value.
   EngineKind engine = EngineKind::kPod;
-  /// Worker-lane count for kPodParallel (clamped to the topology's switch
-  /// count and the engine's lane cap; ignored by kPod).
-  int shards = 1;
   /// Checked-simulation mode: verify the scheme's routing table (legality,
   /// minimality, split placement) before the run and sample a wait-graph
   /// deadlock watchdog during it.  Honoured in every build; the
@@ -83,8 +74,7 @@ struct RunConfig {
   bool sample_link_util = false;
   /// Also capture per-host ITB-pool occupancy fractions in each window's
   /// sample — the congestion heatmap's second axis (see
-  /// write_heatmap_csv in obs/samplers.hpp).  Works under sharding: the
-  /// sampler reads at window-sync points only.
+  /// write_heatmap_csv in obs/samplers.hpp).
   bool sample_itb_pool = false;
   /// Run the phase profiler (wall-clock, host-side) over this point.
   bool profile = false;
@@ -124,32 +114,6 @@ struct RunResult {
   double events_per_sec = 0.0;
   std::uint64_t peak_event_queue_len = 0;  // pending-event high-water mark
   std::uint64_t events_coalesced = 0;      // chunk arrivals elided (POD)
-
-  // Parallel-engine observability (host-side: how the point was executed,
-  // never what it simulated — a K-sharded run matches the serial run on
-  // every kSimulated field above, except peak_event_queue_len, which in a
-  // sharded run is a sum of per-lane peaks and additionally depends on the
-  // barrier-window grid (sample slicing re-anchors it); see
-  // tests/test_parallel_engine.cpp).  All zero for serial points.
-  std::uint64_t shards = 0;            // lanes that executed this point
-  double window_ns = 0.0;              // conservative lookahead window
-  std::uint64_t windows_executed = 0;  // barrier windows run
-  std::uint64_t boundary_events = 0;   // cross-lane mailbox messages
-  /// Same-picosecond event pairs whose relative order the shard key left to
-  /// the merge (cross-lane pushes at one instant) plus cross-lane delivery
-  /// ties at flush.  Zero means the run was order-deterministic end to end.
-  std::uint64_t boundary_ties = 0;
-
-  // Engine health layer (host-side; all zero for serial points).  How well
-  // the sharding performed: time lost at barriers, how evenly work spread
-  // over lanes, and how deep the cross-lane mailboxes backed up.
-  double barrier_wait_ms = 0.0;         // summed lane wall-time at barriers
-  double lane_imbalance = 0.0;          // max/mean of per-lane event counts
-  std::uint64_t mailbox_depth_peak = 0; // deepest (from,to) mailbox backlog
-  std::uint64_t cross_lane_credits = 0; // stop/go credits among boundary msgs
-  /// Worst per-lane ring-wrap drop count of a sharded traced run (serial
-  /// traced runs report 0 here; total drops stay in trace_dropped).
-  std::uint64_t trace_dropped_max_lane = 0;
 
   // Allocation observability (host-side, excluded from determinism
   // comparisons: a reused workspace legitimately reports different values
@@ -205,7 +169,7 @@ class SimWorkspace;
 /// True when every simulated metric of `a` and `b` is bit-identical.
 /// Wall-clock fields (wall_ms, events_per_sec) are ignored — they vary
 /// between runs by construction.  This is the determinism predicate the
-/// serial-vs-parallel tests assert.
+/// workspace-reuse and worker-count tests assert.
 [[nodiscard]] bool same_simulated_metrics(const RunResult& a,
                                           const RunResult& b);
 

@@ -16,9 +16,9 @@ std::size_t idx(std::int64_t v) { return static_cast<std::size_t>(v); }
 // ITB_CHECKED build, where a failed condition records a violation instead
 // of aborting, so a whole checked grid can report every deviation.
 #ifdef ITB_CHECKED
-#define ITB_DEEP_CHECK(cond, kind, id, msg)                              \
-  do {                                                                   \
-    if (!(cond)) recorder().record((kind), cursim().now(), (id), (msg)); \
+#define ITB_DEEP_CHECK(cond, kind, id, msg)                         \
+  do {                                                              \
+    if (!(cond)) checks_.record((kind), sim_->now(), (id), (msg)); \
   } while (0)
 #else
 #define ITB_DEEP_CHECK(cond, kind, id, msg) \
@@ -46,7 +46,7 @@ Network::Network(Simulator& sim, const Topology& topo, const RouteSet& routes,
 
 void Network::reset(const Topology& topo, const RouteSet& routes,
                     const MyrinetParams& params, PathPolicy policy,
-                    std::uint64_t seed, ParallelEngine* par) {
+                    std::uint64_t seed) {
   if (params.chunk_flits < 1 || params.chunk_flits > 8) {
     throw std::invalid_argument(
         "Network: chunk_flits must be in [1, 8]; larger chunks could "
@@ -59,16 +59,12 @@ void Network::reset(const Topology& topo, const RouteSet& routes,
   routes_ = &routes;
   params_ = params;
   ledger_ = params.ledger_checks;
-  par_ = par;
   sim_->set_pod_handler(this);
-  if (par_ != nullptr) par_->bind(this, this);
 
   // --- wire up channels ---
   // Value-reinitialise every channel in place (Channel is trivially
   // copyable, so this reuses the vector's capacity); any arena-spilled
   // queue buffer is abandoned here and reclaimed by the rewind below.
-  // Spill-queue binding happens after the cable loop, once each channel's
-  // owning lanes are known.
   channels_.assign(idx(topo.num_channels()), Channel{});
   out_port_stride_ = idx(topo.ports_per_switch());
   out_channel_at_.assign(idx(topo.num_switches()) * out_port_stride_,
@@ -107,28 +103,11 @@ void Network::reset(const Topology& topo, const RouteSet& routes,
     }
   }
 
-  // --- lane ownership + spill-queue binding ---
-  // Tag each channel half with its owning lane (all lane 0 in serial
-  // operation) and bind every spill queue to the arena of the lane whose
-  // thread mutates it: requests live with the sender half, entries and
-  // incoming with the receiver half.
-  const int lanes = par_ == nullptr ? 1 : par_->plan().shards;
-  while (static_cast<int>(extra_arenas_.size()) < lanes - 1) {
-    extra_arenas_.push_back(std::make_unique<Arena>());
-  }
-  if (par_ != nullptr) {
-    const PartitionPlan& plan = par_->plan();
-    for (std::size_t i = 0; i < channels_.size(); ++i) {
-      Channel& c = channels_[i];
-      c.send_lane = plan.ch_send_lane[i];
-      c.recv_lane = plan.ch_recv_lane[i];
-      c.cross = c.send_lane != c.recv_lane;
-    }
-  }
+  // Every spill queue spills into the network's one arena.
   for (Channel& c : channels_) {
-    c.requests.reset(&lane_arena(c.send_lane));
-    c.entries.reset(&lane_arena(c.recv_lane));
-    c.incoming.reset(&lane_arena(c.recv_lane));
+    c.requests.reset(&arena_);
+    c.entries.reset(&arena_);
+    c.incoming.reset(&arena_);
   }
 
   // --- NICs ---
@@ -141,10 +120,8 @@ void Network::reset(const Topology& topo, const RouteSet& routes,
     n.sw = at.sw;
     n.to_switch = topo.channel_from(at.cable, false);   // host is the B side
     n.from_switch = topo.channel_from(at.cable, true);
-    Arena& host_arena = lane_arena(
-        par_ == nullptr ? 0 : par_->plan().lane_of_host(h));
-    n.source_queue.reset(&host_arena);
-    n.itb_queue.reset(&host_arena);
+    n.source_queue.reset(&arena_);
+    n.itb_queue.reset(&arena_);
     n.itb_pool_used = 0;
     n.selector.reset(policy, topo.num_switches(),
                      seeder.next_u64() ^ static_cast<std::uint64_t>(h));
@@ -152,110 +129,33 @@ void Network::reset(const Topology& topo, const RouteSet& routes,
 
   // Every spilled buffer has been dropped above; recycle the arena blocks.
   arena_.rewind();
-  for (auto& a : extra_arenas_) a->rewind();
 
-  // Lane states (serial operation uses lane_[0] only; stale extra lanes
-  // from an earlier sharded run are zeroed too, so the summed accessors
-  // stay correct).  Packet storage persists per lane; rebuild each free
-  // list in reverse storage order so alloc_packet hands slots out in
-  // first-fill order again — this also repatriates packets that were freed
-  // on a different lane than the one whose deque stores them.
-  while (static_cast<int>(lane_.size()) < (lanes > 1 ? lanes : 1)) {
-    lane_.emplace_back();
+  // Packet storage persists; rebuild the free list in reverse storage order
+  // so alloc_packet hands slots out in first-fill order again.
+  packet_free_.clear();
+  packet_free_.reserve(packet_storage_.size());
+  for (auto it = packet_storage_.rbegin(); it != packet_storage_.rend(); ++it) {
+    packet_free_.push_back(&*it);
   }
-  lane0_ = &lane_[0];
-  for (std::size_t li = 0; li < lane_.size(); ++li) {
-    LaneState& l = lane_[li];
-    l.packet_free.clear();
-    l.packet_free.reserve(l.packet_storage.size());
-    for (auto it = l.packet_storage.rbegin(); it != l.packet_storage.rend();
-         ++it) {
-      l.packet_free.push_back(&*it);
-    }
-    l.next_packet_id = 1;
-    l.id_tag = par_ != nullptr ? static_cast<std::uint64_t>(li) << 48 : 0;
-    l.injected = 0;
-    l.delivered = 0;
-    l.itb_spills = 0;
-    l.fc_violations = 0;
-    l.chunk_events_coalesced = 0;
-    l.max_occupancy = 0;
-    l.deliveries.clear();
-    l.merge_cursor = 0;
-    l.checks.clear();
-  }
+  next_packet_id_ = 1;
+  injected_ = 0;
+  delivered_ = 0;
+  itb_spills_ = 0;
+  fc_violations_ = 0;
+  chunk_events_coalesced_ = 0;
+  max_occupancy_ = 0;
 
   on_delivery_ = nullptr;
   event_sink_ = nullptr;
   tracer_ = nullptr;
   prof_ = nullptr;
-  lane_profs_ = nullptr;
-  delivery_ties_ = 0;
   checks_.clear();
   heap_allocs_run_base_ = total_heap_allocs();
 }
 
 void Network::handle_event(const Event& e) {
-  ScopedPhase phase(cur_prof(), Phase::kEventDispatch);
+  ScopedPhase phase(prof_, Phase::kEventDispatch);
   dispatch_event(e);
-}
-
-void Network::shard_apply_boundary(const BoundaryMsg& m) {
-  Channel& c = chan(m.ch);
-  if (m.announce_pkt != nullptr) {
-    c.incoming.push_back(
-        Incoming{static_cast<Packet*>(m.announce_pkt), m.announce_len});
-  }
-  // The receiver half owns a cross channel's wire ledger: credit the flits
-  // at drain (they left the sender before this barrier), debit them when
-  // the arrival executes.
-  if (m.kind == EventKind::kChunkArrived) c.wire_flits += m.a;
-  shard::tl_sim->schedule_event_keyed_at(m.at, m.key, m.kind, m.ch, m.a);
-}
-
-void Network::flush_deliveries() {
-  if (par_ == nullptr) return;
-  // Coordinator-side metrics attribution: the replay below is the sharded
-  // counterpart of the serial delivery-callback scope in deliver().
-  ScopedPhase phase(prof_, Phase::kMetrics);
-  // K-way merge of the per-lane time-ordered buffers by (deliver_time,
-  // lane) — the order the serial engine's single callback stream would
-  // have, up to cross-lane same-picosecond pairs, which are counted so a
-  // differential test can assert the merged stream is exactly serial.
-  for (;;) {
-    TimePs min_t = 0;
-    std::size_t min_lane = 0;
-    bool any = false;
-    for (std::size_t li = 0; li < lane_.size(); ++li) {
-      const LaneState& l = lane_[li];
-      if (l.merge_cursor >= l.deliveries.size()) continue;
-      const TimePs t = l.deliveries[l.merge_cursor].deliver_time;
-      if (!any || t < min_t) {
-        min_t = t;
-        min_lane = li;
-        any = true;
-      }
-    }
-    if (!any) break;
-    for (std::size_t li = 0; li < lane_.size(); ++li) {
-      if (li == min_lane) continue;
-      const LaneState& l = lane_[li];
-      if (l.merge_cursor < l.deliveries.size() &&
-          l.deliveries[l.merge_cursor].deliver_time == min_t) {
-        ++delivery_ties_;
-      }
-    }
-    LaneState& l = lane_[min_lane];
-    if (on_delivery_) on_delivery_(l.deliveries[l.merge_cursor]);
-    ++l.merge_cursor;
-  }
-  for (LaneState& l : lane_) {
-    l.deliveries.clear();
-    l.merge_cursor = 0;
-  }
-  // Absorb the per-lane violation records into the primary recorder, in
-  // lane order (deterministic: each lane's own record order is).
-  for (LaneState& l : lane_) checks_.absorb(l.checks);
 }
 
 void Network::dispatch_event(const Event& e) {
@@ -273,51 +173,19 @@ void Network::dispatch_event(const Event& e) {
   }
 }
 
-void Network::sched_event(TimePs delay, EventKind kind, ChannelId ch, int a) {
-  if (par_ == nullptr) {
-    sim_->schedule_event_in(delay, kind, ch, a);
-    return;
-  }
-  // Sharded run: route the event to the lane owning the half of the
-  // channel it mutates.  Arrivals land on the receiver half; everything
-  // else (chunk transmit completion, stop/go credits reaching the sender,
-  // routing-delay expiry) acts on the sender half.
-  Channel& c = chan(ch);
-  const std::int16_t target = (kind == EventKind::kChunkArrived ||
-                               kind == EventKind::kBurstArrived)
-                                  ? c.recv_lane
-                                  : c.send_lane;
-  Simulator& s = *shard::tl_sim;
-  if (target == shard::tl_lane) {
-    s.schedule_event_in(delay, kind, ch, a);
-    return;
-  }
-  // Cross-lane: carry the key this lane would have pushed with, so the
-  // receiving lane's calendar merges the event into the serial order.
-  BoundaryMsg m{s.now() + delay, s.next_shard_key(),
-                /*announce_pkt=*/nullptr, /*announce_len=*/0, ch, a, kind};
-  if (kind == EventKind::kChunkArrived && c.announce_pending) {
-    m.announce_pkt = c.owner;
-    m.announce_len = c.flow_len;
-    c.announce_pending = false;
-  }
-  par_->post(target, m);
-}
-
 Packet* Network::alloc_packet() {
-  LaneState& l = ln();
-  if (!l.packet_free.empty()) {
-    Packet* p = l.packet_free.back();
-    l.packet_free.pop_back();
+  if (!packet_free_.empty()) {
+    Packet* p = packet_free_.back();
+    packet_free_.pop_back();
     *p = Packet{};
     return p;
   }
-  l.packet_storage.emplace_back();
-  ++l.packet_heap_allocs;
-  return &l.packet_storage.back();
+  packet_storage_.emplace_back();
+  ++packet_heap_allocs_;
+  return &packet_storage_.back();
 }
 
-void Network::free_packet(Packet* p) { ln().packet_free.push_back(p); }
+void Network::free_packet(Packet* p) { packet_free_.push_back(p); }
 
 void Network::emit_event(const Packet* p, PacketEvent ev, SwitchId sw,
                          HostId host) {
@@ -328,13 +196,12 @@ void Network::emit_event(const Packet* p, PacketEvent ev, SwitchId sw,
 void Network::inject(HostId src, HostId dst, int payload_bytes) {
   assert(src != dst);
   assert(payload_bytes > 0);
-  LaneState& l = ln();
   Packet* p = alloc_packet();
-  p->id = l.id_tag | l.next_packet_id++;
+  p->id = next_packet_id_++;
   p->src = src;
   p->dst = dst;
   p->payload_flits = payload_bytes;
-  p->gen_time = cursim().now();
+  p->gen_time = sim_->now();
 
   const SwitchId ssw = topo_->host(src).sw;
   const SwitchId dsw = topo_->host(dst).sw;
@@ -346,7 +213,7 @@ void Network::inject(HostId src, HostId dst, int payload_bytes) {
   p->delivery_port = topo_->host(dst).port;
   p->leg_wire_flits = leg_start_wire_flits(p->route, 0, p->payload_flits,
                                            params_.type_bytes);
-  ++l.injected;
+  ++injected_;
   n.source_queue.push_back(p);
   emit_event(p, PacketEvent::kInjected, kNoSwitch, src);
   trace(TraceKind::kInject, p->id, -1, kNoSwitch, src);
@@ -386,7 +253,7 @@ void Network::nic_try_start(HostId h) {
         p->route.legs[idx(p->current_leg - 1)].end_host;
   } else {
     c.flow_eject_host = kNoHost;
-    p->inject_time = cursim().now();
+    p->inject_time = sim_->now();
   }
   c.incoming.push_back(Incoming{p, c.flow_len});
   try_send(n.to_switch);
@@ -441,9 +308,7 @@ void Network::chunk_sent(ChannelId ch, int k) {
   const bool first_chunk = (c.sent == 0);
   c.sent += k;
   c.busy_accum += static_cast<TimePs>(k) * params_.flit_time;
-  // A cross channel's wire ledger belongs to the receiver half: the credit
-  // is applied at mailbox drain (shard_apply_boundary), not here.
-  if (!c.cross) c.wire_flits += k;
+  c.wire_flits += k;
 
   if (c.from_switch) {
     Channel& in = chan(c.src_in_ch);
@@ -453,7 +318,7 @@ void Network::chunk_sent(ChannelId ch, int k) {
     in.occupancy -= k;
     assert(in.occupancy >= 0);
     if (ledger_ && in.occupancy < 0) {
-      recorder().record(InvariantKind::kFlitConservation, cursim().now(),
+      checks_.record(InvariantKind::kFlitConservation, sim_->now(),
                         c.src_in_ch,
                         "buffer occupancy went negative on forward");
     }
@@ -476,7 +341,7 @@ void Network::chunk_sent(ChannelId ch, int k) {
     } else {
       // Intermediate delivery arrival: a pure sink — elide the event.
       c.burst_flits += k;
-      ++ln().chunk_events_coalesced;
+      ++chunk_events_coalesced_;
     }
   } else {
     // The first chunk always arrives as itself: it carries the header and
@@ -519,7 +384,7 @@ void Network::sender_done(ChannelId ch) {
       assert(it != in.entries.end());
       n.itb_pool_used -= it->reserved_bytes;
       if (ledger_ && n.itb_pool_used < 0) {
-        recorder().record(InvariantKind::kItbPoolOverflow, cursim().now(),
+        checks_.record(InvariantKind::kItbPoolOverflow, sim_->now(),
                           n.id, "ITB pool released below zero");
       }
       in.occupancy -= it->total_flits - it->forwarded;  // bookkeeping only
@@ -564,7 +429,7 @@ void Network::chunk_arrived(ChannelId ch, int k) {
   c.occupancy += k;
   c.wire_flits -= k;
   if (ledger_ && c.wire_flits < 0) {
-    recorder().record(InvariantKind::kFlitConservation, cursim().now(), ch,
+    checks_.record(InvariantKind::kFlitConservation, sim_->now(), ch,
                       "more flits landed than were sent on this channel");
   }
   ITB_DEEP_CHECK(entry->arrived_raw <= entry->total_flits,
@@ -574,12 +439,11 @@ void Network::chunk_arrived(ChannelId ch, int k) {
   if (c.into_switch) {
     // Only slack buffers have a capacity; NIC memory is modelled as an
     // unbounded sink (ejection must never block — §3 of the paper).
-    LaneState& l = ln();
-    if (c.occupancy > l.max_occupancy) l.max_occupancy = c.occupancy;
+    if (c.occupancy > max_occupancy_) max_occupancy_ = c.occupancy;
     if (c.occupancy > params_.slack_buffer_flits) {
-      ++l.fc_violations;
+      ++fc_violations_;
       if (ledger_) {
-        recorder().record(InvariantKind::kBufferOverflow, cursim().now(), ch,
+        checks_.record(InvariantKind::kBufferOverflow, sim_->now(), ch,
                           "slack buffer at " + std::to_string(c.occupancy) +
                               " flits, capacity " +
                               std::to_string(params_.slack_buffer_flits));
@@ -624,7 +488,7 @@ void Network::burst_arrived(ChannelId ch, int flits) {
   c.occupancy += flits;
   c.wire_flits -= flits;
   if (ledger_ && c.wire_flits < 0) {
-    recorder().record(InvariantKind::kFlitConservation, cursim().now(), ch,
+    checks_.record(InvariantKind::kFlitConservation, sim_->now(), ch,
                       "coalesced burst landed more flits than were sent");
   }
   assert(e.arrived_raw == e.total_flits);
@@ -632,14 +496,14 @@ void Network::burst_arrived(ChannelId ch, int flits) {
 }
 
 void Network::process_header(ChannelId in_ch) {
-  ScopedPhase phase(cur_prof(), Phase::kRouteLookup);
+  ScopedPhase phase(prof_, Phase::kRouteLookup);
   Channel& in = chan(in_ch);
   BufferEntry& e = in.entries.front();
   assert(!e.header_done && e.arrived_raw > 0);
   e.header_done = true;
   in.occupancy -= 1;  // the routing byte is consumed by the control unit
   if (ledger_ && in.occupancy < 0) {
-    recorder().record(InvariantKind::kFlitConservation, cursim().now(), in_ch,
+    checks_.record(InvariantKind::kFlitConservation, sim_->now(), in_ch,
                       "buffer occupancy went negative on header strip");
   }
   if (in.stop_sent && in.occupancy < params_.go_threshold_flits) {
@@ -695,15 +559,7 @@ void Network::grant_done(ChannelId out_ch) {
   Channel& out = chan(out_ch);
   assert(out.grant_pending && out.owner != nullptr);
   out.grant_pending = false;
-  if (out.cross) {
-    // The receiver half lives on another lane: the announcement rides the
-    // flow's first kChunkArrived mailbox message (see sched_event) and is
-    // applied at drain, still strictly before any of the flow's arrivals
-    // execute — the same order the receiver observes serially.
-    out.announce_pending = true;
-  } else {
-    out.incoming.push_back(Incoming{out.owner, out.flow_len});
-  }
+  out.incoming.push_back(Incoming{out.owner, out.flow_len});
   try_send(out_ch);
 }
 
@@ -734,12 +590,12 @@ void Network::stop_arrived(ChannelId ch) {
   // both send sites and the wire preserves order), so a repeated stop means
   // a credit was duplicated or lost somewhere.
   if (ledger_ && c.sender_stopped) {
-    recorder().record(
-        InvariantKind::kCreditConservation, cursim().now(), ch,
+    checks_.record(
+        InvariantKind::kCreditConservation, sim_->now(), ch,
         "stop credit arrived while the sender was already stopped");
   }
   c.sender_stopped = true;
-  if (c.owner != nullptr) c.stopped_since = cursim().now();
+  if (c.owner != nullptr) c.stopped_since = sim_->now();
 }
 
 void Network::go_arrived(ChannelId ch) {
@@ -749,12 +605,12 @@ void Network::go_arrived(ChannelId ch) {
     return;
   }
   if (ledger_ && !c.sender_stopped) {
-    recorder().record(InvariantKind::kCreditConservation, cursim().now(), ch,
+    checks_.record(InvariantKind::kCreditConservation, sim_->now(), ch,
                       "go credit arrived while the sender was not stopped");
   }
   c.sender_stopped = false;
   if (c.stopped_since >= 0) {
-    c.stopped_accum += cursim().now() - c.stopped_since;
+    c.stopped_accum += sim_->now() - c.stopped_since;
     c.stopped_since = -1;
   }
   try_send(ch);
@@ -780,20 +636,18 @@ void Network::nic_header_arrived(ChannelId in_ch, BufferEntry& entry) {
     n.itb_pool_used += need;
     entry.reserved_bytes = need;
     if (ledger_ && n.itb_pool_used > params_.itb_pool_bytes) {
-      recorder().record(InvariantKind::kItbPoolOverflow, cursim().now(), n.id,
+      checks_.record(InvariantKind::kItbPoolOverflow, sim_->now(), n.id,
                         "ITB pool reserved past capacity");
     }
   } else {
     // Pool exhausted: the MCP stages the packet through host memory.
-    ++ln().itb_spills;
+    ++itb_spills_;
     p->spilled_to_host_memory = true;
     entry.reserved_bytes = 0;
     ready_delay += params_.host_memory_penalty;
     trace(TraceKind::kSpill, p->id, in_ch, kNoSwitch, n.id);
   }
-  // The in-transit host and its NIC live on this lane, so the ready event
-  // is always local.
-  cursim().schedule_event_in(ready_delay, EventKind::kItbReady, /*ch=*/-1,
+  sim_->schedule_event_in(ready_delay, EventKind::kItbReady, /*ch=*/-1,
                              /*a=*/0, p);
 }
 
@@ -815,15 +669,11 @@ void Network::itb_ready(Packet* p) {
 
 void Network::deliver(ChannelId in_ch, BufferEntry& entry) {
   Channel& c = chan(in_ch);
-  LaneState& l = ln();
   Packet* p = entry.pkt;
-  p->deliver_time = cursim().now();
-  ++l.delivered;
-  // The inline source->sink comparison only holds within one ledger; a
-  // sharded run's packets deliver on a different lane than they were
-  // injected, so conservation is checked globally in audit_invariants.
-  if (ledger_ && par_ == nullptr && l.delivered > l.injected) {
-    recorder().record(InvariantKind::kPacketConservation, cursim().now(),
+  p->deliver_time = sim_->now();
+  ++delivered_;
+  if (ledger_ && delivered_ > injected_) {
+    checks_.record(InvariantKind::kPacketConservation, sim_->now(),
                       static_cast<std::int64_t>(p->id),
                       "more packets delivered than injected");
   }
@@ -834,23 +684,14 @@ void Network::deliver(ChannelId in_ch, BufferEntry& entry) {
                            p->inject_time, p->deliver_time, p->itbs_used,
                            p->alt_index, p->route.total_switch_hops,
                            p->spilled_to_host_memory};
-  if (par_ != nullptr) {
-    // Buffered per lane (time-ordered: this lane's clock is monotone) and
-    // replayed through the callback at the next flush_deliveries(), so the
-    // metrics accumulators see one global time-ordered stream.
-    l.deliveries.push_back(rec);
-  } else if (on_delivery_) {
+  if (on_delivery_) {
     ScopedPhase phase(prof_, Phase::kMetrics);
     on_delivery_(rec);
   }
-  if (par_ == nullptr) {
-    // Close the adaptive-policy loop: the source learns the network latency
-    // of the alternative it picked (models an acknowledgment path).  The
-    // source NIC may live on another lane, so sharded runs skip this; the
-    // harness falls back to the serial engine for adaptive policies.
-    nic(p->src).selector.feedback(p->route.dst_switch, p->alt_index,
-                                  p->deliver_time - p->inject_time);
-  }
+  // Close the adaptive-policy loop: the source learns the network latency
+  // of the alternative it picked (models an acknowledgment path).
+  nic(p->src).selector.feedback(p->route.dst_switch, p->alt_index,
+                                p->deliver_time - p->inject_time);
 
   c.occupancy -= entry.total_flits;
   auto it = std::find_if(c.entries.begin(), c.entries.end(),
@@ -1001,15 +842,6 @@ void Network::audit_invariants(bool quiescent) {
     for (const BufferEntry& e : c.entries) live.insert(e.pkt);
     for (const auto& [p, len] : c.incoming) live.insert(p);
   }
-  if (par_ != nullptr) {
-    // A packet whose sender finished while its announcement is still in an
-    // undrained mailbox is live only there — walk the in-flight messages.
-    par_->for_each_pending([&live](const BoundaryMsg& m) {
-      if (m.announce_pkt != nullptr) {
-        live.insert(static_cast<const Packet*>(m.announce_pkt));
-      }
-    });
-  }
   const std::uint64_t injected = packets_injected();
   const std::uint64_t delivered = packets_delivered();
   const std::uint64_t in_flight = injected - delivered;
@@ -1057,7 +889,7 @@ void Network::test_corrupt_itb_pool(HostId h, std::int64_t delta) {
 }
 
 void Network::test_corrupt_injected(std::uint64_t delta) {
-  lane_[0].injected += delta;
+  injected_ += delta;
 }
 
 }  // namespace itb

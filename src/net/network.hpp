@@ -45,7 +45,6 @@
 #include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "sim/arena.hpp"
-#include "sim/parallel_engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/short_queue.hpp"
 #include "sim/simulator.hpp"
@@ -88,7 +87,7 @@ struct DeliveryRecord {
 
 using DeliveryCallback = std::function<void(const DeliveryRecord&)>;
 
-class Network : public PodHandler, public ShardHooks {
+class Network : public PodHandler {
  public:
   Network(Simulator& sim, const Topology& topo, const RouteSet& routes,
           const MyrinetParams& params, PathPolicy policy,
@@ -109,36 +108,9 @@ class Network : public PodHandler, public ShardHooks {
   /// bit-identical to one on a freshly constructed network (same RNG
   /// streams, same (time, seq) event order) — the workspace determinism
   /// contract, enforced by test_workspace.
-  ///
-  /// Pass `par` (already configured with a PartitionPlan) to run this
-  /// network sharded across the engine's lanes: every handler then executes
-  /// on the worker thread owning the element it touches, cross-lane events
-  /// travel through the engine's mailboxes, and deliveries are buffered per
-  /// lane until flush_deliveries().  nullptr = ordinary serial operation.
   void reset(const Topology& topo, const RouteSet& routes,
              const MyrinetParams& params, PathPolicy policy,
-             std::uint64_t seed = 1, ParallelEngine* par = nullptr);
-
-  /// Mailbox drain (ShardHooks): apply a piggybacked flow announcement, then
-  /// schedule the carried event on the draining lane's Simulator.
-  void shard_apply_boundary(const BoundaryMsg& m) override;
-
-  /// The Simulator that host `h`'s NIC-side callbacks must be scheduled on:
-  /// the owning lane's in a sharded run, the serial Simulator otherwise.
-  [[nodiscard]] Simulator& host_sim(HostId h) {
-    return par_ == nullptr ? *sim_
-                           : par_->lane(par_->plan().lane_of_host(h));
-  }
-
-  /// Sharded runs buffer DeliveryRecords per lane; this merges them by
-  /// (deliver_time, lane) and replays them through the delivery callback,
-  /// and absorbs the per-lane invariant recorders into invariants().  Call
-  /// with the lanes quiescent (a window-sync point).  Serial: no-op.
-  void flush_deliveries();
-
-  /// Cross-lane deliveries at the exact same picosecond whose merge order
-  /// is therefore not the serial order (see RunResult::boundary_ties).
-  [[nodiscard]] std::uint64_t delivery_ties() const { return delivery_ties_; }
+             std::uint64_t seed = 1);
 
   /// Called for every packet delivered at its final destination.
   void set_delivery_callback(DeliveryCallback cb) { on_delivery_ = std::move(cb); }
@@ -151,79 +123,40 @@ class Network : public PodHandler, public ShardHooks {
 
   /// Attach a packet-lifecycle tracer (src/obs/trace.hpp).  Null disables;
   /// every hot-path hook is a single null test when disabled.  Cleared by
-  /// reset().  Sharded runs instead pass the BASE of an array of one tracer
-  /// per lane (each configured via PacketTracer::configure_lane): every
-  /// hook then appends to the executing lane's ring, lock-free, stamping
-  /// the shard key of the current event so merge_lane_traces() can rebuild
-  /// the serial record order.
+  /// reset().
   void set_tracer(PacketTracer* tracer) { tracer_ = tracer; }
 
   /// Attach a phase profiler (src/obs/profiler.hpp) timing event dispatch,
   /// route lookup, ledger audits and the metrics callback.  Null disables.
-  /// Cleared by reset().  In a sharded run this profiler keeps the
-  /// coordinator-side phases (ledger audits, delivery-replay metrics);
-  /// set_lane_profilers() supplies the per-lane ones.
+  /// Cleared by reset().
   void set_profiler(PhaseProfiler* prof) { prof_ = prof; }
-
-  /// Sharded runs: base of an array of one PhaseProfiler per lane.  The
-  /// hot per-event phases (event dispatch, route lookup) are timed into the
-  /// executing lane's profiler — wall-clock attribution per worker thread,
-  /// which is exactly the load-imbalance signal.  Cleared by reset().
-  void set_lane_profilers(PhaseProfiler* base) { lane_profs_ = base; }
 
   /// Queue a message (ready in the source NIC's memory now) for injection.
   void inject(HostId src, HostId dst, int payload_bytes);
 
   // --- observability ----------------------------------------------------
 
-  // Counters live per lane (one lane in serial operation) and are summed
-  // here; every accessor below is cold and reads with the lanes quiescent.
-  [[nodiscard]] std::uint64_t packets_injected() const {
-    std::uint64_t n = 0;
-    for (const LaneState& l : lane_) n += l.injected;
-    return n;
-  }
-  [[nodiscard]] std::uint64_t packets_delivered() const {
-    std::uint64_t n = 0;
-    for (const LaneState& l : lane_) n += l.delivered;
-    return n;
-  }
+  [[nodiscard]] std::uint64_t packets_injected() const { return injected_; }
+  [[nodiscard]] std::uint64_t packets_delivered() const { return delivered_; }
   [[nodiscard]] std::uint64_t packets_in_flight() const {
-    return packets_injected() - packets_delivered();
+    return injected_ - delivered_;
   }
-  [[nodiscard]] std::uint64_t itb_spills() const {
-    std::uint64_t n = 0;
-    for (const LaneState& l : lane_) n += l.itb_spills;
-    return n;
-  }
+  [[nodiscard]] std::uint64_t itb_spills() const { return itb_spills_; }
   [[nodiscard]] std::uint64_t flow_control_violations() const {
-    std::uint64_t n = 0;
-    for (const LaneState& l : lane_) n += l.fc_violations;
-    return n;
+    return fc_violations_;
   }
   /// Per-chunk arrival events elided by delivery tail-burst coalescing.
   /// Zero when coalesce_chunk_flow is off.
   [[nodiscard]] std::uint64_t chunk_events_coalesced() const {
-    std::uint64_t n = 0;
-    for (const LaneState& l : lane_) n += l.chunk_events_coalesced;
-    return n;
+    return chunk_events_coalesced_;
   }
   /// Largest slack-buffer occupancy ever observed (flits).
-  [[nodiscard]] int max_buffer_occupancy() const {
-    int m = 0;
-    for (const LaneState& l : lane_) m = m > l.max_occupancy ? m : l.max_occupancy;
-    return m;
-  }
+  [[nodiscard]] int max_buffer_occupancy() const { return max_occupancy_; }
 
   /// High-water mark of transient arena bytes handed to spilled containers
   /// since the last reset (inline ShortQueue storage is not counted).
-  /// Sharded runs sum the per-lane arenas.
   [[nodiscard]] std::size_t arena_bytes_peak() const {
-    std::size_t n = arena_.bytes_peak();
-    if (par_ != nullptr) {
-      for (const auto& a : extra_arenas_) n += a->bytes_peak();
-    }
-    return n;
+    return arena_.bytes_peak();
   }
   /// Heap allocations the engine performed since the last reset: new arena
   /// blocks plus packet-storage growth.  Drops to zero once a reused
@@ -303,7 +236,7 @@ class Network : public PodHandler, public ShardHooks {
   }
 
   /// Bytes currently reserved in one NIC's ITB pool (heatmap sampler:
-  /// per-host occupancy signal; read at window-sync points).
+  /// per-host occupancy signal).
   [[nodiscard]] std::int64_t itb_pool_used(HostId h) const {
     return nics_[static_cast<std::size_t>(h)].itb_pool_used;
   }
@@ -389,18 +322,6 @@ class Network : public PodHandler, public ShardHooks {
     std::int64_t wire_flits = 0;  // flits sent but not yet landed
     bool drop_next_go = false;    // test_drop_next_go fault armed
 
-    // Sharded runs: which lane owns each half (equal except across a cut
-    // cable).  Sender-half fields above belong to send_lane, receiver-half
-    // fields to recv_lane; for a cross channel the wire ledger is carried
-    // entirely by the receiver (credited at mailbox drain).
-    std::int16_t send_lane = 0;
-    std::int16_t recv_lane = 0;
-    bool cross = false;
-    // A cross channel's grant_done cannot push `incoming` on the receiver;
-    // the announcement rides the flow's first kChunkArrived mailbox message
-    // instead (applied at drain, before the arrival can execute).
-    bool announce_pending = false;
-
     // statistics
     TimePs busy_accum = 0;
     TimePs stopped_accum = 0;
@@ -451,89 +372,21 @@ class Network : public PodHandler, public ShardHooks {
   void emit_event(const Packet* p, PacketEvent ev, SwitchId sw, HostId host);
 
   /// Lifecycle hook shared by every trace site.  Disabled cost is the one
-  /// null test on tracer_ (serial and sharded alike).  Sharded runs append
-  /// to the executing lane's ring with the current event's shard key —
-  /// lock-free, because only the owning worker writes a lane's ring.
+  /// null test on tracer_.
   void trace(TraceKind kind, std::uint64_t packet, ChannelId ch, SwitchId sw,
              HostId host) {
     if (tracer_ == nullptr) return;
-    if (par_ != nullptr) {
-      Simulator& s = *shard::tl_sim;
-      tracer_[shard::tl_lane].record_keyed(s.now(), s.current_key(), kind,
-                                           packet, ch, sw, host);
-    } else {
-      tracer_->record(sim_->now(), kind, packet, ch, sw, host);
-    }
-  }
-
-  /// Profiler for the calling thread's hot per-event phases: the lane's
-  /// own profiler while sharded handlers run, the primary one serially.
-  [[nodiscard]] PhaseProfiler* cur_prof() const {
-    if (par_ == nullptr) return prof_;
-    return lane_profs_ == nullptr
-               ? nullptr
-               : lane_profs_ + static_cast<std::size_t>(shard::tl_lane);
+    tracer_->record(sim_->now(), kind, packet, ch, sw, host);
   }
 
   /// Schedule an engine step `delay` from now as a trivially copyable Event
-  /// record (sharded: on the lane owning the half of `ch` it mutates).
-  void sched_event(TimePs delay, EventKind kind, ChannelId ch, int a = 0);
+  /// record.
+  void sched_event(TimePs delay, EventKind kind, ChannelId ch, int a = 0) {
+    sim_->schedule_event_in(delay, kind, ch, a);
+  }
 
-  // Mutable engine state owned by one lane of a sharded run.  Serial
-  // operation uses lane_[0] exclusively, so the serial hot path is the same
-  // memory it always touched.  Elements are stable in a deque (ShortQueues
-  // and Packet* point into them) and only ever touched by their owning
-  // worker thread while lanes run.
-  struct LaneState {
-    // Packet arena: storage is stable (deque) and recycled via a free list,
-    // so Packet* stays valid for a packet's whole lifetime.  A packet freed
-    // on another lane joins that lane's free list; reset() re-sorts.
-    std::deque<Packet> packet_storage;
-    std::vector<Packet*> packet_free;
-    std::uint64_t next_packet_id = 1;
-    std::uint64_t id_tag = 0;  // lane << 48, OR'd into ids of sharded runs
-    std::uint64_t injected = 0;
-    std::uint64_t delivered = 0;
-    std::uint64_t itb_spills = 0;
-    std::uint64_t fc_violations = 0;
-    std::uint64_t chunk_events_coalesced = 0;
-    std::uint64_t packet_heap_allocs = 0;
-    int max_occupancy = 0;
-    // Sharded runs buffer deliveries (time-ordered per lane) and invariant
-    // records here; flush_deliveries() merges both into the primary sinks.
-    std::vector<DeliveryRecord> deliveries;
-    std::size_t merge_cursor = 0;
-    InvariantRecorder checks;
-  };
-
-  /// The LaneState the calling thread may touch.  The serial path goes
-  /// through a cached pointer (deque addresses are stable) — ln() sits on
-  /// every hot counter bump and deque indexing is not free.
-  LaneState& ln() {
-    return par_ == nullptr ? *lane0_
-                           : lane_[static_cast<std::size_t>(shard::tl_lane)];
-  }
-  /// The Simulator driving the calling thread's events.
-  Simulator& cursim() {
-    return par_ == nullptr ? *sim_ : *shard::tl_sim;
-  }
-  [[nodiscard]] const Simulator& cursim() const {
-    return par_ == nullptr ? *sim_ : *shard::tl_sim;
-  }
-  /// Violation sink for the calling thread (lane recorder while sharded
-  /// handlers run; the primary recorder on the serial/coordinator path).
-  InvariantRecorder& recorder() {
-    return par_ != nullptr && shard::tl_lane >= 0 ? ln().checks : checks_;
-  }
-  /// Spill arena owned by `lane` (lane 0 and serial use arena_).
-  Arena& lane_arena(int lane) {
-    return lane <= 0 ? arena_ : *extra_arenas_[static_cast<std::size_t>(lane - 1)];
-  }
   [[nodiscard]] std::uint64_t total_heap_allocs() const {
-    std::uint64_t n = arena_.heap_block_allocs();
-    for (const auto& a : extra_arenas_) n += a->heap_block_allocs();
-    for (const LaneState& l : lane_) n += l.packet_heap_allocs;
-    return n;
+    return arena_.heap_block_allocs() + packet_heap_allocs_;
   }
 
   // ---- members ----
@@ -544,31 +397,35 @@ class Network : public PodHandler, public ShardHooks {
 
   // Spill target for every ShortQueue in channels_/nics_; rewound wholesale
   // by reset().  Its address must be stable, which Network's deleted
-  // copy/move guarantees.  Lanes > 0 of a sharded run spill into their own
-  // arena in extra_arenas_ instead (one allocator per touching thread).
+  // copy/move guarantees.
   Arena arena_;
-  std::vector<std::unique_ptr<Arena>> extra_arenas_;
 
   std::vector<Channel> channels_;
   std::vector<Nic> nics_;
   std::vector<ChannelId> out_channel_at_;  // flattened [switch*stride + port]
   std::size_t out_port_stride_ = 0;
 
-  std::deque<LaneState> lane_;  // stable addresses; >= 1 element
-  LaneState* lane0_ = nullptr;  // &lane_[0], refreshed by reset()
+  // Packet arena: storage is stable (deque) and recycled via a free list,
+  // so Packet* stays valid for a packet's whole lifetime.
+  std::deque<Packet> packet_storage_;
+  std::vector<Packet*> packet_free_;
+  std::uint64_t next_packet_id_ = 1;
+  std::uint64_t injected_ = 0;
+  std::uint64_t delivered_ = 0;
+  std::uint64_t itb_spills_ = 0;
+  std::uint64_t fc_violations_ = 0;
+  std::uint64_t chunk_events_coalesced_ = 0;
+  std::uint64_t packet_heap_allocs_ = 0;
+  int max_occupancy_ = 0;
 
   DeliveryCallback on_delivery_;
   PacketEventSink event_sink_;
   PacketTracer* tracer_ = nullptr;   // null unless a run asked for tracing
-                                     // (sharded: base of a per-lane array)
   PhaseProfiler* prof_ = nullptr;    // null unless a run asked for profiling
-  PhaseProfiler* lane_profs_ = nullptr;  // sharded: base of per-lane array
   // The (arena blocks + packet growth) watermark captured at the last
   // reset — see heap_allocs_this_run.
   std::uint64_t heap_allocs_run_base_ = 0;
-  std::uint64_t delivery_ties_ = 0;
   bool ledger_ = true;  // params.ledger_checks (always-on invariant tier)
-  ParallelEngine* par_ = nullptr;  // non-null while sharded
   InvariantRecorder checks_;
 };
 

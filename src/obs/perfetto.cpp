@@ -6,7 +6,6 @@
 
 #include "net/network.hpp"
 #include "obs/trace.hpp"
-#include "sim/parallel_engine.hpp"
 
 namespace itb {
 namespace {
@@ -46,66 +45,10 @@ void append_meta(std::string& out, const char* name, int pid, int tid,
   out += "}},";
 }
 
-/// Engine health track group: one pid per lane (see the header comment).
-/// Reads the per-window stat rings, so it emits nothing unless the run
-/// enabled them (the harness does for traced/profiled sharded points).
-void append_health_tracks(std::string& out, const ParallelEngine& eng) {
-  for (int li = 0; li < eng.lanes(); ++li) {
-    const std::vector<LaneWindowStat> wins = eng.window_stats(li);
-    if (wins.empty()) continue;
-    const int pid = 100 + li;
-    const std::string spid = std::to_string(pid);
-    append_meta(out, "process_name", pid, -1,
-                "lane " + std::to_string(li) + " health");
-    append_meta(out, "thread_name", pid, 0, "windows");
-    append_meta(out, "thread_name", pid, 1, "barrier wait");
-    for (const LaneWindowStat& w : wins) {
-      out += R"({"name":"window","cat":"health","ph":"X","pid":)";
-      out += spid;
-      out += R"(,"tid":0,"ts":)";
-      append_ts_us(out, w.t_start);
-      out += ",\"dur\":";
-      append_ts_us(out, w.t_end - w.t_start + 1);  // t_end is inclusive
-      out += R"(,"args":{"events":)";
-      out += std::to_string(w.events);
-      out += ",\"drained\":";
-      out += std::to_string(w.drained);
-      out += ",\"posted\":";
-      out += std::to_string(w.posted);
-      out += ",\"run_wall_ns\":";
-      out += std::to_string(w.run_wall_ns);
-      out += "}},";
-      if (w.barrier_wall_ns > 0) {
-        // Wall nanoseconds drawn on the simulated axis (1 wall ns = 1 axis
-        // ns): the visual gap a slow sibling lane cost this one.
-        out += R"({"name":"barrier","cat":"health","ph":"X","pid":)";
-        out += spid;
-        out += R"(,"tid":1,"ts":)";
-        append_ts_us(out, w.t_start);
-        out += ",\"dur\":";
-        append_ts_us(out, static_cast<TimePs>(w.barrier_wall_ns) * 1000);
-        out += R"(,"args":{"wall_ns":)";
-        out += std::to_string(w.barrier_wall_ns);
-        out += "}},";
-      }
-      out += R"({"name":"mailbox","ph":"C","pid":)";
-      out += spid;
-      out += R"(,"tid":0,"ts":)";
-      append_ts_us(out, w.t_start);
-      out += R"(,"args":{"drained":)";
-      out += std::to_string(w.drained);
-      out += ",\"posted\":";
-      out += std::to_string(w.posted);
-      out += "}},";
-    }
-  }
-}
-
 }  // namespace
 
 std::string trace_to_chrome_json(const std::vector<PacketTraceRecord>& records,
-                                 const Network& net, std::uint64_t dropped,
-                                 const ParallelEngine* engine) {
+                                 const Network& net, std::uint64_t dropped) {
   std::string out;
   out.reserve(records.size() * 96 + 4096);
   out += R"({"displayTimeUnit":"ns","otherData":{"dropped_records":)";
@@ -120,18 +63,6 @@ std::string trace_to_chrome_json(const std::vector<PacketTraceRecord>& records,
   for (ChannelId ch = 0; ch < num_channels; ++ch) {
     append_meta(out, "thread_name", 1, ch, net.channel_label(ch));
   }
-  // Sharded traces: name the per-lane packet tids.  A serial trace (every
-  // record lane 0) emits no extra metas, keeping its export byte-identical.
-  int max_lane = 0;
-  for (const PacketTraceRecord& r : records) {
-    max_lane = std::max(max_lane, static_cast<int>(r.lane));
-  }
-  if (max_lane > 0) {
-    for (int li = 0; li <= max_lane; ++li) {
-      append_meta(out, "thread_name", 2, li, "lane " + std::to_string(li));
-    }
-  }
-  if (engine != nullptr) append_health_tracks(out, *engine);
 
   // Track the open acquire on each channel so acquire/release pairs become
   // one complete slice.  A release whose acquire was overwritten by ring
@@ -180,9 +111,7 @@ std::string trace_to_chrome_json(const std::vector<PacketTraceRecord>& records,
     out += ph;
     out += R"(","id":)";
     out += std::to_string(r.packet);
-    out += R"(,"pid":2,"tid":)";
-    out += std::to_string(r.lane);
-    out += R"(,"ts":)";
+    out += R"(,"pid":2,"tid":0,"ts":)";
     append_ts_us(out, r.t);
     if (r.kind != TraceKind::kDeliver) {
       out += R"(,"args":{"sw":)";
@@ -207,18 +136,7 @@ std::string trace_to_chrome_json(const std::vector<PacketTraceRecord>& records,
 }
 
 std::string trace_to_csv(const std::vector<PacketTraceRecord>& records) {
-  // The lane column appears only when some record actually carries a lane,
-  // so single-lane (serial) dumps — and every consumer of the historical
-  // six-column format — are byte-for-byte unchanged.
-  bool multi_lane = false;
-  for (const PacketTraceRecord& r : records) {
-    if (r.lane != 0) {
-      multi_lane = true;
-      break;
-    }
-  }
-  std::string out = multi_lane ? "t_ps,kind,packet,channel,switch,host,lane\n"
-                               : "t_ps,kind,packet,channel,switch,host\n";
+  std::string out = "t_ps,kind,packet,channel,switch,host\n";
   out.reserve(out.size() + records.size() * 40);
   for (const PacketTraceRecord& r : records) {
     out += std::to_string(r.t);
@@ -232,10 +150,6 @@ std::string trace_to_csv(const std::vector<PacketTraceRecord>& records) {
     out += std::to_string(r.sw);
     out += ',';
     out += std::to_string(r.host);
-    if (multi_lane) {
-      out += ',';
-      out += std::to_string(static_cast<int>(r.lane));
-    }
     out += '\n';
   }
   return out;

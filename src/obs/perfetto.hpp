@@ -8,16 +8,7 @@
 //    links visually obvious.
 //  * pid 2 "packets": one async ("b"/"n"/"e") track per packet id carrying
 //    the lifecycle milestones (inject, header, eject, spill, reinject,
-//    deliver).  Sharded traces place each milestone on the tid of the lane
-//    that executed it (serial records carry lane 0, so the serial export is
-//    byte-identical to before the lane byte existed).
-//  * pid 100+lane "lane N health" (sharded runs, when an engine is passed):
-//    tid 0 carries one "window" X slice per barrier window at simulated
-//    time (args: events, drained, posted, run_wall_ns) plus a "mailbox"
-//    counter of cross-lane traffic; tid 1 renders that window's preceding
-//    barrier wait as a slice whose duration is WALL nanoseconds drawn on
-//    the simulated axis (1 wall ns = 1 axis ns — the imbalance signal, not
-//    a simulated quantity; args carry the raw ns).
+//    deliver), all on tid 0.
 // Timestamps are simulated picoseconds converted to the trace format's
 // microseconds (exact: 1 ps = 1e-6 us, six decimals).
 #pragma once
@@ -29,24 +20,18 @@
 namespace itb {
 
 class Network;
-class ParallelEngine;
 struct PacketTraceRecord;
 
-/// Render trace records (chronological, e.g. PacketTracer::snapshot() or
-/// merge_lane_traces()) as a Chrome trace-event JSON document.  `dropped`
-/// (ring overwrites) is recorded in otherData so a truncated trace is
-/// self-describing.  Pass the run's ParallelEngine to additionally emit the
-/// per-lane health track group above (null or lane-less engines emit
-/// exactly the serial document).
+/// Render trace records (chronological, e.g. PacketTracer::snapshot()) as
+/// a Chrome trace-event JSON document.  `dropped` (ring overwrites) is
+/// recorded in otherData so a truncated trace is self-describing.
 [[nodiscard]] std::string trace_to_chrome_json(
     const std::vector<PacketTraceRecord>& records, const Network& net,
-    std::uint64_t dropped, const ParallelEngine* engine = nullptr);
+    std::uint64_t dropped);
 
 /// Raw dump, one record per row (t_ps,kind,packet,channel,switch,host) —
 /// the input format tools/trace2perfetto.py converts, for workflows that
-/// post-process traces without re-running the simulator.  Multi-lane
-/// records gain a trailing `lane` column; single-lane traces keep the
-/// historical six-column format byte-for-byte.
+/// post-process traces without re-running the simulator.
 [[nodiscard]] std::string trace_to_csv(const std::vector<PacketTraceRecord>& records);
 
 }  // namespace itb

@@ -12,13 +12,6 @@ namespace itb {
 void TimeSeriesSampler::begin(TimePs now, bool link_util, const Simulator& sim,
                               const Network& net,
                               const MetricsCollector& metrics, bool itb_pool) {
-  begin(now, link_util, EngineCounters{sim.events_executed(), sim.queue_len()},
-        net, metrics, itb_pool);
-}
-
-void TimeSeriesSampler::begin(TimePs now, bool link_util, EngineCounters eng,
-                              const Network& net,
-                              const MetricsCollector& metrics, bool itb_pool) {
   samples_.clear();
   link_util_ = link_util;
   itb_pool_ = itb_pool;
@@ -27,7 +20,7 @@ void TimeSeriesSampler::begin(TimePs now, bool link_util, EngineCounters eng,
   last_flits_ = metrics.delivered_flits();
   last_latency_sum_ = metrics.net_latency().sum();
   last_latency_count_ = metrics.net_latency().count();
-  last_events_ = eng.events_executed;
+  last_events_ = sim.events_executed();
   const int channels = net.topology().num_channels();
   prev_busy_.assign(static_cast<std::size_t>(link_util_ ? channels : 0), 0);
   for (std::size_t ch = 0; ch < prev_busy_.size(); ++ch) {
@@ -36,13 +29,6 @@ void TimeSeriesSampler::begin(TimePs now, bool link_util, EngineCounters eng,
 }
 
 void TimeSeriesSampler::sample(TimePs now, const Simulator& sim,
-                               const Network& net,
-                               const MetricsCollector& metrics) {
-  sample(now, EngineCounters{sim.events_executed(), sim.queue_len()}, net,
-         metrics);
-}
-
-void TimeSeriesSampler::sample(TimePs now, EngineCounters eng,
                                const Network& net,
                                const MetricsCollector& metrics) {
   TimeSeriesSample s;
@@ -66,9 +52,9 @@ void TimeSeriesSampler::sample(TimePs now, EngineCounters eng,
                        static_cast<double>(lat_count - last_latency_count_);
   }
 
-  const std::uint64_t events = eng.events_executed;
+  const std::uint64_t events = sim.events_executed();
   s.events = events - last_events_;
-  s.queue_len = eng.queue_len;
+  s.queue_len = sim.queue_len();
 
   const std::int64_t pool_capacity =
       net.params().itb_pool_bytes *

@@ -48,18 +48,8 @@ struct TimeSeriesSample {
   std::vector<float> link_util;
   /// Per-host ITB-pool occupancy (fraction of itb_pool_bytes) at the
   /// window's end (indexed by HostId); empty unless heatmap sampling was
-  /// requested.  Read at sync points, so it works identically under
-  /// sharding — the lanes are quiescent whenever a window closes.
+  /// requested.
   std::vector<float> itb_pool;
-};
-
-/// Engine-level counters a sample reads.  The serial overloads fill this
-/// from one Simulator; sharded runs pass lane-aggregated totals (lanes +
-/// coordinator + undrained mailbox messages) so the windowed event series
-/// still re-aggregates to RunResult::events.
-struct EngineCounters {
-  std::uint64_t events_executed = 0;
-  std::uint64_t queue_len = 0;
 };
 
 /// Captures windowed samples from the live component stack.  begin() at the
@@ -73,14 +63,9 @@ class TimeSeriesSampler {
   void begin(TimePs now, bool link_util, const Simulator& sim,
              const Network& net, const MetricsCollector& metrics,
              bool itb_pool = false);
-  void begin(TimePs now, bool link_util, EngineCounters eng,
-             const Network& net, const MetricsCollector& metrics,
-             bool itb_pool = false);
 
   /// Close the current window at simulated time `now` and append a sample.
   void sample(TimePs now, const Simulator& sim, const Network& net,
-              const MetricsCollector& metrics);
-  void sample(TimePs now, EngineCounters eng, const Network& net,
               const MetricsCollector& metrics);
 
   [[nodiscard]] const std::vector<TimeSeriesSample>& samples() const {

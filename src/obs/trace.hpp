@@ -56,10 +56,8 @@ enum class TraceKind : std::uint8_t {
 }
 
 /// One trace record.  `ch` / `sw` / `host` are -1 when not applicable to
-/// the kind.  `lane` is the parallel-engine lane that executed the event
-/// (0 in serial runs — the byte lives in what used to be padding, so the
-/// record format and size are unchanged).  Trivially copyable: the ring is
-/// a flat array and snapshots are memcpy-clean.
+/// the kind.  Trivially copyable: the ring is a flat array and snapshots
+/// are memcpy-clean.
 struct PacketTraceRecord {
   TimePs t = 0;
   std::uint64_t packet = 0;
@@ -67,7 +65,6 @@ struct PacketTraceRecord {
   SwitchId sw = kNoSwitch;
   HostId host = kNoHost;
   TraceKind kind = TraceKind::kInject;
-  std::uint8_t lane = 0;
 };
 static_assert(sizeof(PacketTraceRecord) <= 32, "keep trace records compact");
 
@@ -81,29 +78,6 @@ class PacketTracer {
     if (ring_.size() != capacity) {
       ring_.assign(capacity, PacketTraceRecord{});
     }
-    keys_.clear();
-    keys_.shrink_to_fit();
-    lane_ = 0;
-    recorded_ = 0;
-    enabled_ = true;
-  }
-
-  /// Enable keyed (shard) mode: this tracer is written by exactly one
-  /// parallel-engine lane, and every record additionally remembers the
-  /// shard key of the event that produced it (a parallel ring of
-  /// std::uint64_t, so the 32-byte record format is untouched).  Keys are
-  /// globally unique across lanes and encode (push_time, lane, count) —
-  /// merge_lane_traces() sorts on them to reproduce the serial record
-  /// order.  Same storage-reuse contract as configure().
-  void configure_lane(std::size_t capacity, std::uint8_t lane) {
-    if (capacity == 0) capacity = 1;
-    if (ring_.size() != capacity) {
-      ring_.assign(capacity, PacketTraceRecord{});
-    }
-    if (keys_.size() != capacity) {
-      keys_.assign(capacity, 0);
-    }
-    lane_ = lane;
     recorded_ = 0;
     enabled_ = true;
   }
@@ -135,18 +109,7 @@ class PacketTracer {
     r.sw = sw;
     r.host = host;
     r.kind = kind;
-    r.lane = lane_;
     ++recorded_;
-  }
-
-  /// Keyed-mode append: record() plus the shard key of the executing event
-  /// (Simulator::current_key()).  Lock-free — only the owning lane writes.
-  void record_keyed(TimePs t, std::uint64_t key, TraceKind kind,
-                    std::uint64_t packet, ChannelId ch, SwitchId sw,
-                    HostId host) {
-    const std::size_t at = static_cast<std::size_t>(recorded_ % ring_.size());
-    keys_[at] = key;
-    record(t, kind, packet, ch, sw, host);
   }
 
   /// Stored records in chronological order (oldest surviving record first).
@@ -155,17 +118,6 @@ class PacketTracer {
     const std::size_t n = stored();
     out.reserve(n);
     for (std::size_t i = 0; i < n; ++i) out.push_back(ring_[slot(i)]);
-    return out;
-  }
-
-  /// Keyed-mode companion to snapshot(): the shard keys aligned with the
-  /// records, same chronological order.  Empty unless configure_lane() ran.
-  [[nodiscard]] std::vector<std::uint64_t> snapshot_keys() const {
-    std::vector<std::uint64_t> out;
-    if (keys_.empty()) return out;
-    const std::size_t n = stored();
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) out.push_back(keys_[slot(i)]);
     return out;
   }
 
@@ -178,32 +130,8 @@ class PacketTracer {
   }
 
   std::vector<PacketTraceRecord> ring_;
-  std::vector<std::uint64_t> keys_;  // keyed (shard) mode only
-  std::uint8_t lane_ = 0;
   std::uint64_t recorded_ = 0;
   bool enabled_ = false;
 };
-
-/// Merge the per-lane rings of a sharded traced run into one stream in the
-/// serial total order.  Each lane's stream is already sorted by the shard
-/// key of its executing event (lanes execute events in (time, key) order
-/// and keys encode push time), and keys are globally unique across lanes,
-/// so a cursor-per-lane K-way merge on (t, key) is total and reproduces
-/// the exact interleaving a serial traced run records.
-///
-/// Sharded packet ids carry the minting lane in their top bits
-/// (lane << 48 | per-lane counter) while serial ids are one dense global
-/// counter; the merge renumbers ids densely by first appearance in the
-/// merged stream — which is the serial injection order — so the output is
-/// record-identical to the serial trace (asserted by test_obs_parallel on
-/// the paper testbeds).  Two caveats, both inherited from the engine
-/// rather than introduced by the merge: same-picosecond cross-lane pushes
-/// (RunResult::boundary_ties) can permute records WITHIN that picosecond
-/// relative to serial — identity is exact whenever boundary_ties is zero —
-/// and ring-wrap drops can eat a packet's first record, after which its
-/// renumbered id is no longer the serial one; the full guarantee holds for
-/// unwrapped rings.
-[[nodiscard]] std::vector<PacketTraceRecord> merge_lane_traces(
-    const PacketTracer* lanes, std::size_t count);
 
 }  // namespace itb

@@ -45,17 +45,6 @@ class CalendarQueue {
     insert(Event{at, next_seq_++, p, ch, a, kind});
   }
 
-  /// Schedule an event with a caller-supplied (time, seq) key instead of
-  /// the internal push counter.  The parallel engine orders every lane's
-  /// events by a push-time-derived key (see Simulator::next_shard_key) so
-  /// events merged in from other lanes slot into the same total order the
-  /// serial engine would have produced.  A queue must be driven entirely
-  /// by one key scheme: mixing push() and push_keyed() breaks ordering.
-  void push_keyed(TimePs at, std::uint64_t key, EventKind kind,
-                  std::int32_t ch, std::int32_t a, void* p) {
-    insert(Event{at, key, p, ch, a, kind});
-  }
-
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t peak_size() const { return peak_; }

@@ -12,20 +12,11 @@
 
 namespace itb {
 
-/// Harness-level engine selector (RunConfig::engine).  kPod runs one
-/// Simulator: POD events over the calendar queue, with chunk-flow
-/// coalescing.  kPodParallel shards one simulation across RunConfig::shards
-/// lanes, each lane an ordinary Simulator driven by the conservative window
-/// scheduler in sim/parallel_engine.hpp.
-enum class EngineKind : std::uint8_t { kPod, kPodParallel };
-
-[[nodiscard]] inline const char* to_string(EngineKind e) {
-  switch (e) {
-    case EngineKind::kPod: return "pod";
-    case EngineKind::kPodParallel: return "pod_parallel";
-  }
-  return "?";
-}
+/// Harness-level engine selector (RunConfig::engine).  kPod, the only
+/// value, runs one Simulator: POD events over the calendar queue, with
+/// chunk-flow coalescing.  The enum is kept only so existing callers of
+/// SimWorkspace::prepare keep compiling.
+enum class EngineKind : std::uint8_t { kPod };
 
 /// Event taxonomy of the POD engine (dispatched in Network::handle_event,
 /// except kCallback which the Simulator runs itself).

@@ -15,13 +15,8 @@ void Simulator::schedule_fn(TimePs at, EventFn fn) {
     slot = static_cast<std::int32_t>(slots_.size());
     slots_.push_back(std::move(fn));
   }
-  if (shard_lane_ >= 0) {
-    calendar_.push_keyed(at, next_shard_key(), EventKind::kCallback,
-                         /*ch=*/-1, /*a=*/slot, /*p=*/nullptr);
-  } else {
-    calendar_.push(at, EventKind::kCallback, /*ch=*/-1, /*a=*/slot,
-                   /*p=*/nullptr);
-  }
+  calendar_.push(at, EventKind::kCallback, /*ch=*/-1, /*a=*/slot,
+                 /*p=*/nullptr);
 }
 
 void Simulator::run_callback_slot(std::int32_t slot) {
@@ -40,18 +35,6 @@ std::uint64_t Simulator::run_until(TimePs deadline) {
   while (!stop_requested_ && calendar_.pop_if_at_most(deadline, e)) {
     if (e.at < now_) ++causality_violations_;
     now_ = e.at;
-    if (shard_lane_ >= 0) {
-      // Order-tie detection: adjacent events with equal (time, push time)
-      // minted by different lanes are the one place the shard-key order is
-      // free to differ from the serial push order (see next_shard_key).
-      if (e.at == tie_at_ &&
-          (e.seq >> kShardTimeShift) == (tie_key_ >> kShardTimeShift) &&
-          (e.seq >> kShardCountBits) != (tie_key_ >> kShardCountBits)) {
-        ++order_ties_;
-      }
-      tie_at_ = e.at;
-      tie_key_ = e.seq;
-    }
     if (e.kind == EventKind::kCallback) {
       run_callback_slot(e.a);
     } else {

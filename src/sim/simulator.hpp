@@ -46,12 +46,6 @@ class Simulator {
     executed_ = 0;
     causality_violations_ = 0;
     stop_requested_ = false;
-    shard_lane_ = -1;
-    key_t_ = -1;
-    key_n_ = 0;
-    tie_at_ = -1;
-    tie_key_ = 0;
-    order_ties_ = 0;
   }
 
   /// Current simulated time.
@@ -80,70 +74,6 @@ class Simulator {
   /// be set before any schedule_event_* call.
   void set_pod_handler(PodHandler* h) { handler_ = h; }
 
-  // --- shard mode (one lane of a conservative parallel run) -------------
-  //
-  // In shard mode every push is ordered by an explicit key instead of the
-  // internal push counter:
-  //
-  //   key = push_time << 20 | pushing_lane << 14 | per-instant push count
-  //
-  // For events pushed and executed inside one lane this reproduces the
-  // serial engine's (time, push order) contract exactly, because a lane's
-  // push times are non-decreasing.  For events merged in from another lane
-  // (sim/parallel_engine.hpp mailboxes) the key was computed by the
-  // *pushing* lane, so the merged calendar orders local and remote events
-  // by push time — the same comparison the serial global sequence number
-  // encodes — and the only ordering freedom left is two pushes from
-  // different lanes at the exact same picosecond (counted by order_ties()
-  // and surfaced as RunResult::boundary_ties; zero means the sharded
-  // schedule is bit-identical to the serial one).
-
-  static constexpr int kShardCountBits = 14;  // pushes per lane per instant
-  static constexpr int kShardLaneBits = 6;    // PartitionPlan::kMaxLanes = 64
-  static constexpr int kShardTimeShift = kShardCountBits + kShardLaneBits;
-
-  /// Enter shard mode as lane `lane` (call right after reset()).
-  void enable_shard_keys(std::int32_t lane) {
-    assert(lane >= 0 && lane < (1 << kShardLaneBits));
-    shard_lane_ = lane;
-  }
-  [[nodiscard]] bool shard_keys_enabled() const { return shard_lane_ >= 0; }
-
-  /// Key for an event being pushed right now by this lane.
-  [[nodiscard]] std::uint64_t next_shard_key() {
-    if (now_ != key_t_) {
-      key_t_ = now_;
-      key_n_ = 0;
-    }
-    assert(now_ >= 0 && now_ < (TimePs{1} << (62 - kShardTimeShift)));
-    assert(key_n_ < (std::uint64_t{1} << kShardCountBits));
-    return (static_cast<std::uint64_t>(now_) << kShardTimeShift) |
-           (static_cast<std::uint64_t>(shard_lane_) << kShardCountBits) |
-           key_n_++;
-  }
-
-  /// Schedule a POD event carrying a key minted by another lane (mailbox
-  /// drain).  An `at` before this lane's clock would mean the conservative
-  /// window was too wide; it is counted as a causality violation.
-  void schedule_event_keyed_at(TimePs at, std::uint64_t key, EventKind kind,
-                               std::int32_t ch, std::int32_t a = 0,
-                               void* p = nullptr) {
-    assert(shard_lane_ >= 0);
-    if (at < now_) ++causality_violations_;
-    calendar_.push_keyed(at, key, kind, ch, a, p);
-  }
-
-  /// Adjacent executed events with equal (time, push time) but different
-  /// pushing lanes — the only schedule freedom the shard keys leave open.
-  [[nodiscard]] std::uint64_t order_ties() const { return order_ties_; }
-
-  /// Shard key of the event currently being dispatched (valid inside a
-  /// handler while in shard mode; run_until records it before the
-  /// dispatch).  This is what makes per-lane telemetry mergeable: every
-  /// trace record stamped with (now, current_key) sorts into the exact
-  /// serial total order, because keys are globally unique across lanes.
-  [[nodiscard]] std::uint64_t current_key() const { return tie_key_; }
-
   /// Schedule `fn` `delay` picoseconds from now (delay >= 0).
   void schedule_in(TimePs delay, EventFn fn) {
     assert(delay >= 0);
@@ -160,11 +90,7 @@ class Simulator {
   void schedule_event_at(TimePs at, EventKind kind, std::int32_t ch,
                          std::int32_t a = 0, void* p = nullptr) {
     assert(at >= now_);
-    if (shard_lane_ >= 0) {
-      calendar_.push_keyed(at, next_shard_key(), kind, ch, a, p);
-    } else {
-      calendar_.push(at, kind, ch, a, p);
-    }
+    calendar_.push(at, kind, ch, a, p);
   }
 
   /// Schedule a POD event `delay` picoseconds from now.
@@ -200,13 +126,6 @@ class Simulator {
   std::uint64_t executed_ = 0;
   std::uint64_t causality_violations_ = 0;
   bool stop_requested_ = false;
-  // Shard mode (lane of a parallel run; -1 = normal serial operation).
-  std::int32_t shard_lane_ = -1;
-  TimePs key_t_ = -1;          // instant next_shard_key last reset for
-  std::uint64_t key_n_ = 0;    // pushes at key_t_ so far
-  TimePs tie_at_ = -1;         // (time, key) of the last popped event,
-  std::uint64_t tie_key_ = 0;  // for order-tie detection in run_until
-  std::uint64_t order_ties_ = 0;
 };
 
 }  // namespace itb

@@ -13,8 +13,8 @@
 //
 // Determinism contract: a point run in a reused workspace is bit-identical
 // to the same point run in a freshly constructed one — same RNG streams,
-// same (time, seq) event order, same RunResult — serial, sharded and in
-// checked mode.  Every component's reset() is written against that contract
+// same (time, seq) event order, same RunResult — plain and in checked
+// mode.  Every component's reset() is written against that contract
 // and test_workspace enforces it, including across different topologies in
 // one workspace.  Host-side observability (workspace_reuses,
 // heap_allocs_steady_state) legitimately differs and is excluded from
@@ -47,16 +47,11 @@ class SimWorkspace {
   /// Reset (or first-construct) the simulator, network and metrics
   /// collector for one simulation point.  After this call the stack is
   /// indistinguishable from freshly constructed objects: clock at zero,
-  /// queues empty, ledgers clean, callbacks cleared.
-  ///
-  /// With engine == kPodParallel the simulation is sharded across `shards`
-  /// lanes (clamped by the partition plan): sim() becomes the coordinator
-  /// clock (watchdog ticks, empty-queue time pinning) and the lanes live in
-  /// engine(); drive both through the window protocol (see
-  /// harness/runner.cpp).  `shards` is ignored by kPod.
+  /// queues empty, ledgers clean, callbacks cleared.  `engine` must be
+  /// kPod, its only value.
   void prepare(EngineKind engine, const Topology& topo, const RouteSet& routes,
                const MyrinetParams& params, PathPolicy policy,
-               std::uint64_t net_seed, int shards = 1);
+               std::uint64_t net_seed);
 
   /// Reset (or first-construct) the traffic generator against the prepared
   /// network.  Call after prepare().
@@ -66,12 +61,6 @@ class SimWorkspace {
   [[nodiscard]] Simulator& sim() { return sim_; }
   [[nodiscard]] Network& net() { return *net_; }
   [[nodiscard]] MetricsCollector& metrics() { return *metrics_; }
-  /// The conservative parallel engine (valid after a kPodParallel
-  /// prepare()).  Worker threads persist across points like every other
-  /// warmed resource in this workspace.
-  [[nodiscard]] ParallelEngine& engine() { return par_; }
-  /// Did the last prepare() shard the simulation?
-  [[nodiscard]] bool parallel() const { return parallel_; }
 
   /// Per-workspace telemetry buffers (src/obs/).  Owned here so traced runs
   /// honor the reuse contract: the tracer ring and profiler table keep
@@ -80,45 +69,18 @@ class SimWorkspace {
   [[nodiscard]] PacketTracer& tracer() { return tracer_; }
   [[nodiscard]] PhaseProfiler& profiler() { return profiler_; }
 
-  /// Per-lane telemetry for sharded runs: one tracer ring / profiler per
-  /// lane, written lock-free by the owning worker.  lane_tracers(k) returns
-  /// the base of a k-element array (Network::set_tracer's sharded form);
-  /// storage above k survives so alternating shard counts do not thrash.
-  /// Same reuse contract as the serial buffers: the harness configures each
-  /// element per point, and capacity persists across points.
-  [[nodiscard]] PacketTracer* lane_tracers(int k) {
-    if (static_cast<int>(lane_tracers_.size()) < k) lane_tracers_.resize(
-        static_cast<std::size_t>(k));
-    return lane_tracers_.data();
-  }
-  [[nodiscard]] std::vector<PacketTracer>& lane_tracer_vec() {
-    return lane_tracers_;
-  }
-  [[nodiscard]] PhaseProfiler* lane_profilers(int k) {
-    if (static_cast<int>(lane_profilers_.size()) < k) lane_profilers_.resize(
-        static_cast<std::size_t>(k));
-    return lane_profilers_.data();
-  }
-  [[nodiscard]] std::vector<PhaseProfiler>& lane_profiler_vec() {
-    return lane_profilers_;
-  }
-
   /// How many prepare() calls reused existing storage instead of
   /// constructing it (0 through a fresh workspace's first point).
   [[nodiscard]] std::uint64_t reuses() const { return reuses_; }
 
  private:
   Simulator sim_;  // declared first: Network/generator hold its address
-  ParallelEngine par_;  // idle (no threads) until a kPodParallel prepare()
   std::optional<Network> net_;
   std::optional<MetricsCollector> metrics_;
   std::optional<TrafficGenerator> gen_;
   PacketTracer tracer_;
   PhaseProfiler profiler_;
-  std::vector<PacketTracer> lane_tracers_;      // sharded traced runs
-  std::vector<PhaseProfiler> lane_profilers_;   // sharded profiled runs
   std::uint64_t reuses_ = 0;
-  bool parallel_ = false;
 };
 
 /// The calling thread's own workspace.  Worker threads are persistent, so

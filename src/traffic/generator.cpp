@@ -32,7 +32,7 @@ void TrafficGenerator::reset(const DestinationPattern& pattern,
       0.5);
   assert(interval_ > 0);
   stopped_ = false;
-  host_generated_.assign(static_cast<std::size_t>(topo.num_hosts()), 0);
+  generated_ = 0;
   tap_ = nullptr;
 
   Rng seeder(cfg_.seed);
@@ -44,14 +44,11 @@ void TrafficGenerator::reset(const DestinationPattern& pattern,
 }
 
 void TrafficGenerator::start() {
-  // Each host's tick train runs on the simulator owning that host — the
-  // serial Simulator normally, the host's lane in a sharded run, so every
-  // injection happens on the thread that owns the source NIC.
   const auto& topo = net_->topology();
   for (HostId h = 0; h < topo.num_hosts(); ++h) {
     const auto phase = static_cast<TimePs>(host_rng_[static_cast<std::size_t>(h)]
                                                .next_below(static_cast<std::uint64_t>(interval_)));
-    net_->host_sim(h).schedule_in(phase, [this, h] { host_tick(h); });
+    sim_->schedule_in(phase, [this, h] { host_tick(h); });
   }
 }
 
@@ -61,8 +58,8 @@ void TrafficGenerator::host_tick(HostId h) {
   const HostId dst = pattern_->pick(h, rng);
   if (dst != kNoHost) {
     net_->inject(h, dst, cfg_.payload_bytes);
-    ++host_generated_[static_cast<std::size_t>(h)];
-    if (tap_) tap_(net_->host_sim(h).now(), h, dst, cfg_.payload_bytes);
+    ++generated_;
+    if (tap_) tap_(sim_->now(), h, dst, cfg_.payload_bytes);
   }
   schedule_next(h);
 }
@@ -74,7 +71,7 @@ void TrafficGenerator::schedule_next(HostId h) {
                                     .next_exponential(static_cast<double>(interval_)));
     if (delay < 1) delay = 1;
   }
-  net_->host_sim(h).schedule_in(delay, [this, h] { host_tick(h); });
+  sim_->schedule_in(delay, [this, h] { host_tick(h); });
 }
 
 }  // namespace itb

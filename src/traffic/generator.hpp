@@ -49,17 +49,10 @@ class TrafficGenerator {
   /// one interval, so hosts do not fire in lockstep).
   void start();
 
-  /// Stop generating; already-queued packets drain normally.  In a sharded
-  /// run, call only at a window-sync point (lanes quiescent).
+  /// Stop generating; already-queued packets drain normally.
   void stop() { stopped_ = true; }
 
-  /// Sum of the per-host counters (kept per host so sharded lanes never
-  /// write a shared counter; cold accessor, read at sync points).
-  [[nodiscard]] std::uint64_t messages_generated() const {
-    std::uint64_t n = 0;
-    for (const std::uint64_t g : host_generated_) n += g;
-    return n;
-  }
+  [[nodiscard]] std::uint64_t messages_generated() const { return generated_; }
   [[nodiscard]] std::uint64_t flits_generated() const {
     return messages_generated() * static_cast<std::uint64_t>(cfg_.payload_bytes);
   }
@@ -76,7 +69,7 @@ class TrafficGenerator {
   TrafficConfig cfg_;
   TimePs interval_;
   bool stopped_ = false;
-  std::vector<std::uint64_t> host_generated_;
+  std::uint64_t generated_ = 0;
   std::vector<Rng> host_rng_;
   MessageTap tap_;
 };

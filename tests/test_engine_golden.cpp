@@ -196,7 +196,6 @@ RunResult run_golden_cell(const Testbed& tb, const DestinationPattern& pat,
   cfg.warmup = us(50);
   cfg.measure = us(150);
   cfg.seed = 42;
-  cfg.engine = EngineKind::kPod;
   cfg.checked = false;
   return run_point(tb, scheme, pat, cfg);
 }

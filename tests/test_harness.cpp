@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
@@ -76,6 +77,25 @@ TEST(RunPoint, CollectsLinkUtilOnRequest) {
   cfg.collect_link_util = true;
   const RunResult r = run_point(tb, RoutingScheme::kItbRr, pat, cfg);
   EXPECT_FALSE(r.link_util.empty());
+}
+
+TEST(RunPoint, RejectsAnEmptyMeasurementWindow) {
+  Testbed tb(make_torus_2d(4, 4, 2));
+  UniformPattern pat(tb.topo().num_hosts());
+  RunConfig cfg = fast_cfg(0.01);
+  cfg.measure = 0;
+  EXPECT_THROW((void)run_point(tb, RoutingScheme::kItbRr, pat, cfg),
+               std::invalid_argument);
+  cfg.measure = -us(1);
+  EXPECT_THROW((void)run_point(tb, RoutingScheme::kItbRr, pat, cfg),
+               std::invalid_argument);
+  cfg = fast_cfg(0.01);
+  cfg.warmup = -1;
+  EXPECT_THROW((void)run_point(tb, RoutingScheme::kItbRr, pat, cfg),
+               std::invalid_argument);
+  // A zero warm-up is a legal (if unusual) point.
+  cfg.warmup = 0;
+  EXPECT_GT(run_point(tb, RoutingScheme::kItbRr, pat, cfg).delivered, 0u);
 }
 
 TEST(RunPoint, DeterministicPerSeed) {

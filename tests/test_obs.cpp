@@ -23,7 +23,6 @@ RunConfig traced_config() {
   cfg.load_flits_per_ns_per_switch = 0.02;
   cfg.warmup = us(30);
   cfg.measure = us(80);
-  cfg.engine = EngineKind::kPod;
   cfg.trace = true;
   return cfg;
 }

@@ -3,12 +3,15 @@
 // windowed series must re-aggregate to the steady-state RunResult numbers
 // (deltas of cumulative counters guarantee it) — including the acceptance
 // check that busy-weighted windowed link utilization reproduces
-// ChannelUtil::utilization within rounding.
+// ChannelUtil::utilization within rounding — and the congestion heatmap,
+// whose rows must re-aggregate to those same windowed samples.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 
 #include "harness/runner.hpp"
@@ -24,7 +27,6 @@ RunConfig sampled_config() {
   cfg.load_flits_per_ns_per_switch = 0.02;
   cfg.warmup = us(30);
   cfg.measure = us(80);
-  cfg.engine = EngineKind::kPod;
   cfg.sample_period = cfg.measure / 16;
   cfg.collect_link_util = true;
   cfg.sample_link_util = true;
@@ -161,6 +163,91 @@ TEST(ObsSamplers, CsvEmission) {
   for (std::string line; std::getline(in, line);) ++rows;
   EXPECT_EQ(rows, r.samples.size());
   std::remove(path.c_str());
+}
+
+TEST(ObsSamplers, HeatmapRowsReaggregateToWindowedSamples) {
+  Testbed tb(make_torus_2d(4, 4, 4));
+  RunConfig cfg = sampled_config();
+  cfg.sample_itb_pool = true;
+  const RunResult r = sampled_point(tb, cfg);
+  ASSERT_FALSE(r.samples.empty());
+  const auto channels = static_cast<std::size_t>(tb.topo().num_channels());
+  const auto hosts = static_cast<std::size_t>(tb.topo().num_hosts());
+
+  // Per-host pool occupancy averages to the network-wide pool fraction.
+  for (const TimeSeriesSample& s : r.samples) {
+    ASSERT_EQ(s.link_util.size(), channels);
+    ASSERT_EQ(s.itb_pool.size(), hosts);
+    double pool = 0.0;
+    for (const float f : s.itb_pool) pool += f;
+    EXPECT_NEAR(pool / static_cast<double>(hosts), s.itb_pool_frac, 1e-6);
+  }
+
+  // Pool sampling is an observer: the rest of the run is unchanged.
+  RunConfig plain_cfg = cfg;
+  plain_cfg.sample_itb_pool = false;
+  RunResult plain = sampled_point(tb, plain_cfg);
+  RunResult with_pool = r;
+  for (TimeSeriesSample& s : with_pool.samples) s.itb_pool.clear();
+  EXPECT_TRUE(same_simulated_metrics(with_pool, plain));
+
+  const std::string path = ::testing::TempDir() + "itb_heatmap_test.csv";
+  write_heatmap_csv(path, r.samples);
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "metric,id,window,t_start_ps,t_end_ps,value");
+
+  // Every row matches the sample it came from to the CSV's six
+  // significant digits.  Alongside: per-window pool sums and per-channel
+  // window-width-weighted busy time, for the re-aggregation below.
+  std::map<std::size_t, double> pool_sum;  // window -> sum over hosts
+  std::map<std::size_t, double> busy;      // channel -> busy-weighted ps
+  std::size_t rows = 0;
+  while (std::getline(in, line)) {
+    std::istringstream row(line);
+    std::string metric, id, window, t_start, t_end, value;
+    std::getline(row, metric, ',');
+    std::getline(row, id, ',');
+    std::getline(row, window, ',');
+    std::getline(row, t_start, ',');
+    std::getline(row, t_end, ',');
+    std::getline(row, value, ',');
+    const std::size_t w = std::stoul(window);
+    const std::size_t i = std::stoul(id);
+    ASSERT_LT(w, r.samples.size());
+    const TimeSeriesSample& s = r.samples[w];
+    EXPECT_EQ(std::stoll(t_start), s.t_start);
+    EXPECT_EQ(std::stoll(t_end), s.t_end);
+    const double v = std::stod(value);
+    ASSERT_TRUE(metric == "link_util" || metric == "itb_pool") << metric;
+    const float want = metric == "link_util" ? s.link_util.at(i)
+                                             : s.itb_pool.at(i);
+    EXPECT_NEAR(v, want, 1e-5 * (1.0 + want));
+    if (metric == "itb_pool") {
+      pool_sum[w] += v;
+    } else {
+      busy[i] += v * static_cast<double>(s.t_end - s.t_start);
+    }
+    ++rows;
+  }
+  std::remove(path.c_str());
+  EXPECT_EQ(rows, r.samples.size() * (channels + hosts));
+
+  // Re-aggregation: each window's pool rows average to that window's
+  // pool fraction, and each channel's busy-weighted link rows reproduce
+  // the run's ChannelUtil::utilization.
+  for (std::size_t w = 0; w < r.samples.size(); ++w) {
+    EXPECT_NEAR(pool_sum[w] / static_cast<double>(hosts),
+                r.samples[w].itb_pool_frac, 1e-5);
+  }
+  ASSERT_FALSE(r.link_util.empty());
+  const double measure = static_cast<double>(cfg.measure);
+  for (const ChannelUtil& cu : r.link_util) {
+    EXPECT_NEAR(busy[static_cast<std::size_t>(cu.channel)] / measure,
+                cu.utilization, 1e-4);
+  }
 }
 
 }  // namespace

@@ -419,7 +419,6 @@ RunResult run_lowdiam_cell(const Testbed& tb, RoutingScheme scheme) {
   cfg.warmup = us(50);
   cfg.measure = us(150);
   cfg.seed = 42;
-  cfg.engine = EngineKind::kPod;
   cfg.checked = false;
   const UniformPattern pat(tb.topo().num_hosts());
   return run_point(tb, scheme, pat, cfg);

@@ -2,7 +2,7 @@
 // run-reuse layer is that a point run in a RESET workspace is bit-identical
 // to the same point run in a freshly constructed one — same RNG draws, same
 // (time, seq) event order, same metrics — for every scheme, with checked
-// mode on, serial or sharded.  These tests pit run_point_in against
+// mode on.  These tests pit run_point_in against
 // explicit fresh/reused SimWorkspaces and assert exactly that, plus the
 // arena layer's headline property: zero engine heap allocations once a
 // workspace has warmed to the workload's high-water mark.
@@ -16,13 +16,11 @@
 namespace itb {
 namespace {
 
-RunConfig small_config(EngineKind engine, int shards = 1) {
+RunConfig small_config() {
   RunConfig cfg;
   cfg.load_flits_per_ns_per_switch = 0.02;
   cfg.warmup = us(30);
   cfg.measure = us(80);
-  cfg.engine = engine;
-  cfg.shards = shards;
   cfg.checked = true;  // deep checks must survive reuse too
   cfg.collect_link_util = true;  // widest determinism surface
   return cfg;
@@ -30,10 +28,9 @@ RunConfig small_config(EngineKind engine, int shards = 1) {
 
 /// Same point three ways: fresh workspace, reused-once workspace, and the
 /// third run in that same workspace.  All three must agree bit-for-bit.
-void expect_reuse_identical(const Testbed& tb, RoutingScheme scheme,
-                            EngineKind engine) {
+void expect_reuse_identical(const Testbed& tb, RoutingScheme scheme) {
   UniformPattern pat(tb.topo().num_hosts());
-  const RunConfig cfg = small_config(engine);
+  const RunConfig cfg = small_config();
 
   SimWorkspace fresh;
   const RunResult a = run_point_in(fresh, tb, scheme, pat, cfg);
@@ -61,14 +58,14 @@ TEST(Workspace, ReuseBitIdenticalPodAllSchemes) {
   for (const RoutingScheme s : {RoutingScheme::kUpDown, RoutingScheme::kItbSp,
                                 RoutingScheme::kItbRr}) {
     SCOPED_TRACE(to_string(s));
-    expect_reuse_identical(tb, s, EngineKind::kPod);
+    expect_reuse_identical(tb, s);
   }
 }
 
 TEST(Workspace, SteadyStateRunsWithoutHeapAllocations) {
   Testbed tb(make_torus_2d(4, 4, 4));
   UniformPattern pat(tb.topo().num_hosts());
-  const RunConfig cfg = small_config(EngineKind::kPod);
+  const RunConfig cfg = small_config();
 
   SimWorkspace ws;
   const RunResult first = run_point_in(ws, tb, RoutingScheme::kItbRr, pat, cfg);
@@ -91,7 +88,7 @@ TEST(Workspace, ReuseAcrossTopologies) {
   Testbed express(make_torus_2d_express(5, 5, 4));
   UniformPattern torus_pat(torus.topo().num_hosts());
   UniformPattern express_pat(express.topo().num_hosts());
-  const RunConfig cfg = small_config(EngineKind::kPod);
+  const RunConfig cfg = small_config();
 
   SimWorkspace fresh_t, fresh_e;
   const RunResult t_ref =
@@ -118,7 +115,7 @@ TEST(Workspace, RunPointMatchesExplicitWorkspace) {
   // the thread-local workspace has been reused by earlier calls.
   Testbed tb(make_torus_2d(4, 4, 4));
   UniformPattern pat(tb.topo().num_hosts());
-  const RunConfig cfg = small_config(EngineKind::kPod);
+  const RunConfig cfg = small_config();
 
   const RunResult warmup = run_point(tb, RoutingScheme::kItbSp, pat, cfg);
   (void)warmup;
@@ -129,36 +126,35 @@ TEST(Workspace, RunPointMatchesExplicitWorkspace) {
   EXPECT_TRUE(same_simulated_metrics(via_thread, via_fresh));
 }
 
-TEST(Workspace, EngineSwitchInsideOneWorkspace) {
-  // prepare() may flip between serial and sharded runs; each engine's
-  // results must match that engine's fresh-workspace reference.
-  Testbed tb(make_torus_2d(4, 4, 4));
-  UniformPattern pat(tb.topo().num_hosts());
-  const RunConfig pod_cfg = small_config(EngineKind::kPod);
-  const RunConfig par_cfg = small_config(EngineKind::kPodParallel, 4);
+TEST(Workspace, TopologySwitchRoundTrips) {
+  // Two full A-B rounds in one workspace between differently shaped
+  // networks and different path policies (the adaptive selector carries
+  // feedback state): every point, including the second visit to each
+  // configuration, must match its fresh-workspace reference.
+  Testbed torus(make_torus_2d(4, 4, 4));
+  Testbed hyperx(make_hyperx({3, 3}, 2));
+  UniformPattern torus_pat(torus.topo().num_hosts());
+  UniformPattern hyperx_pat(hyperx.topo().num_hosts());
+  const RunConfig cfg = small_config();
 
-  SimWorkspace fresh_pod, fresh_par;
-  const RunResult pod_ref =
-      run_point_in(fresh_pod, tb, RoutingScheme::kItbRr, pat, pod_cfg);
-  const RunResult par_ref =
-      run_point_in(fresh_par, tb, RoutingScheme::kItbRr, pat, par_cfg);
-  EXPECT_EQ(par_ref.shards, 4u);
+  SimWorkspace fresh_t, fresh_h;
+  const RunResult t_ref =
+      run_point_in(fresh_t, torus, RoutingScheme::kItbAdapt, torus_pat, cfg);
+  const RunResult h_ref =
+      run_point_in(fresh_h, hyperx, RoutingScheme::kItbRr, hyperx_pat, cfg);
 
   SimWorkspace ws;
-  const RunResult pod1 =
-      run_point_in(ws, tb, RoutingScheme::kItbRr, pat, pod_cfg);
-  const RunResult par1 =
-      run_point_in(ws, tb, RoutingScheme::kItbRr, pat, par_cfg);
-  const RunResult pod2 =
-      run_point_in(ws, tb, RoutingScheme::kItbRr, pat, pod_cfg);
-  const RunResult par2 =
-      run_point_in(ws, tb, RoutingScheme::kItbRr, pat, par_cfg);
-
-  EXPECT_TRUE(same_simulated_metrics(pod_ref, pod1));
-  EXPECT_TRUE(same_simulated_metrics(par_ref, par1));
-  EXPECT_TRUE(same_simulated_metrics(pod_ref, pod2));
-  EXPECT_TRUE(same_simulated_metrics(par_ref, par2));
-  EXPECT_EQ(par2.shards, 4u);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    const RunResult t =
+        run_point_in(ws, torus, RoutingScheme::kItbAdapt, torus_pat, cfg);
+    const RunResult h =
+        run_point_in(ws, hyperx, RoutingScheme::kItbRr, hyperx_pat, cfg);
+    EXPECT_TRUE(same_simulated_metrics(t_ref, t));
+    EXPECT_TRUE(same_simulated_metrics(h_ref, h));
+  }
+  EXPECT_GT(h_ref.delivered, 0u);
+  EXPECT_EQ(ws.reuses(), 3u);
 }
 
 }  // namespace

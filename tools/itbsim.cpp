@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -67,12 +68,6 @@ using namespace itb;
                "  --seed N         RNG seed (default 42)\n"
                "  --chunk N        engine chunk size in flits, 1..8 (default "
                "8)\n"
-               "  --engine E       pod | pod_parallel (default pod;\n"
-               "                   pod_parallel shards ONE simulation across\n"
-               "                   --shards worker threads, same results)\n"
-               "  --shards N       worker lanes for --engine pod_parallel\n"
-               "                   (default: hardware concurrency, clamped to\n"
-               "                   the topology's switch count)\n"
                "  --poisson        Poisson instead of constant-rate arrivals\n"
                "  --csv PATH       append results as CSV\n"
                "  --json           print results as JSON instead of a table\n"
@@ -98,7 +93,7 @@ using namespace itb;
                "  --heatmap PATH   write a congestion heatmap CSV: one row\n"
                "                   per (metric, id, window) — link_util by\n"
                "                   channel, itb_pool by host; implies\n"
-               "                   windowed sampling (works sharded)\n"
+               "                   windowed sampling\n"
                "  --profile        time engine phases, report per-phase wall\n"
                "                   clock (included in --json output)\n",
                argv0);
@@ -182,13 +177,6 @@ std::unique_ptr<DestinationPattern> make_pattern(const std::string& spec,
   usage(argv0, "unknown pattern '" + spec + "'");
 }
 
-std::optional<EngineKind> parse_engine(const std::string& name) {
-  for (const EngineKind e : {EngineKind::kPod, EngineKind::kPodParallel}) {
-    if (name == to_string(e)) return e;
-  }
-  return std::nullopt;
-}
-
 std::optional<RoutingScheme> parse_scheme(const std::string& name) {
   for (const RoutingScheme s :
        {RoutingScheme::kUpDown, RoutingScheme::kItbSp, RoutingScheme::kItbRr,
@@ -242,16 +230,6 @@ int main(int argc, char** argv) {
       else if (arg == "--measure-us") cfg.measure = us(std::stoll(need_value(i)));
       else if (arg == "--seed") cfg.seed = std::stoull(need_value(i));
       else if (arg == "--chunk") cfg.params.chunk_flits = std::stoi(need_value(i));
-      else if (arg == "--engine") {
-        const std::string name = need_value(i);
-        const auto engine = parse_engine(name);
-        if (!engine) usage(argv[0], "unknown engine '" + name + "'");
-        cfg.engine = *engine;
-        if (cfg.engine == EngineKind::kPodParallel && cfg.shards <= 1) {
-          cfg.shards = default_jobs();  // clamped to switches by the plan
-        }
-      }
-      else if (arg == "--shards") cfg.shards = std::stoi(need_value(i));
       else if (arg == "--poisson") cfg.poisson = true;
       else if (arg == "--csv") csv = need_value(i);
       else if (arg == "--json") as_json = true;
@@ -271,10 +249,12 @@ int main(int argc, char** argv) {
       else usage(argv[0], "unknown option '" + arg + "'");
     } catch (const std::invalid_argument&) {
       usage(argv[0], "bad value for " + arg);
+    } catch (const std::out_of_range&) {
+      usage(argv[0], "bad value for " + arg);
     }
   }
   if (jobs < 1) usage(argv[0], "--jobs must be >= 1");
-  if (cfg.shards < 1) usage(argv[0], "--shards must be >= 1");
+  if (replications < 1) usage(argv[0], "--replications must be >= 1");
 
   try {
     Topology topo = make_topology(topo_spec, argv[0]);
@@ -373,12 +353,6 @@ int main(int argc, char** argv) {
         cfg.sample_itb_pool = !heatmap_path.empty();
       }
       const RunResult r = run_point(tb, *scheme, *pattern, cfg);
-      if (cfg.engine == EngineKind::kPodParallel && r.shards == 0) {
-        std::fprintf(stderr,
-                     "itbsim: note: pod_parallel downgraded to serial for "
-                     "this point (adaptive routing needs the serial "
-                     "feedback loop)\n");
-      }
       std::vector<SweepPoint> one{{load, r}};
       if (as_json) {
         std::printf("%s\n", run_result_to_json(r).c_str());
@@ -390,14 +364,10 @@ int main(int argc, char** argv) {
       // run_point left the calling thread's workspace prepared for this
       // point, so its network still carries the channel labels the
       // exporter needs.
-      SimWorkspace& ws = this_thread_workspace();
-      const Network& net = ws.net();
+      const Network& net = this_thread_workspace().net();
       if (!trace_path.empty()) {
         std::ofstream os(trace_path);
-        // Sharded points also export the engine-health track group (one
-        // pid per lane: window slices, barrier waits, mailbox counters).
-        os << trace_to_chrome_json(r.trace, net, r.trace_dropped,
-                                   ws.parallel() ? &ws.engine() : nullptr);
+        os << trace_to_chrome_json(r.trace, net, r.trace_dropped);
         if (!os) throw std::runtime_error("cannot write " + trace_path);
         std::fprintf(stderr,
                      "trace: %llu records (%llu dropped) -> %s\n",

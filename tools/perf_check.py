@@ -33,20 +33,9 @@ def rates(record):
             out[f"checked_overhead.{key}"] = overhead[key]
     telemetry = mk.get("telemetry", {})
     for key in ("disabled_events_per_sec", "traced_events_per_sec",
-                "sampled_events_per_sec", "profiled_events_per_sec",
-                "sharded_disabled_events_per_sec",
-                "sharded_traced_events_per_sec",
-                "sharded_profiled_events_per_sec"):
+                "sampled_events_per_sec", "profiled_events_per_sec"):
         if key in telemetry:
             out[f"telemetry.{key}"] = telemetry[key]
-    shard = mk.get("shard_ab", {})
-    if "serial_events_per_sec" in shard:
-        out["shard_ab.serial_events_per_sec"] = shard["serial_events_per_sec"]
-    for sample in shard.get("shards", []):
-        if "shards" in sample and "events_per_sec" in sample:
-            out[f"shard_ab.k{sample['shards']}.events_per_sec"] = (
-                sample["events_per_sec"]
-            )
     for sample in record.get("parallel_scaling", {}).get("samples", []):
         if "jobs" in sample and "events_per_sec" in sample:
             out[f"parallel_scaling.jobs{sample['jobs']}.events_per_sec"] = (
@@ -161,40 +150,6 @@ def main():
             print(f"  telemetry {label}: {rate:.3g} events/s "
                   f"({(1.0 - rate / tele_off) * 100.0:+.1f}% vs disabled)")
 
-    # Sharded telemetry smoke: the per-lane tracer/profiler hooks sit in
-    # the same hot path under pod_parallel, so the sharded
-    # tracing-disabled rate carries the same ≤2% budget against the
-    # baseline's sharded rate.  A pre-sharded-telemetry baseline records
-    # that rate in shard_ab (same K, same point); newer baselines carry
-    # telemetry.sharded_disabled_events_per_sec directly.
-    fresh_tele = fresh_record.get("micro_kernel", {}).get("telemetry", {})
-    sh_k = fresh_tele.get("sharded_shards")
-    sh_off = fresh.get("telemetry.sharded_disabled_events_per_sec")
-    base_sh = baseline.get("telemetry.sharded_disabled_events_per_sec")
-    if base_sh is None and sh_k is not None:
-        base_sh = baseline.get(f"shard_ab.k{int(sh_k)}.events_per_sec")
-    if base_sh and sh_off:
-        overhead = 1.0 - sh_off / base_sh
-        print(f"  sharded tracing-disabled overhead vs baseline: "
-              f"{overhead * 100.0:+.1f}% "
-              f"(budget {TRACING_OVERHEAD_BUDGET * 100.0:.0f}%)")
-        if overhead > TRACING_OVERHEAD_BUDGET:
-            regressions += 1
-            print(f"::warning title=perf-smoke::sharded tracing-disabled "
-                  f"rate {overhead * 100.0:.1f}% below baseline (budget "
-                  f"{TRACING_OVERHEAD_BUDGET * 100.0:.0f}%)")
-    for label in ("traced", "profiled"):
-        rate = fresh.get(f"telemetry.sharded_{label}_events_per_sec")
-        if sh_off and rate:
-            print(f"  sharded telemetry {label} (K={sh_k}): "
-                  f"{rate:.3g} events/s "
-                  f"({(1.0 - rate / sh_off) * 100.0:+.1f}% vs disabled)")
-    if fresh_tele.get("sharded_barrier_wait_ms") is not None:
-        print(f"  sharded traced barrier wait: "
-              f"{fresh_tele['sharded_barrier_wait_ms']:.1f} ms, "
-              f"lane imbalance "
-              f"{fresh_tele.get('sharded_lane_imbalance', 0.0):.2f}")
-
     # Route-store smoke: the flat store's end-to-end rate against the
     # baseline pod rate (a nested-era baseline makes this the nested-vs-flat
     # comparison), plus the fresh record's build/memory numbers.
@@ -222,33 +177,9 @@ def main():
             print("::warning title=perf-smoke::parallel route build is NOT "
                   "bit-identical to the serial build")
 
-    # Sharded-engine smoke (informational, never a rate gate): the
-    # conservative window engine's speedup over serial for one simulation.
-    # Hosted CI runners are often effectively single-core, where sharding
-    # legitimately runs BELOW 1.0x (barrier overhead, no parallel gain), so
-    # only the determinism bit warns — speedups are for multicore boxes
-    # reading the committed record.
-    shard = fresh_record.get("micro_kernel", {}).get("shard_ab", {})
-    shard_serial = shard.get("serial_events_per_sec")
-    for sample in shard.get("shards", []):
-        rate = sample.get("events_per_sec")
-        if shard_serial and rate:
-            print(f"  shard speedup K={sample.get('shards', '?')}: "
-                  f"{rate / shard_serial:.2f}x "
-                  f"(ties {sample.get('boundary_ties', '?')})")
-    if shard.get("bit_identical") is False:
-        regressions += 1
-        print("::warning title=perf-smoke::sharded engine is NOT "
-              "bit-identical to the serial engine")
-    scaling = fresh_record.get("parallel_scaling", {})
-    if scaling.get("shard_deterministic") is False:
-        regressions += 1
-        print("::warning title=perf-smoke::intra-run sharding is NOT "
-              "bit-identical to the serial engine")
-
-    # Low-diameter smoke (PR 8): the 1k-switch checked scale cells must be
-    # bit-identical between serial and sharded runs and invariant-free;
-    # table footprint/build times are informational (machine-dependent).
+    # Low-diameter smoke: the 1k-switch checked scale cells must be
+    # invariant-free; table footprint/build times are informational
+    # (machine-dependent).
     lowdiam = fresh_record.get("lowdiameter", {})
     for table in lowdiam.get("tables", []):
         print(f"  lowdiameter table {table.get('testbed', '?')}/"
@@ -256,14 +187,8 @@ def main():
               f"{table.get('table_bytes', 0) / 1024.0:.1f} KiB, "
               f"build {table.get('build_ms', 0):.1f} ms")
     scale = fresh_record.get("lowdiameter_scale", {})
-    if scale.get("deterministic") is False:
-        regressions += 1
-        print("::warning title=perf-smoke::low-diameter sharded scale run is "
-              "NOT bit-identical to the serial engine")
     for cell in scale.get("cells", []):
         violations = cell.get("serial", {}).get("invariant_violations", 0)
-        for sample in cell.get("sharded", []):
-            violations += sample.get("invariant_violations", 0)
         if violations:
             regressions += 1
             print(f"::warning title=perf-smoke::low-diameter scale cell "

@@ -10,11 +10,6 @@ in src/obs/perfetto.cpp:
                     pair becomes a complete ("X") slice.
   pid 2 "packets":  async ("b"/"n"/"e") lifecycle events keyed by packet id.
 
-Sharded traces (a trailing `lane` column, written by multi-lane runs) place
-each lifecycle event on the tid of the lane that executed it and name those
-tids "lane <N>"; a lane-less CSV produces exactly the output this script
-always produced.
-
 Usage:
   itbsim --trace-raw trace.csv ...
   python3 tools/trace2perfetto.py trace.csv trace.json
@@ -40,11 +35,6 @@ def convert(rows):
     for ch in channels:
         events.append({"name": "thread_name", "ph": "M", "pid": 1, "tid": ch,
                        "args": {"name": f"ch{ch}"}})
-    lanes = sorted({int(r.get("lane", 0) or 0) for r in rows})
-    if lanes and lanes[-1] > 0:
-        for lane in range(lanes[-1] + 1):
-            events.append({"name": "thread_name", "ph": "M", "pid": 2,
-                           "tid": lane, "args": {"name": f"lane {lane}"}})
 
     open_slices = {}  # channel -> acquire row
     t_last = int(rows[-1]["t_ps"]) if rows else 0
@@ -70,7 +60,7 @@ def convert(rows):
             continue
         ph = {"inject": "b", "deliver": "e"}.get(kind, "n")
         ev = {"name": kind, "cat": "packet", "ph": ph, "id": int(r["packet"]),
-              "pid": 2, "tid": int(r.get("lane", 0) or 0),
+              "pid": 2, "tid": 0,
               "ts": ps_to_us(int(r["t_ps"]))}
         if kind != "deliver":
             ev["args"] = {"sw": int(r["switch"]), "host": int(r["host"])}

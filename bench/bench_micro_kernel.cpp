@@ -27,7 +27,6 @@
 #include "sim/calendar_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
-#include "sim/workspace.hpp"
 #include "topo/generators.hpp"
 #include "traffic/generator.hpp"
 #include "traffic/patterns.hpp"
@@ -214,17 +213,6 @@ RunResult overhead_point(const Testbed& tb, const BenchOptions& opts,
   return best;
 }
 
-/// Workspace reuse A/B: the same POD point run in fresh workspaces vs one
-/// reused (warmed) workspace.  Bit-identity is the contract (enforced by
-/// test_workspace; re-checked here); the reused run's
-/// heap_allocs_steady_state dropping to zero is the arena layer's headline
-/// property.  Best of `reps` for the rates, like overhead_point.
-struct WorkspaceAb {
-  RunResult fresh;
-  RunResult reused;
-  bool identical = false;
-};
-
 /// One end-to-end point for the telemetry cost A/B: the same POD workload
 /// with one telemetry channel (tracing / sampling / profiling) switched on
 /// by `tweak`.  Best of `reps` like overhead_point.
@@ -243,99 +231,6 @@ RunResult telemetry_point(const Testbed& tb, const BenchOptions& opts,
     if (r.events_per_sec > best.events_per_sec) best = std::move(r);
   }
   return best;
-}
-
-WorkspaceAb workspace_ab(const Testbed& tb, const BenchOptions& opts) {
-  UniformPattern pat(tb.topo().num_hosts());
-  RunConfig cfg;
-  cfg.load_flits_per_ns_per_switch = 0.02;
-  cfg.warmup = opts.fast ? us(40) : us(150);
-  cfg.measure = opts.fast ? us(100) : us(400);
-  const int reps = 3;
-  WorkspaceAb ab;
-  {
-    SimWorkspace ws;  // never reused: every rep below gets its own
-    ab.fresh = run_point_in(ws, tb, RoutingScheme::kItbRr, pat, cfg);
-  }
-  for (int i = 1; i < reps; ++i) {
-    SimWorkspace ws;
-    RunResult r = run_point_in(ws, tb, RoutingScheme::kItbRr, pat, cfg);
-    if (r.events_per_sec > ab.fresh.events_per_sec) ab.fresh = std::move(r);
-  }
-  SimWorkspace warm;
-  (void)run_point_in(warm, tb, RoutingScheme::kItbRr, pat, cfg);
-  ab.reused = run_point_in(warm, tb, RoutingScheme::kItbRr, pat, cfg);
-  for (int i = 1; i < reps; ++i) {
-    RunResult r = run_point_in(warm, tb, RoutingScheme::kItbRr, pat, cfg);
-    if (r.events_per_sec > ab.reused.events_per_sec) ab.reused = std::move(r);
-  }
-  ab.identical = same_simulated_metrics(ab.fresh, ab.reused);
-  return ab;
-}
-
-/// Route-store A/B: legacy nested staging vs the compressed contiguous
-/// store, on the 512-host torus the other sections use.  Records build
-/// time (nested, flat serial, flat parallel), table memory, and the dedup
-/// count; build times are best of `reps` (construction is deterministic,
-/// only the wall clock varies).
-struct RouteStoreAb {
-  double nested_build_ms = 0.0;
-  double flat_build_jobs1_ms = 0.0;
-  double flat_build_jobsn_ms = 0.0;
-  int parallel_jobs = 0;
-  std::uint64_t nested_bytes = 0;
-  std::uint64_t flat_bytes = 0;
-  std::uint64_t segments_shared = 0;
-  std::uint64_t num_routes = 0;
-  bool parallel_identical = false;
-};
-
-RouteStoreAb route_store_ab(const Topology& topo, const UpDown& ud) {
-  const int reps = 3;
-  RouteStoreAb ab;
-  ab.parallel_jobs = 8;
-
-  auto best_ms = [&](auto&& build) {
-    double best = 0.0;
-    for (int i = 0; i < reps; ++i) {
-      const auto t0 = std::chrono::steady_clock::now();
-      build();
-      const std::chrono::duration<double, std::milli> dt =
-          std::chrono::steady_clock::now() - t0;
-      if (i == 0 || dt.count() < best) best = dt.count();
-    }
-    return best;
-  };
-
-  const NestedRouteTable nested = build_itb_routes_nested(topo, ud);
-  ab.nested_bytes = nested_table_bytes(nested);
-  ab.nested_build_ms =
-      best_ms([&] { (void)build_itb_routes_nested(topo, ud); });
-
-  const RouteSet flat1 = build_itb_routes(topo, ud, {}, 1);
-  ab.flat_bytes = flat1.table_bytes();
-  ab.segments_shared = flat1.segments_shared();
-  ab.num_routes = flat1.store().num_routes();
-  ab.flat_build_jobs1_ms =
-      best_ms([&] { (void)build_itb_routes(topo, ud, {}, 1); });
-  ab.flat_build_jobsn_ms = best_ms(
-      [&] { (void)build_itb_routes(topo, ud, {}, ab.parallel_jobs); });
-
-  const RouteSet flatn = build_itb_routes(topo, ud, {}, ab.parallel_jobs);
-  const auto same = [](auto a, auto b) {
-    return a.size() == b.size() &&
-           (a.empty() ||
-            std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
-  };
-  ab.parallel_identical =
-      same(flat1.store().port_pool(), flatn.store().port_pool()) &&
-      same(flat1.store().walks(), flatn.store().walks()) &&
-      same(flat1.store().route_walks(), flatn.store().route_walks()) &&
-      same(flat1.store().core_routes(), flatn.store().core_routes()) &&
-      same(flat1.store().alt_routes(), flatn.store().alt_routes()) &&
-      same(flat1.store().altlists(), flatn.store().altlists()) &&
-      same(flat1.store().pair_altlist(), flatn.store().pair_altlist());
-  return ab;
 }
 
 int run_json_mode(const BenchOptions& opts) {
@@ -361,10 +256,6 @@ int run_json_mode(const BenchOptions& opts) {
       1.0 - ledger_on.events_per_sec / ledger_off.events_per_sec;
   const double checked_overhead =
       1.0 - checked_on.events_per_sec / ledger_off.events_per_sec;
-
-  const WorkspaceAb ws_ab = workspace_ab(tb, opts);
-
-  const RouteStoreAb rs_ab = route_store_ab(tb.topo(), tb.updown());
 
   // Telemetry cost A/B (same POD workload): the tracer/sampler/profiler
   // hooks are compiled into the hot path unconditionally and gated by null
@@ -410,33 +301,6 @@ int run_json_mode(const BenchOptions& opts) {
               sampled.samples.size());
   std::printf("  profiled %8.2f Mev/s   overhead %+.1f%%\n",
               profiled.events_per_sec / 1e6, profiled_overhead * 100.0);
-  std::printf("route store (ITB table, 512-host torus, best of 3):\n");
-  std::printf("  nested build %8.2f ms   %8.2f KiB\n", rs_ab.nested_build_ms,
-              static_cast<double>(rs_ab.nested_bytes) / 1024.0);
-  std::printf("  flat jobs=1  %8.2f ms   %8.2f KiB   shrink %.2fx   "
-              "shared segs %llu\n",
-              rs_ab.flat_build_jobs1_ms,
-              static_cast<double>(rs_ab.flat_bytes) / 1024.0,
-              static_cast<double>(rs_ab.nested_bytes) /
-                  static_cast<double>(rs_ab.flat_bytes),
-              static_cast<unsigned long long>(rs_ab.segments_shared));
-  std::printf("  flat jobs=%d  %8.2f ms   build speedup %.2fx   "
-              "bit-identical %s\n",
-              rs_ab.parallel_jobs, rs_ab.flat_build_jobsn_ms,
-              rs_ab.flat_build_jobs1_ms / rs_ab.flat_build_jobsn_ms,
-              rs_ab.parallel_identical ? "yes" : "NO");
-  std::printf("workspace reuse (POD, best of 3):\n");
-  std::printf("  fresh   %8.2f Mev/s   run allocs %llu\n",
-              ws_ab.fresh.events_per_sec / 1e6,
-              static_cast<unsigned long long>(
-                  ws_ab.fresh.heap_allocs_steady_state));
-  std::printf("  reused  %8.2f Mev/s   run allocs %llu   speedup %.2fx   "
-              "bit-identical %s\n",
-              ws_ab.reused.events_per_sec / 1e6,
-              static_cast<unsigned long long>(
-                  ws_ab.reused.heap_allocs_steady_state),
-              ws_ab.reused.events_per_sec / ws_ab.fresh.events_per_sec,
-              ws_ab.identical ? "yes" : "NO");
 
   JsonWriter w;
   w.begin_object();
@@ -474,37 +338,6 @@ int run_json_mode(const BenchOptions& opts) {
   w.key("sample_windows")
       .value(static_cast<std::uint64_t>(sampled.samples.size()));
   w.end_object();
-  w.key("route_store").begin_object();
-  w.key("testbed").value("torus 8x8, 8 hosts/switch (512 hosts)");
-  w.key("nested_build_ms").value(rs_ab.nested_build_ms);
-  w.key("flat_build_jobs1_ms").value(rs_ab.flat_build_jobs1_ms);
-  w.key("flat_build_jobs8_ms").value(rs_ab.flat_build_jobsn_ms);
-  w.key("parallel_jobs").value(static_cast<std::uint64_t>(rs_ab.parallel_jobs));
-  w.key("parallel_build_speedup")
-      .value(rs_ab.flat_build_jobs1_ms / rs_ab.flat_build_jobsn_ms);
-  w.key("nested_table_bytes").value(rs_ab.nested_bytes);
-  w.key("flat_table_bytes").value(rs_ab.flat_bytes);
-  w.key("table_shrink")
-      .value(static_cast<double>(rs_ab.nested_bytes) /
-             static_cast<double>(rs_ab.flat_bytes));
-  w.key("segments_shared").value(rs_ab.segments_shared);
-  w.key("num_routes").value(rs_ab.num_routes);
-  w.key("parallel_bit_identical").value(rs_ab.parallel_identical);
-  // The end_to_end section's pod rate IS the flat-store e2e number;
-  // perf_check compares it against the nested-era baseline in BENCH_pr5.
-  w.key("flat_e2e_events_per_sec").value(pod_e2e.events_per_sec);
-  w.end_object();
-  w.key("workspace").begin_object();
-  w.key("fresh_events_per_sec").value(ws_ab.fresh.events_per_sec);
-  w.key("reused_events_per_sec").value(ws_ab.reused.events_per_sec);
-  w.key("speedup").value(ws_ab.reused.events_per_sec /
-                         ws_ab.fresh.events_per_sec);
-  w.key("fresh_heap_allocs").value(ws_ab.fresh.heap_allocs_steady_state);
-  w.key("reused_heap_allocs_steady_state")
-      .value(ws_ab.reused.heap_allocs_steady_state);
-  w.key("arena_bytes_peak").value(ws_ab.reused.arena_bytes_peak);
-  w.key("bit_identical").value(ws_ab.identical);
-  w.end_object();
   w.end_object();
   write_json_section(opts.json, "micro_kernel", w.str());
   std::printf("wrote micro_kernel section to %s\n", opts.json.c_str());
@@ -537,11 +370,6 @@ int run_json_mode(const BenchOptions& opts) {
       !same_simulated_metrics(tele_off, profiled)) {
     std::printf("TELEMETRY A/B MISMATCH: tracing/sampling/profiling changed "
                 "the results\n");
-    return 1;
-  }
-  // Workspace reuse must not change the simulation.
-  if (!ws_ab.identical) {
-    std::printf("WORKSPACE A/B MISMATCH: reused run differs from fresh\n");
     return 1;
   }
   return 0;

@@ -2,14 +2,8 @@
 // (compose) cost of the switch-pair factorized store across the topology
 // ladder — the 512-host paper torus up to the 2064-switch / 16512-host
 // Dragonfly — for every table the scheme set uses (UP/DOWN, MIN, and the
-// shared ITB table of ITB-SP/RR).
-//
-// For the small and medium cells the same table is also re-compressed into
-// the explicit (instance-flat, PR 6-style) tier via materialize_nested, so
-// the record carries the measured factorized-vs-flat footprint delta; on
-// the >=1024-switch cells the instance-flat inflation is the very cost the
-// factorized core removes, so the delta there is tracked against the
-// committed baseline record (tools/perf_check.py) instead of re-measured.
+// shared ITB table of ITB-SP/RR).  Table footprints are tracked against the
+// committed baseline record by tools/perf_check.py.
 //
 // JSON section: "route_scale" (BENCH_pr9.json).
 #include "bench_common.hpp"
@@ -42,7 +36,6 @@ struct Cell {
   std::uint64_t distinct_altlists = 0;
   std::uint64_t segments_shared = 0;
   double compose_ns_avg = 0.0;
-  std::uint64_t explicit_table_bytes = 0;  // 0 when not measured
 };
 
 /// Average wall time of one pair lookup + view composition, over a
@@ -71,7 +64,7 @@ double compose_ns_avg(const RouteSet& rs, int num_switches) {
 }
 
 Cell measure(const std::string& name, const Testbed& tb, RoutingScheme scheme,
-             bool explicit_baseline, int reps) {
+             int reps) {
   Cell c;
   c.testbed = name;
   c.switches = tb.topo().num_switches();
@@ -104,10 +97,6 @@ Cell measure(const std::string& name, const Testbed& tb, RoutingScheme scheme,
   c.distinct_altlists = store.distinct_altlists();
   c.segments_shared = store.segments_shared();
   c.compose_ns_avg = compose_ns_avg(rs, c.switches);
-  if (explicit_baseline) {
-    const RouteSet exp(rs.materialize_nested());
-    c.explicit_table_bytes = exp.table_bytes();
-  }
   return c;
 }
 
@@ -132,9 +121,6 @@ int main(int argc, char** argv) {
   for (const std::string& name : beds) {
     const Testbed tb = make_testbed(name);
     const int n = tb.topo().num_switches();
-    // Re-inflating to the instance-flat tier materializes every route
-    // instance; bounded to the cells where that is cheap.
-    const bool explicit_baseline = n <= 512;
     const int reps = n <= 512 ? 3 : 1;
 
     std::vector<RoutingScheme> schemes;
@@ -144,13 +130,12 @@ int main(int argc, char** argv) {
     }
     schemes.push_back(RoutingScheme::kItbRr);  // table shared with ITB-SP
     for (const RoutingScheme s : schemes) {
-      cells.push_back(measure(name, tb, s, explicit_baseline, reps));
+      cells.push_back(measure(name, tb, s, reps));
     }
   }
 
   TextTable table({"testbed", "sw", "hosts", "table", "build(ms)", "bytes",
-                   "core", "walks", "routes", "inst", "compose(ns)",
-                   "flat-bytes"});
+                   "core", "walks", "routes", "inst", "compose(ns)"});
   for (const Cell& c : cells) {
     char ms[32], comp[32];
     std::snprintf(ms, sizeof ms, "%.1f", c.build_ms);
@@ -161,10 +146,7 @@ int main(int argc, char** argv) {
                    std::to_string(c.core_bytes),
                    std::to_string(c.distinct_walks),
                    std::to_string(c.distinct_routes),
-                   std::to_string(c.route_instances), comp,
-                   c.explicit_table_bytes
-                       ? std::to_string(c.explicit_table_bytes)
-                       : std::string("-")});
+                   std::to_string(c.route_instances), comp});
   }
   table.print(std::cout);
 
@@ -187,7 +169,6 @@ int main(int argc, char** argv) {
       w.key("distinct_altlists").value(c.distinct_altlists);
       w.key("segments_shared").value(c.segments_shared);
       w.key("compose_ns_avg").value(c.compose_ns_avg);
-      w.key("explicit_table_bytes").value(c.explicit_table_bytes);
       w.end_object();
     }
     w.end_array();

@@ -13,6 +13,7 @@
 // packet is built.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "topo/types.hpp"
@@ -52,6 +53,11 @@ struct Route {
   std::vector<SwitchId> switches;
 
   int total_switch_hops = 0;
+
+  /// Compile-time alternative index that seeds the in-transit host mix
+  /// (RouteStore composes the host from it).  Part of the route's identity:
+  /// the factorized store keeps it, so a Route round-trips exactly.
+  std::uint16_t alt_tag = 0;
 
   [[nodiscard]] int num_itbs() const {
     return static_cast<int>(legs.size()) - 1;

@@ -1,13 +1,12 @@
-// Construction of the two routing tables the paper compares.
+// Construction of the routing tables the schemes run on.
 //
-// Both builders stage per-source-switch rows of materialized Routes and
-// compress them into the flat contiguous store (core/route_store.hpp).
-// Row construction is independent per source switch, so with `jobs` > 1
-// the staging fans out across the shared thread pool (sim/pool.hpp); the
-// compression pass then consumes rows strictly in (s,d) order, making the
-// result bit-identical to the serial build.  The `*_nested` variants
-// return the raw staged representation for the differential harness and
-// the bench A/B.
+// Every builder stages switch-pair rows straight into the factorized store
+// (core/route_store.hpp) without materializing a Route.  Rows are
+// independent, so with `jobs` > 1 the staging fans out across the shared
+// thread pool (sim/pool.hpp); the merge then consumes rows strictly in
+// order, making the result bit-identical to the serial build.  The
+// differential oracle for these builders is the reference builder under
+// tests/support/, which compiles owning Routes the slow, obvious way.
 #pragma once
 
 #include <cstdint>
@@ -59,23 +58,5 @@ struct ItbBuildOptions {
 /// std::invalid_argument otherwise.  `jobs` as in build_updown_routes.
 [[nodiscard]] RouteSet build_minimal_routes(const Topology& topo,
                                             int jobs = 1);
-
-/// Legacy nested staging tables (differential tests, bench A/B).  Same
-/// route values as the flat builders, serial construction.
-[[nodiscard]] NestedRouteTable build_updown_routes_nested(
-    const Topology& topo, const SimpleRoutes& sr);
-[[nodiscard]] NestedRouteTable build_itb_routes_nested(
-    const Topology& topo, const UpDown& ud, ItbBuildOptions opts = {});
-[[nodiscard]] NestedRouteTable build_minimal_routes_nested(
-    const Topology& topo);
-
-/// Helper shared by both builders: lowers a switch-level path (plus split
-/// points for ITB legs) into a runtime Route with concrete ports and
-/// in-transit host choices.  `alt_index` participates in in-transit host
-/// spreading so different alternatives use different hosts of the same
-/// switch.
-[[nodiscard]] Route compile_route(const Topology& topo, const SwitchPath& path,
-                                  const std::vector<int>& split_points,
-                                  int alt_index, std::uint64_t itb_host_salt);
 
 }  // namespace itb

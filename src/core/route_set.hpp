@@ -6,22 +6,13 @@
 // appended per packet.  The paper caps alternatives at 10 per pair to keep
 // NIC look-up cheap; the same cap is the default here.
 //
-// Two representations:
-//
-//  - NestedRouteTable: mutable `vector<vector<Route>>` staging — what the
-//    builders and hand-constructed test fixtures write into.
-//  - RouteSet: the compressed contiguous store (core/route_store.hpp) —
-//    what every runtime consumer reads.  Immutable after construction;
-//    lookups return lightweight views.
-//
-// `RouteSet(nested)` compresses a staged table; `materialize_nested()`
-// inflates the store back into owning Routes for tests, IO and the
-// differential harness.  Compression consumes pairs in (s,d) order, so the
-// flat arrays are a pure function of the staged route *values* — identical
-// bytes no matter how many threads staged them.
+// A RouteSet wraps the factorized store (core/route_store.hpp) that the
+// route builders (core/route_builder.hpp) produce.  It is immutable after
+// construction; lookups compose lightweight views, and `materialize()`
+// inflates one alternative into an owning Route for tests and IO.
 #pragma once
 
-#include <vector>
+#include <utility>
 
 #include "core/route.hpp"
 #include "core/route_store.hpp"
@@ -29,45 +20,9 @@
 
 namespace itb {
 
-class NestedRouteTable {
- public:
-  NestedRouteTable(int num_switches, RoutingAlgorithm algo)
-      : num_switches_(num_switches), algo_(algo),
-        table_(static_cast<std::size_t>(num_switches) *
-               static_cast<std::size_t>(num_switches)) {}
-
-  [[nodiscard]] RoutingAlgorithm algorithm() const { return algo_; }
-  [[nodiscard]] int num_switches() const { return num_switches_; }
-
-  [[nodiscard]] const std::vector<Route>& alternatives(SwitchId s,
-                                                       SwitchId d) const {
-    return table_[key(s, d)];
-  }
-
-  std::vector<Route>& mutable_alternatives(SwitchId s, SwitchId d) {
-    return table_[key(s, d)];
-  }
-
- private:
-  [[nodiscard]] std::size_t key(SwitchId s, SwitchId d) const {
-    return static_cast<std::size_t>(s) *
-               static_cast<std::size_t>(num_switches_) +
-           static_cast<std::size_t>(d);
-  }
-
-  int num_switches_;
-  RoutingAlgorithm algo_;
-  std::vector<std::vector<Route>> table_;
-};
-
 class RouteSet {
  public:
-  /// Compress a staged nested table into the flat store.
-  explicit RouteSet(const NestedRouteTable& nested);
-
-  /// Wrap an already-built store (used by the parallel builders, which
-  /// compress per-worker staging rows without materializing the whole
-  /// nested table at once).
+  /// Wrap a built store.
   RouteSet(int num_switches, RoutingAlgorithm algo, RouteStore store)
       : num_switches_(num_switches), algo_(algo), store_(std::move(store)) {}
 
@@ -86,9 +41,6 @@ class RouteSet {
   [[nodiscard]] Route materialize(SwitchId s, SwitchId d, int alt) const {
     return materialize_route(view(s, d, alt));
   }
-
-  /// Inflate the whole store back into a nested table.
-  [[nodiscard]] NestedRouteTable materialize_nested() const;
 
   [[nodiscard]] const RouteStore& store() const { return store_; }
   [[nodiscard]] std::uint64_t table_bytes() const {
@@ -111,10 +63,5 @@ class RouteSet {
   RoutingAlgorithm algo_;
   RouteStore store_;
 };
-
-/// Heap footprint of a nested table (object headers + vector storage),
-/// the baseline the compressed store's table_bytes() is compared against
-/// in benches and tests.
-[[nodiscard]] std::uint64_t nested_table_bytes(const NestedRouteTable& t);
 
 }  // namespace itb

@@ -28,16 +28,6 @@ RouteView RouteStore::compose(std::uint32_t pair_index,
   v.store = this;
   v.pair_index = pair_index;
   v.slot = slot;
-  if (tier_ == StoreTier::kFactorized) {
-    compose_factorized(pair_index, slot, v);
-  } else {
-    compose_explicit(pair_index, slot, v);
-  }
-  return v;
-}
-
-void RouteStore::compose_factorized(std::uint32_t pair_index,
-                                    std::uint32_t slot, RouteView& v) const {
   const auto s = static_cast<SwitchId>(pair_index /
                                        static_cast<std::uint32_t>(num_switches_));
   const auto d = static_cast<SwitchId>(pair_index %
@@ -61,9 +51,10 @@ void RouteStore::compose_factorized(std::uint32_t pair_index,
       rec.tail = kNoPort;
       rec.end_host = kNoHost;
     } else {
-      // Walk to the leg's end switch, then rederive the in-transit host
-      // with the exact compile_route mix — composition is bit-identical
-      // to the materialized build.
+      // Walk to the leg's end switch, then rederive the in-transit host.
+      // The reference builder's compile_route (tests/support/
+      // route_reference.cpp) applies the same mix; keep the two in
+      // lockstep — the RouteStoreDifferential tests pin them.
       const PortId* ports = port_pool_.data() + w.port_off;
       for (std::uint32_t h = 0; h < w.port_count; ++h) {
         cur = next_switch_[uz(cur) * P + uz(ports[h])];
@@ -81,23 +72,7 @@ void RouteStore::compose_factorized(std::uint32_t pair_index,
     }
   }
   v.total_switch_hops = total;
-}
-
-void RouteStore::compose_explicit(std::uint32_t pair_index, std::uint32_t slot,
-                                  RouteView& v) const {
-  (void)pair_index;
-  const FlatRoute& r = routes_[slot];
-  v.src_switch = r.src_switch;
-  v.dst_switch = r.dst_switch;
-  v.total_switch_hops = r.total_switch_hops;
-  v.legs.pool_ = port_pool_.data();
-  v.legs.count_ = r.leg_count;
-  for (std::uint32_t li = 0; li < r.leg_count; ++li) {
-    const FlatLeg& fl = legs_[r.first_leg + li];
-    v.legs.recs_[li] =
-        LegRec{fl.port_off, fl.port_count, fl.switch_hops, kNoPort,
-               fl.end_host};
-  }
+  return v;
 }
 
 Route RouteStore::materialize(std::uint32_t pair_index,
@@ -107,6 +82,7 @@ Route RouteStore::materialize(std::uint32_t pair_index,
   out.src_switch = v.src_switch;
   out.dst_switch = v.dst_switch;
   out.total_switch_hops = v.total_switch_hops;
+  out.alt_tag = core_routes_[alt_routes_[slot]].alt_tag;
   out.legs.reserve(v.legs.size());
   for (const LegView leg : v.legs) {
     RouteLeg l;
@@ -115,21 +91,15 @@ Route RouteStore::materialize(std::uint32_t pair_index,
     l.switch_hops = leg.switch_hops;
     out.legs.push_back(std::move(l));
   }
-  if (tier_ == StoreTier::kExplicit) {
-    const FlatRoute& r = routes_[slot];
-    out.switches.assign(switch_pool_.begin() + r.switch_off,
-                        switch_pool_.begin() + r.switch_off + r.switch_count);
-  } else {
-    // Rederive the switch walk from the composition table.
-    out.switches.reserve(uz(v.total_switch_hops) + 1);
-    SwitchId cur = v.src_switch;
-    out.switches.push_back(cur);
-    const auto P = uz(ports_per_switch_);
-    for (const LegView leg : v.legs) {
-      for (int h = 0; h < leg.switch_hops; ++h) {
-        cur = next_switch_[uz(cur) * P + uz(leg.ports[uz(h)])];
-        out.switches.push_back(cur);
-      }
+  // Rederive the switch walk from the composition table.
+  out.switches.reserve(uz(v.total_switch_hops) + 1);
+  SwitchId cur = v.src_switch;
+  out.switches.push_back(cur);
+  const auto P = uz(ports_per_switch_);
+  for (const LegView leg : v.legs) {
+    for (int h = 0; h < leg.switch_hops; ++h) {
+      cur = next_switch_[uz(cur) * P + uz(leg.ports[uz(h)])];
+      out.switches.push_back(cur);
     }
   }
   return out;
@@ -140,105 +110,6 @@ Route materialize_route(const RouteView& v) {
     throw std::logic_error("materialize_route: view has no owning store");
   }
   return v.store->materialize(v.pair_index, v.slot);
-}
-
-// ---------------------------------------------------------------------------
-// Explicit-tier builder
-
-RouteStoreBuilder::RouteStoreBuilder(std::size_t num_pairs) {
-  store_.tier_ = StoreTier::kExplicit;
-  store_.pairs_.reserve(num_pairs);
-}
-
-void RouteStoreBuilder::append_pair(const std::vector<Route>& alts) {
-  PairSlot slot;
-  slot.first_route = static_cast<std::uint32_t>(store_.routes_.size());
-  slot.count = static_cast<std::uint32_t>(alts.size());
-  store_.pairs_.push_back(slot);
-  for (const Route& r : alts) {
-    if (r.legs.size() > static_cast<std::size_t>(kMaxRouteLegs)) {
-      throw std::length_error("route exceeds kMaxRouteLegs legs");
-    }
-    FlatRoute fr;
-    fr.src_switch = r.src_switch;
-    fr.dst_switch = r.dst_switch;
-    fr.first_leg = static_cast<std::uint32_t>(store_.legs_.size());
-    fr.leg_count = static_cast<std::uint16_t>(r.legs.size());
-    fr.total_switch_hops = r.total_switch_hops;
-    {
-      const std::uint64_t h = hash_bytes(
-          r.switches.data(), r.switches.size() * sizeof(SwitchId));
-      const std::uint32_t id = switch_tab_.intern(
-          h,
-          [&](std::uint32_t cand) {
-            const WalkRec& w = switch_refs_[cand];
-            return w.port_count == r.switches.size() &&
-                   bytes_equal(store_.switch_pool_.data() + w.port_off,
-                               r.switches.data(),
-                               r.switches.size() * sizeof(SwitchId));
-          },
-          [&] {
-            const auto id = static_cast<std::uint32_t>(switch_refs_.size());
-            switch_refs_.push_back(
-                WalkRec{static_cast<std::uint32_t>(store_.switch_pool_.size()),
-                        static_cast<std::uint32_t>(r.switches.size())});
-            store_.switch_pool_.insert(store_.switch_pool_.end(),
-                                       r.switches.begin(), r.switches.end());
-            return id;
-          });
-      fr.switch_off = switch_refs_[id].port_off;
-      fr.switch_count = static_cast<std::uint16_t>(r.switches.size());
-    }
-    store_.routes_.push_back(fr);
-    for (const RouteLeg& leg : r.legs) {
-      if (leg.ports.size() > 0xffff) {
-        throw std::length_error("route leg exceeds 65535 ports");
-      }
-      FlatLeg fl;
-      bool fresh = false;
-      const std::uint64_t h =
-          hash_bytes(leg.ports.data(), leg.ports.size() * sizeof(PortId));
-      const std::uint32_t id = port_tab_.intern(
-          h,
-          [&](std::uint32_t cand) {
-            const WalkRec& w = port_refs_[cand];
-            return w.port_count == leg.ports.size() &&
-                   bytes_equal(store_.port_pool_.data() + w.port_off,
-                               leg.ports.data(),
-                               leg.ports.size() * sizeof(PortId));
-          },
-          [&] {
-            fresh = true;
-            const auto id2 = static_cast<std::uint32_t>(port_refs_.size());
-            port_refs_.push_back(
-                WalkRec{static_cast<std::uint32_t>(store_.port_pool_.size()),
-                        static_cast<std::uint32_t>(leg.ports.size())});
-            store_.port_pool_.insert(store_.port_pool_.end(),
-                                     leg.ports.begin(), leg.ports.end());
-            return id2;
-          });
-      if (!fresh) ++store_.segments_shared_;
-      fl.port_off = port_refs_[id].port_off;
-      fl.port_count = static_cast<std::uint16_t>(leg.ports.size());
-      fl.switch_hops = static_cast<std::uint16_t>(leg.switch_hops);
-      fl.end_host = leg.end_host;
-      store_.legs_.push_back(fl);
-    }
-  }
-}
-
-RouteStore RouteStoreBuilder::finish() {
-  store_.port_pool_.shrink_to_fit();
-  store_.switch_pool_.shrink_to_fit();
-  store_.legs_.shrink_to_fit();
-  store_.routes_.shrink_to_fit();
-  store_.num_route_instances_ = store_.routes_.size();
-  store_.table_bytes_ = vec_bytes(store_.port_pool_) +
-                        vec_bytes(store_.switch_pool_) +
-                        vec_bytes(store_.legs_) + vec_bytes(store_.routes_) +
-                        vec_bytes(store_.pairs_);
-  store_.core_bytes_ = store_.table_bytes_;
-  return std::move(store_);
 }
 
 // ---------------------------------------------------------------------------
@@ -344,7 +215,6 @@ void FactorizedBlockStager::commit_pair(const std::uint32_t* route_ids,
 FactorizedStoreBuilder::FactorizedStoreBuilder(const Topology& topo,
                                                std::uint64_t itb_host_salt)
     : topo_(&topo) {
-  store_.tier_ = StoreTier::kFactorized;
   const int S = topo.num_switches();
   const int P = topo.ports_per_switch();
   store_.num_switches_ = S;

@@ -1,10 +1,8 @@
 // Switch-pair factorized route store.
 //
-// The store behind RouteSet.  Two tiers share one lookup interface:
-//
-// **Factorized tier** (what the route builders produce).  The stored unit
-// is the ordered switch pair; everything below it is interned so that no
-// absolute switch or host id survives into route identity.  Arrays:
+// The one store behind RouteSet.  The stored unit is the ordered switch
+// pair; everything below it is interned so that no absolute switch or host
+// id survives into route identity.  Arrays:
 //
 //   port_pool_    [PortId ...]     dedup'd leg port walks (switch output
 //                                  ports only — no ITB eject ports)
@@ -19,26 +17,19 @@
 // recur across thousands of pairs (a Dragonfly's l-g-l pattern has a few
 // thousand distinct port walks network-wide), so the core shrinks from
 // O(route instances) to O(distinct shapes) + O(S^2) pair words — 22x
-// smaller than the PR 6 instance-flat layout at the 2064-switch scale.
+// smaller than an instance-flat layout at the 2064-switch scale.
 //
 // Lookup *composes* a self-contained RouteView on the fly: end switches
 // are rederived by walking a (switch, port) -> switch table, the ITB
-// in-transit host is recomputed as the same deterministic function of
-// (src, dst, alt tag, leg, itb_host_salt) the builder's compile_route
-// uses, and the eject port is synthesized from the host attachment table.
-// Composition is a handful of indexed loads per leg (single-leg routes —
-// every UP/DOWN and MIN route, and most ITB alternatives — walk nothing),
-// and simulated results are bit-identical to the instance-flat store.
-//
-// **Explicit tier** (RouteStoreBuilder, used by `RouteSet(nested)`).
-// Arbitrary staged tables — hand-built test fixtures, tables whose end
-// hosts don't follow the canonical composition rule, tables with no
-// backing topology — keep the PR 6 instance-flat layout: FlatLeg /
-// FlatRoute records with explicit end hosts and stored switch walks.
+// in-transit host is recomputed as a deterministic function of
+// (src, dst, alt tag, leg, itb_host_salt), and the eject port is
+// synthesized from the host attachment table.  Composition is a handful of
+// indexed loads per leg (single-leg routes — every UP/DOWN and MIN route,
+// and most ITB alternatives — walk nothing).
 //
 // Views are trivially copyable and self-contained (a Packet stores one by
-// value); the inline leg records keep the per-hop data path identical to
-// the flat store: `route.legs[i].ports[h]` is two indexed loads.
+// value); thanks to the inline leg records the per-hop data path
+// `route.legs[i].ports[h]` is two indexed loads.
 #pragma once
 
 #include <cstddef>
@@ -241,18 +232,13 @@ class AltsView {
 // ---------------------------------------------------------------------------
 // Store records
 
-enum class StoreTier : std::uint8_t {
-  kFactorized,  // switch-pair core + on-the-fly composition
-  kExplicit,    // instance-flat records with stored end hosts / walks
-};
-
-/// Factorized: one interned leg port walk (switch output ports only).
+/// One interned leg port walk (switch output ports only).
 struct WalkRec {
   std::uint32_t port_off = 0;
   std::uint32_t port_count = 0;
 };
 
-/// Factorized: one distinct route shape.  `alt_tag` is the compile-time
+/// One distinct route shape.  `alt_tag` is the compile-time
 /// alternative index baked into the ITB host-choice mix; it is part of
 /// route identity so two pairs sharing a walk but compiled at different
 /// alternative positions stay distinct.
@@ -262,35 +248,9 @@ struct RouteRec {
   std::uint16_t alt_tag = 0;
 };
 
-/// Factorized: one distinct alternative list.
+/// One distinct alternative list.
 struct AltListRec {
   std::uint32_t first = 0;  // into alt_routes_
-  std::uint32_t count = 0;
-};
-
-/// Explicit tier: one leg instance.  Ports (including the ITB eject port)
-/// live in the shared port pool; mirrors RouteLeg.
-struct FlatLeg {
-  std::uint32_t port_off = 0;
-  std::uint16_t port_count = 0;
-  std::uint16_t switch_hops = 0;
-  HostId end_host = kNoHost;
-};
-
-/// Explicit tier: one route instance with its stored switch walk.
-struct FlatRoute {
-  SwitchId src_switch = kNoSwitch;
-  SwitchId dst_switch = kNoSwitch;
-  std::uint32_t first_leg = 0;
-  std::uint32_t switch_off = 0;
-  std::uint16_t leg_count = 0;
-  std::uint16_t switch_count = 0;
-  std::int32_t total_switch_hops = 0;
-};
-
-/// Explicit tier: pair index entry.
-struct PairSlot {
-  std::uint32_t first_route = 0;
   std::uint32_t count = 0;
 };
 
@@ -299,37 +259,28 @@ struct PairSlot {
 
 class RouteStore {
  public:
-  [[nodiscard]] StoreTier tier() const { return tier_; }
-
   [[nodiscard]] AltsView pair(std::size_t pair_index) const {
-    if (tier_ == StoreTier::kFactorized) {
-      const AltListRec& a = altlists_[pair_alt_[pair_index]];
-      return {this, static_cast<std::uint32_t>(pair_index), a.first, a.count};
-    }
-    const PairSlot& p = pairs_[pair_index];
-    return {this, static_cast<std::uint32_t>(pair_index), p.first_route,
-            p.count};
+    const AltListRec& a = altlists_[pair_alt_[pair_index]];
+    return {this, static_cast<std::uint32_t>(pair_index), a.first, a.count};
   }
 
-  /// Compose the view for alternative slot `slot` of `pair_index`.
-  /// Factorized: `slot` indexes alt_routes_; explicit: routes_.
+  /// Compose the view for alternative slot `slot` (an index into
+  /// alt_routes_) of `pair_index`.
   [[nodiscard]] RouteView compose(std::uint32_t pair_index,
                                   std::uint32_t slot) const;
 
-  /// Owning Route for the same locator (exact round-trip on the explicit
-  /// tier; switch walks rederived on the factorized tier).
+  /// Owning Route for the same locator: the composed legs plus the alt tag,
+  /// with the switch walk rederived from the composition table.
   [[nodiscard]] Route materialize(std::uint32_t pair_index,
                                   std::uint32_t slot) const;
 
-  [[nodiscard]] std::size_t num_pairs() const {
-    return tier_ == StoreTier::kFactorized ? pair_alt_.size() : pairs_.size();
-  }
+  [[nodiscard]] std::size_t num_pairs() const { return pair_alt_.size(); }
   /// Route *instances* (sum of per-pair alternative counts).
   [[nodiscard]] std::size_t num_routes() const { return num_route_instances_; }
   [[nodiscard]] int num_switches() const { return num_switches_; }
 
-  /// Bytes held by all arrays — the route core plus (factorized) the
-  /// composition tables; excludes the fixed-size object header.
+  /// Bytes held by all arrays — the route core plus the composition
+  /// tables; excludes the fixed-size object header.
   [[nodiscard]] std::uint64_t table_bytes() const { return table_bytes_; }
   /// Bytes of the route core alone (pair index + interned pools, without
   /// the topology-derived composition tables).
@@ -342,7 +293,7 @@ class RouteStore {
   [[nodiscard]] double build_ms() const { return build_ms_; }
   void set_build_ms(double ms) { build_ms_ = ms; }
 
-  // Distinct-shape counts (factorized tier; zero on the explicit tier).
+  // Distinct-shape counts.
   [[nodiscard]] std::size_t distinct_walks() const { return walks_.size(); }
   [[nodiscard]] std::size_t distinct_routes() const {
     return core_routes_.size();
@@ -369,31 +320,14 @@ class RouteStore {
   [[nodiscard]] std::span<const std::uint32_t> pair_altlist() const {
     return pair_alt_;
   }
-  [[nodiscard]] std::span<const SwitchId> switch_pool() const {
-    return switch_pool_;
-  }
-  [[nodiscard]] std::span<const FlatLeg> flat_legs() const { return legs_; }
-  [[nodiscard]] std::span<const FlatRoute> flat_routes() const {
-    return routes_;
-  }
-  [[nodiscard]] std::span<const PairSlot> pair_index() const { return pairs_; }
 
  private:
-  friend class RouteStoreBuilder;
   friend class FactorizedStoreBuilder;
 
-  void compose_factorized(std::uint32_t pair_index, std::uint32_t slot,
-                          RouteView& v) const;
-  void compose_explicit(std::uint32_t pair_index, std::uint32_t slot,
-                        RouteView& v) const;
-
-  StoreTier tier_ = StoreTier::kExplicit;
   int num_switches_ = 0;
 
-  // Shared pools.
+  // Route core.
   std::vector<PortId> port_pool_;
-
-  // Factorized tier.
   std::vector<WalkRec> walks_;
   std::vector<std::uint32_t> route_walks_;
   std::vector<RouteRec> core_routes_;
@@ -408,12 +342,6 @@ class RouteStore {
   std::vector<HostId> sw_hosts_;            // hosts per switch, port order
   std::vector<PortId> host_port_;           // attachment port per host
 
-  // Explicit tier.
-  std::vector<SwitchId> switch_pool_;
-  std::vector<FlatLeg> legs_;
-  std::vector<FlatRoute> routes_;
-  std::vector<PairSlot> pairs_;
-
   std::uint64_t num_route_instances_ = 0;
   std::uint64_t table_bytes_ = 0;
   std::uint64_t core_bytes_ = 0;
@@ -427,24 +355,6 @@ inline RouteView AltsView::operator[](std::size_t i) const {
 
 // ---------------------------------------------------------------------------
 // Builders
-
-/// Explicit-tier builder.  append_pair must be called exactly once per
-/// (src,dst) pair in ascending pair-index order; the result is then a pure
-/// function of the appended Route values.
-class RouteStoreBuilder {
- public:
-  explicit RouteStoreBuilder(std::size_t num_pairs);
-
-  void append_pair(const std::vector<Route>& alts);
-  [[nodiscard]] RouteStore finish();
-
- private:
-  RouteStore store_;
-  HashInterner port_tab_;
-  HashInterner switch_tab_;
-  std::vector<WalkRec> port_refs_;    // interned spans into port_pool_
-  std::vector<WalkRec> switch_refs_;  // interned spans into switch_pool_
-};
 
 /// Staged factorized rows for a contiguous block of source switches.  All
 /// ids are block-local, assigned in first-appearance order over the
@@ -523,8 +433,7 @@ class FactorizedStoreBuilder {
   bool pair_transposed_ = false;
 };
 
-/// Materialize an owning Route from a view (adapter for tests / IO / the
-/// differential harness).
+/// Materialize an owning Route from a view (adapter for tests and IO).
 [[nodiscard]] Route materialize_route(const RouteView& v);
 
 }  // namespace itb

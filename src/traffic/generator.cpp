@@ -1,6 +1,7 @@
 #include "traffic/generator.hpp"
 
-#include <cassert>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace itb {
@@ -16,7 +17,8 @@ void TrafficGenerator::reset(const DestinationPattern& pattern,
                              TrafficConfig cfg) {
   pattern_ = &pattern;
   cfg_ = cfg;
-  if (cfg_.load_flits_per_ns_per_switch <= 0.0 || cfg_.payload_bytes <= 0) {
+  if (!std::isfinite(cfg_.load_flits_per_ns_per_switch) ||
+      cfg_.load_flits_per_ns_per_switch <= 0.0 || cfg_.payload_bytes <= 0) {
     throw std::invalid_argument("TrafficGenerator: bad load/payload");
   }
   const auto& topo = net_->topology();
@@ -26,11 +28,17 @@ void TrafficGenerator::reset(const DestinationPattern& pattern,
       cfg_.load_flits_per_ns_per_switch *
       static_cast<double>(topo.num_switches()) /
       static_cast<double>(topo.num_hosts());
-  interval_ = static_cast<TimePs>(
-      static_cast<double>(cfg_.payload_bytes) / per_host_flits_per_ns *
-          1000.0 +
-      0.5);
-  assert(interval_ > 0);
+  const double interval_ps =
+      static_cast<double>(cfg_.payload_bytes) / per_host_flits_per_ns * 1000.0;
+  if (!(interval_ps >= 1.0)) {
+    throw std::invalid_argument(
+        "TrafficGenerator: load too high (message interval below 1 ps)");
+  }
+  if (!(interval_ps < static_cast<double>(std::numeric_limits<TimePs>::max()))) {
+    throw std::invalid_argument(
+        "TrafficGenerator: load too low (message interval overflows)");
+  }
+  interval_ = static_cast<TimePs>(interval_ps + 0.5);
   stopped_ = false;
   generated_ = 0;
   tap_ = nullptr;

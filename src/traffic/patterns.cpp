@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace itb {
@@ -63,6 +64,9 @@ HostId HotspotPattern::pick(HostId src, Rng& rng) const {
 }
 
 LocalPattern::LocalPattern(const Topology& topo, int max_switch_distance) {
+  if (max_switch_distance < 0) {
+    throw std::invalid_argument("LocalPattern: max switch distance must be >= 0");
+  }
   candidates_.resize(idx(topo.num_switches()));
   for (SwitchId s = 0; s < topo.num_switches(); ++s) {
     const auto dist = topo.switch_distances_from(s);
@@ -71,6 +75,14 @@ LocalPattern::LocalPattern(const Topology& topo, int max_switch_distance) {
       for (const HostId h : topo.hosts_of_switch(d)) {
         candidates_[idx(s)].push_back(h);
       }
+    }
+    // pick() draws until it finds a host other than the source, so every
+    // source needs a second candidate.
+    if (!topo.hosts_of_switch(s).empty() && candidates_[idx(s)].size() < 2) {
+      throw std::invalid_argument(
+          "LocalPattern: a host on switch " + std::to_string(s) +
+          " has no other host within " + std::to_string(max_switch_distance) +
+          " switch hops");
     }
   }
   // Remember host attachments so pick() can exclude the source.

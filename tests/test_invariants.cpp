@@ -17,6 +17,7 @@
 #include "net/network.hpp"
 #include "route/updown.hpp"
 #include "sim/simulator.hpp"
+#include "support/route_reference.hpp"
 #include "topo/generators.hpp"
 
 namespace itb {
@@ -81,7 +82,7 @@ TEST(DeadlockWatchdog, CyclicRoutesOnRingAreCaughtWithTheExactCycle) {
   t.connect_auto(3, 0);
   for (SwitchId s = 0; s < 4; ++s) t.attach_hosts(s, 1);
 
-  NestedRouteTable staged(4, RoutingAlgorithm::kUpDown);
+  RouteTable staged(16);
   for (SwitchId s = 0; s < 4; ++s) {
     const SwitchId via = (s + 1) % 4;
     const SwitchId d = (s + 2) % 4;
@@ -94,9 +95,10 @@ TEST(DeadlockWatchdog, CyclicRoutesOnRingAreCaughtWithTheExactCycle) {
     leg.ports = {port_to(t, s, via), port_to(t, via, d)};
     leg.switch_hops = 2;
     r.legs.push_back(leg);
-    staged.mutable_alternatives(s, d).push_back(r);
+    staged[pair_key(4, s, d)].push_back(r);
   }
-  const RouteSet routes(staged);
+  const RouteSet routes =
+      factorize(t, RoutingAlgorithm::kUpDown, 0, staged);
 
   MyrinetParams p;
   Simulator sim;

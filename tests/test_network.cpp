@@ -53,19 +53,21 @@ struct Capture {
 };
 
 TEST(WireFormat, LegStartWireFlits) {
-  // Two-leg route: leg0 has 2 ports (1 hop + ITB host port), leg1 has 1
-  // port plus the appended delivery port.
-  Route r;
-  r.src_switch = 0;
-  r.dst_switch = 0;
-  r.legs.resize(2);
-  r.legs[0].ports = {PortId{1}, PortId{4}};
-  r.legs[0].end_host = 9;
-  r.legs[1].ports = {PortId{2}};
-  NestedRouteTable staged(1, RoutingAlgorithm::kItb);
-  staged.mutable_alternatives(0, 0).push_back(r);
-  const RouteSet rs(staged);
-  const RouteView v = rs.view(0, 0, 0);
+  // Pair (3, 2) of the 5-switch ITB fixture is a two-leg route 3-4-2:
+  // leg0 has 2 ports (1 hop + ITB host port), leg1 has 1 port plus the
+  // appended delivery port.
+  Topology t(5, 8, "itb-fixture");
+  t.connect_auto(0, 1);
+  t.connect_auto(0, 2);
+  t.connect_auto(1, 3);
+  t.connect_auto(2, 4);
+  t.connect_auto(3, 4);
+  for (SwitchId s = 0; s < 5; ++s) t.attach_hosts(s, 2);
+  const RouteSet rs = build_itb_routes(t, UpDown(t, 0));
+  const RouteView v = rs.view(3, 2, 0);
+  ASSERT_EQ(v.legs.size(), 2u);
+  ASSERT_EQ(v.legs[0].ports.size(), 2u);
+  ASSERT_EQ(v.legs[1].ports.size(), 1u);
   // Leg 0: payload + type + (2 + 1 + 1 delivery) ports + 1 mark.
   EXPECT_EQ(leg_start_wire_flits(v, 0, 512, 1), 512 + 1 + 4 + 1);
   // Leg 1: payload + type + (1 + 1 delivery) ports, no marks left.

@@ -16,6 +16,7 @@
 
 #include "check/route_verify.hpp"
 #include "harness/testbed.hpp"
+#include "support/route_reference.hpp"
 #include "topo/generators.hpp"
 
 namespace itb {
@@ -120,32 +121,28 @@ TEST(RouteVerifierNegative, DetectsNonMinimalMinTable) {
   // the up*/down* legality check, which MIN tables are exempt from) must
   // fire.
   const Testbed tb(make_full_mesh(8, 2), kAutoRoot);
-  NestedRouteTable routes =
-      tb.routes(RoutingScheme::kMinimal).materialize_nested();
-  auto& alts = routes.mutable_alternatives(0, 1);
+  const RouteSet& min_routes = tb.routes(RoutingScheme::kMinimal);
+  RouteTable routes = materialize_all(min_routes);
+  auto& alts = routes[pair_key(8, 0, 1)];
   ASSERT_EQ(alts.size(), 1u);
   ASSERT_EQ(alts[0].total_switch_hops, 1);
-  const Route via2 = [&] {
-    // 0 -> 2 -> 1: both hops exist in a full mesh.
-    NestedRouteTable t2 =
-        tb.routes(RoutingScheme::kMinimal).materialize_nested();
-    Route r = t2.mutable_alternatives(0, 2)[0];
-    const Route& second = t2.mutable_alternatives(2, 1)[0];
-    r.legs[0].ports.insert(r.legs[0].ports.end(),
-                           second.legs[0].ports.begin(),
-                           second.legs[0].ports.end());
-    r.legs[0].switch_hops += second.legs[0].switch_hops;
-    r.total_switch_hops += second.total_switch_hops;
-    return r;
-  }();
+  // 0 -> 2 -> 1: both hops exist in a full mesh.
+  Route via2 = min_routes.materialize(0, 2, 0);
+  const Route second = min_routes.materialize(2, 1, 0);
+  via2.dst_switch = 1;
+  via2.legs[0].ports.push_back(second.legs[0].ports[0]);
+  via2.legs[0].switch_hops = 2;
+  via2.total_switch_hops = 2;
+  via2.switches = {0, 2, 1};
   alts[0] = via2;
-  // materialize_nested() preserves kMinimal, so the verifier stays in its
-  // minimal-table mode on the round trip.
-  const RouteSet flat(routes);
-  ASSERT_EQ(flat.algorithm(), RoutingAlgorithm::kMinimal);
+  const RouteSet flat =
+      factorize(tb.topo(), RoutingAlgorithm::kMinimal, 0, routes);
   const RouteVerifyReport rep =
       verify_route_set(tb.topo(), tb.updown(), flat);
-  EXPECT_FALSE(rep.ok());
+  ASSERT_EQ(rep.violations.size(), 1u);
+  EXPECT_NE(rep.violations[0].detail.find("path has 2 hops"),
+            std::string::npos)
+      << rep.violations[0].detail;
 }
 
 TEST(RouteProperties, AlternativesCappedAndDistinct) {
@@ -177,43 +174,44 @@ TEST(RouteProperties, AlternativesCappedAndDistinct) {
 
 Testbed small_testbed() { return Testbed(make_torus_2d(4, 4, 2)); }
 
-// Mutation fixtures inflate the immutable store back into a nested table,
-// corrupt it, and re-compress for verification.
-NestedRouteTable copy_itb_table(const Testbed& tb) {
-  return tb.routes(RoutingScheme::kItbSp).materialize_nested();
+// Mutation fixtures inflate the immutable store into owning Routes,
+// corrupt them, and factorize the result for verification.
+RouteTable copy_itb_table(const Testbed& tb) {
+  return materialize_all(tb.routes(RoutingScheme::kItbSp));
 }
 
-std::uint64_t verify_count(const Testbed& tb, const NestedRouteTable& routes) {
-  return verify_route_set(tb.topo(), tb.updown(), RouteSet(routes))
+RouteSet itb_table(const Testbed& tb, const RouteTable& routes) {
+  return factorize(tb.topo(), RoutingAlgorithm::kItb, 0, routes);
+}
+
+std::uint64_t verify_count(const Testbed& tb, const RouteTable& routes) {
+  return verify_route_set(tb.topo(), tb.updown(), itb_table(tb, routes))
       .violations.size();
 }
 
 TEST(RouteVerifierNegative, DetectsMissingItbSplit) {
   const Testbed tb = small_testbed();
-  NestedRouteTable routes = copy_itb_table(tb);
+  RouteTable routes = copy_itb_table(tb);
   ASSERT_EQ(verify_count(tb, routes), 0u);
   // Find a split route and fuse its legs into one illegal leg (the
   // down->up path an ITB was supposed to break).
   bool mutated = false;
-  for (SwitchId s = 0; s < routes.num_switches() && !mutated; ++s) {
-    for (SwitchId d = 0; d < routes.num_switches() && !mutated; ++d) {
-      for (Route& r : routes.mutable_alternatives(s, d)) {
-        if (r.num_itbs() == 0) continue;
-        RouteLeg fused;
-        for (std::size_t li = 0; li < r.legs.size(); ++li) {
-          const RouteLeg& leg = r.legs[li];
-          const bool final_leg = li + 1 == r.legs.size();
-          const std::size_t nports =
-              leg.ports.size() - (final_leg ? 0 : 1);  // drop eject ports
-          fused.ports.insert(fused.ports.end(), leg.ports.begin(),
-                             leg.ports.begin() +
-                                 static_cast<std::ptrdiff_t>(nports));
-          fused.switch_hops += leg.switch_hops;
-        }
-        r.legs = {fused};
-        mutated = true;
-        break;
+  for (std::vector<Route>& alts : routes) {
+    for (Route& r : alts) {
+      if (mutated || r.num_itbs() == 0) continue;
+      RouteLeg fused;
+      for (std::size_t li = 0; li < r.legs.size(); ++li) {
+        const RouteLeg& leg = r.legs[li];
+        const bool final_leg = li + 1 == r.legs.size();
+        const std::size_t nports =
+            leg.ports.size() - (final_leg ? 0 : 1);  // drop eject ports
+        fused.ports.insert(fused.ports.end(), leg.ports.begin(),
+                           leg.ports.begin() +
+                               static_cast<std::ptrdiff_t>(nports));
+        fused.switch_hops += leg.switch_hops;
       }
+      r.legs = {fused};
+      mutated = true;
     }
   }
   ASSERT_TRUE(mutated) << "4x4 torus must have at least one split route";
@@ -222,33 +220,26 @@ TEST(RouteVerifierNegative, DetectsMissingItbSplit) {
 
 TEST(RouteVerifierNegative, DetectsCorruptPortWalk) {
   const Testbed tb = small_testbed();
-  NestedRouteTable routes = copy_itb_table(tb);
-  // Point the first port byte of some multi-hop route at a host port: the
-  // walk no longer reaches a switch.
-  for (SwitchId s = 0; s < routes.num_switches(); ++s) {
-    for (SwitchId d = 0; d < routes.num_switches(); ++d) {
-      if (s == d) continue;
-      Route& r = routes.mutable_alternatives(s, d)[0];
-      if (r.total_switch_hops < 1) continue;
-      r.legs[0].ports[0] = tb.topo().host(tb.topo().hosts_of_switch(s)[0]).port;
-      EXPECT_GT(verify_count(tb, routes), 0u);
-      return;
-    }
-  }
-  FAIL() << "no multi-hop route found";
+  RouteTable routes = copy_itb_table(tb);
+  // Point the first port byte of a one-hop route at a host port: the walk
+  // no longer reaches a switch.
+  Route& r = routes[pair_key(16, 0, 1)][0];
+  ASSERT_EQ(r.legs.size(), 1u);
+  ASSERT_EQ(r.total_switch_hops, 1);
+  r.legs[0].ports[0] = tb.topo().host(tb.topo().hosts_of_switch(0)[0]).port;
+  EXPECT_GT(verify_count(tb, routes), 0u);
 }
 
 TEST(RouteVerifierNegative, DetectsDuplicateAndOverCapAlternatives) {
   const Testbed tb = small_testbed();
-  NestedRouteTable routes = copy_itb_table(tb);
-  auto& alts = routes.mutable_alternatives(0, 5);
+  RouteTable routes = copy_itb_table(tb);
+  auto& alts = routes[pair_key(16, 0, 5)];
   ASSERT_FALSE(alts.empty());
   alts.push_back(alts.front());  // duplicate
   EXPECT_GT(verify_count(tb, routes), 0u);
   while (alts.size() <= 10) alts.push_back(alts.front());
-  RouteVerifyOptions opts;
-  const auto rep =
-      verify_route_set(tb.topo(), tb.updown(), RouteSet(routes), opts);
+  const auto rep = verify_route_set(tb.topo(), tb.updown(),
+                                    itb_table(tb, routes));
   bool over_cap = false;
   for (const auto& v : rep.violations) {
     if (v.detail.find("cap is") != std::string::npos) over_cap = true;
@@ -270,17 +261,17 @@ TEST(RouteVerifierNegative, DetectsNonMinimalPath) {
   t.connect_auto(3, 4);
   for (SwitchId s = 0; s < 5; ++s) t.attach_hosts(s, 2);
   const Testbed tb(std::move(t));
-  NestedRouteTable routes = copy_itb_table(tb);
+  RouteTable routes = copy_itb_table(tb);
   const Route detour = tb.routes(RoutingScheme::kUpDown).materialize(3, 2, 0);
   ASSERT_EQ(detour.total_switch_hops, 3);
-  auto& alts = routes.mutable_alternatives(3, 2);
+  auto& alts = routes[pair_key(5, 3, 2)];
   ASSERT_EQ(alts[0].total_switch_hops, 2);
   alts.clear();
   alts.push_back(detour);
   // Strict mode must flag it; fallback mode accepts exactly this shape
   // (single legal alternative at legal distance), documenting the
   // build_itb_routes escape hatch for pairs with no usable minimal path.
-  const RouteSet flat(routes);
+  const RouteSet flat = itb_table(tb, routes);
   RouteVerifyOptions strict;
   strict.allow_legal_fallback = false;
   EXPECT_FALSE(verify_route_set(tb.topo(), tb.updown(), flat, strict).ok());

@@ -11,6 +11,7 @@
 #include "net/stall_detector.hpp"
 #include "route/simple_routes.hpp"
 #include "sim/simulator.hpp"
+#include "support/route_reference.hpp"
 #include "topo/generators.hpp"
 
 namespace itb {
@@ -31,7 +32,7 @@ Topology make_ring4() {
 // counter-clockwise path is shorter.  The 3-hop routes create the cyclic
 // channel dependency 0->1->2->3->0.
 RouteSet make_cyclic_routes(const Topology& t) {
-  NestedRouteTable nested(4, RoutingAlgorithm::kUpDown);
+  RouteTable table(16);
   auto clockwise_port = [&](SwitchId from) {
     const SwitchId next = (from + 1) % 4;
     for (const PortId p : t.switch_ports_of(from)) {
@@ -54,10 +55,10 @@ RouteSet make_cyclic_routes(const Topology& t) {
       }
       r.total_switch_hops = leg.switch_hops;
       r.legs.push_back(std::move(leg));
-      nested.mutable_alternatives(s, d).push_back(std::move(r));
+      table[pair_key(4, s, d)].push_back(std::move(r));
     }
   }
-  return RouteSet(nested);
+  return factorize(t, RoutingAlgorithm::kUpDown, 0, table);
 }
 
 TEST(StallDetector, QuietOnHealthyTraffic) {

@@ -1,6 +1,7 @@
 // Traffic patterns and the open-loop generator.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -99,6 +100,18 @@ TEST(Hotspot, Validation) {
   EXPECT_THROW(HotspotPattern(8, 9, 0.1), std::invalid_argument);
   EXPECT_THROW(HotspotPattern(8, -1, 0.1), std::invalid_argument);
   EXPECT_THROW(HotspotPattern(8, 3, 1.5), std::invalid_argument);
+}
+
+TEST(Local, Validation) {
+  const Topology torus = make_torus_2d(4, 4, 1);
+  EXPECT_THROW((void)LocalPattern(torus, -1), std::invalid_argument);
+  // One host per switch at radius 0: a source's only candidate is itself,
+  // and pick() would spin forever.
+  EXPECT_THROW((void)LocalPattern(torus, 0), std::invalid_argument);
+  EXPECT_THROW((void)LocalPattern(make_hyperx({4, 4}, 1), 0),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)LocalPattern(torus, 1));
+  EXPECT_NO_THROW((void)LocalPattern(make_torus_2d(4, 4, 2), 0));
 }
 
 TEST(Local, DestinationsWithinThreeSwitches) {
@@ -239,10 +252,15 @@ TEST(Generator, DeterministicPerSeed) {
 TEST(Generator, RejectsBadConfig) {
   GenRig rig;
   UniformPattern pat(rig.topo.num_hosts());
-  TrafficConfig cfg;
-  cfg.load_flits_per_ns_per_switch = 0.0;
-  EXPECT_THROW(TrafficGenerator(rig.sim, rig.net, pat, cfg),
-               std::invalid_argument);
+  // Zero, NaN, a load so high the message interval rounds to 0 ps, and
+  // one so low the interval overflows TimePs.
+  for (const double load : {0.0, std::nan(""), 1e300, 1e-300}) {
+    TrafficConfig cfg;
+    cfg.load_flits_per_ns_per_switch = load;
+    EXPECT_THROW(TrafficGenerator(rig.sim, rig.net, pat, cfg),
+                 std::invalid_argument)
+        << load;
+  }
 }
 
 TEST(Generator, BitReversalFixedPointsGenerateNothing) {

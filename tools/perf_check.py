@@ -80,12 +80,6 @@ EFFICIENCY_FLOOR = 0.9
 # pointers) may sit at most this fraction below the committed baseline.
 TRACING_OVERHEAD_BUDGET = 0.02
 
-# Budget for the compressed route store's end-to-end cost: the flat-store
-# POD rate may sit at most this fraction below the baseline's (which for
-# pre-flat-store baselines is the nested-table rate, making this the
-# nested-vs-flat e2e A/B across records).
-ROUTE_STORE_E2E_BUDGET = 0.02
-
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
@@ -150,33 +144,6 @@ def main():
             print(f"  telemetry {label}: {rate:.3g} events/s "
                   f"({(1.0 - rate / tele_off) * 100.0:+.1f}% vs disabled)")
 
-    # Route-store smoke: the flat store's end-to-end rate against the
-    # baseline pod rate (a nested-era baseline makes this the nested-vs-flat
-    # comparison), plus the fresh record's build/memory numbers.
-    route = fresh_record.get("micro_kernel", {}).get("route_store", {})
-    flat_e2e = route.get("flat_e2e_events_per_sec")
-    if base_pod and flat_e2e:
-        overhead = 1.0 - flat_e2e / base_pod
-        print(f"  route-store e2e vs baseline: {overhead * 100.0:+.1f}% "
-              f"(budget {ROUTE_STORE_E2E_BUDGET * 100.0:.0f}%)")
-        if overhead > ROUTE_STORE_E2E_BUDGET:
-            regressions += 1
-            print(f"::warning title=perf-smoke::flat route-store end-to-end "
-                  f"rate {overhead * 100.0:.1f}% below baseline (budget "
-                  f"{ROUTE_STORE_E2E_BUDGET * 100.0:.0f}%)")
-    if route:
-        shrink = route.get("table_shrink")
-        speedup = route.get("parallel_build_speedup")
-        if shrink is not None:
-            print(f"  route-store table shrink vs nested: {shrink:.2f}x")
-        if speedup is not None:
-            print(f"  route-store parallel build speedup "
-                  f"(jobs={route.get('parallel_jobs', '?')}): {speedup:.2f}x")
-        if route.get("parallel_bit_identical") is False:
-            regressions += 1
-            print("::warning title=perf-smoke::parallel route build is NOT "
-                  "bit-identical to the serial build")
-
     # Low-diameter smoke: the 1k-switch checked scale cells must be
     # invariant-free; table footprint/build times are informational
     # (machine-dependent).
@@ -195,36 +162,23 @@ def main():
                   f"{cell.get('testbed', '?')} reported {violations} "
                   "invariant violation(s) under checked runs")
 
-    # Route-scale smoke (PR 9): the switch-pair factorized store across the
+    # Route-scale smoke: the switch-pair factorized store across the
     # topology ladder.  Table footprints are deterministic (byte counts, not
     # rates), so growth beyond the tolerance warns; build times are
-    # informational.  Against a pre-factorization baseline (no route_scale
-    # section) the instance-flat cells of lowdiameter_scale double as the
-    # reference, and the factorization must show at least the 10x build and
-    # footprint improvement it was introduced for.
+    # informational.
     def scale_key(cell):
         return (cell.get("testbed"), cell.get("scheme"))
 
-    fresh_scale = fresh_record.get("route_scale", {}).get("cells", [])
     base_scale = {scale_key(c): c
                   for c in baseline_record.get("route_scale", {})
                   .get("cells", [])}
-    base_flat = {scale_key(c): c
-                 for c in baseline_record.get("lowdiameter_scale", {})
-                 .get("cells", [])}
-    for cell in fresh_scale:
+    for cell in fresh_record.get("route_scale", {}).get("cells", []):
         label = f"{cell.get('testbed', '?')}/{cell.get('scheme', '?')}"
         bytes_now = cell.get("table_bytes", 0)
         print(f"  route-scale {label}: {bytes_now / 1024.0:.1f} KiB "
               f"(core {cell.get('core_bytes', 0) / 1024.0:.1f} KiB), "
               f"build {cell.get('build_ms', 0):.1f} ms, "
               f"compose {cell.get('compose_ns_avg', 0):.0f} ns")
-        explicit = cell.get("explicit_table_bytes", 0)
-        if explicit and bytes_now >= explicit:
-            regressions += 1
-            print(f"::warning title=perf-smoke::route-scale {label}: "
-                  f"factorized table ({bytes_now} B) not smaller than the "
-                  f"instance-flat tier ({explicit} B)")
         prior = base_scale.get(scale_key(cell))
         if prior and prior.get("table_bytes"):
             growth = bytes_now / prior["table_bytes"] - 1.0
@@ -233,23 +187,6 @@ def main():
                 print(f"::warning title=perf-smoke::route-scale {label} "
                       f"table grew {growth * 100.0:.1f}% "
                       f"({prior['table_bytes']} -> {bytes_now} B)")
-        elif scale_key(cell) in base_flat:
-            flat = base_flat[scale_key(cell)]
-            shrink = flat.get("table_bytes", 0) / max(bytes_now, 1)
-            speedup = flat.get("build_ms", 0.0) / max(
-                cell.get("build_ms", 0.0), 1e-9)
-            print(f"  route-scale {label} vs instance-flat baseline: "
-                  f"{shrink:.1f}x smaller, {speedup:.1f}x faster build")
-            if shrink < 10.0:
-                regressions += 1
-                print(f"::warning title=perf-smoke::route-scale {label} "
-                      f"factorized table only {shrink:.1f}x smaller than "
-                      "the instance-flat baseline (floor 10x)")
-            if speedup < 10.0:
-                regressions += 1
-                print(f"::warning title=perf-smoke::route-scale {label} "
-                      f"factorized build only {speedup:.1f}x faster than "
-                      "the instance-flat baseline (floor 10x)")
 
     # Parallel-efficiency smoke: the workspace layer's headline number.
     base_eff = parallel_efficiency(baseline_record)

@@ -6,9 +6,10 @@
 //   1. A (testbed x scheme x load) grid over the small/medium cells,
 //      recording accepted traffic and latency per point plus the route
 //      table footprint (compressed table_bytes, build_ms) per table.
-//      UP/DOWN rides only on cells up to 256 switches — SimpleRoutes'
-//      candidate enumeration is the paper's algorithm and is quadratic in
-//      switches, which is exactly the story this bench tells.
+//      UP/DOWN rides only on cells up to 256 switches, which keeps the
+//      grid small.  SimpleRoutes (the paper's algorithm) is quadratic in
+//      switches; it takes ~0.5 s serial for hyperx 32x32 on a 4-core x86
+//      VM (see EXPERIMENTS.md).
 //   2. A scale/acceptance section: >= 1024-switch cells (hyperx 32x32;
 //      plus dragonfly a=16 p=8 h=8 in --full) run checked (route verifier
 //      + deadlock watchdog) with ITB-RR and must record zero invariant
@@ -71,7 +72,8 @@ int main(int argc, char** argv) {
     const Testbed& tb = beds.back();
     std::vector<RoutingScheme> schemes = {RoutingScheme::kMinimal};
     // The paper's up*/down* candidate search is quadratic in switches;
-    // keep it to the cells where it is the honest baseline, not a stall.
+    // keep it to the small cells so the grid stays quick (hyperx 32x32
+    // would add ~0.5 s of SimpleRoutes per table; see EXPERIMENTS.md).
     if (tb.topo().num_switches() <= 256) {
       schemes.push_back(RoutingScheme::kUpDown);
     }

@@ -108,9 +108,10 @@ int main(int argc, char** argv) {
                "factorized store: build / footprint / compose across the "
                "topology ladder");
 
-  // SimpleRoutes' candidate enumeration (the paper's own algorithm) is
-  // quadratic in switches; UP/DOWN tables ride only on cells where that is
-  // an honest baseline rather than a stall — same rule as bench_lowdiameter.
+  // SimpleRoutes (the paper's own algorithm) is quadratic in switches;
+  // UP/DOWN tables ride only on the small cells, the same rule as
+  // bench_lowdiameter.  At hyperx 32x32 it costs ~0.5 s serial on a 4-core
+  // x86 VM (EXPERIMENTS.md); the gate only keeps the ladder quick.
   const std::vector<std::string> beds =
       opts.fast
           ? std::vector<std::string>{"torus", "hyperx16x16", "dragonfly8"}

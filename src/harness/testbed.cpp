@@ -69,7 +69,7 @@ const RouteSet& Testbed::routes_with_jobs(RoutingScheme s, int jobs) const {
   std::lock_guard<std::mutex> lock(build_mu_);
   if (s == RoutingScheme::kUpDown) {
     if (!updown_routes_) {
-      const SimpleRoutes sr(*topo_, *updown_);
+      const SimpleRoutes sr(*topo_, *updown_, {}, jobs);
       updown_routes_.emplace(build_updown_routes(*topo_, sr, jobs));
       updown_gen_ = ++g_table_generation;
     }

@@ -59,7 +59,8 @@ class Testbed {
 
   /// Routing table for a scheme (built on first use, then cached).  All ITB
   /// schemes share one table and differ only in path policy.  A cold call
-  /// fans the row build out across default_jobs() workers; when the caller
+  /// fans the build (the row staging, and for UP/DOWN the SimpleRoutes
+  /// candidate enumeration) out across default_jobs() workers; when the caller
   /// is itself a pool worker the build runs inline on it instead
   /// (pooled_for is re-entrancy-guarded; see sim/pool.hpp), so the old
   /// cold-from-a-worker serial penalty is gone without risking a nested

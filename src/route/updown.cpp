@@ -1,9 +1,8 @@
 #include "route/updown.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <deque>
 #include <stdexcept>
+#include <utility>
 
 namespace itb {
 
@@ -63,6 +62,16 @@ UpDown::UpDown(const Topology& topo, SwitchId root)
       up_end_[idx(c)] = a < b ? a : b;
     }
   }
+  link_first_.reserve(idx(topo.num_switches()) + 1);
+  link_first_.push_back(0);
+  for (SwitchId s = 0; s < topo.num_switches(); ++s) {
+    for (PortId p = 0; p < topo.ports_per_switch(); ++p) {
+      const PortPeer& e = topo.peer(s, p);
+      if (e.kind != PeerKind::kSwitch) continue;
+      link_.push_back({e.sw, e.cable, is_up(e.cable, s), is_up(e.cable, e.sw)});
+    }
+    link_first_.push_back(static_cast<std::uint32_t>(link_.size()));
+  }
 }
 
 bool UpDown::legal(const SwitchPath& path) const {
@@ -75,31 +84,38 @@ bool UpDown::legal(const SwitchPath& path) const {
   return true;
 }
 
-std::vector<int> UpDown::state_distances_from(SwitchId s) const {
+void UpDown::state_distances_from(SwitchId s, Scratch& sc) const {
   // State encoding: 2*switch + phase; phase 0 = no down cable taken yet,
   // phase 1 = at least one down cable taken (up cables now forbidden).
+  // Each state is pushed at most once, so a plain vector with a read
+  // cursor is the whole queue.
   const auto n = idx(topo_->num_switches());
-  std::vector<int> dist(2 * n, -1);
-  std::deque<std::int32_t> q;
+  std::vector<int>& dist = sc.dist;
+  std::vector<std::int32_t>& q = sc.queue;
+  dist.assign(2 * n, -1);
+  q.clear();
   dist[idx(2 * s)] = 0;
   q.push_back(2 * s);
-  while (!q.empty()) {
-    const std::int32_t state = q.front();
-    q.pop_front();
+  for (std::size_t head = 0; head < q.size(); ++head) {
+    const std::int32_t state = q[head];
     const SwitchId u = state / 2;
     const int phase = state % 2;
-    for (const PortId p : topo_->switch_ports_of(u)) {
-      const PortPeer& e = topo_->peer(u, p);
-      const bool up = is_up(e.cable, u);
+    for (const Link& l : links(u)) {
+      const bool up = l.up_out;
       if (phase == 1 && up) continue;  // down->up transition forbidden
-      const std::int32_t next = 2 * e.sw + (up ? phase : 1);
+      const std::int32_t next = 2 * l.peer + (up ? phase : 1);
       if (dist[idx(next)] == -1) {
         dist[idx(next)] = dist[idx(state)] + 1;
         q.push_back(next);
       }
     }
   }
-  return dist;
+}
+
+std::vector<int> UpDown::state_distances_from(SwitchId s) const {
+  Scratch sc;
+  state_distances_from(s, sc);
+  return std::move(sc.dist);
 }
 
 int UpDown::legal_distance(SwitchId s, SwitchId d) const {
@@ -126,87 +142,17 @@ std::vector<int> UpDown::legal_distances_from(SwitchId s) const {
 
 std::vector<SwitchPath> UpDown::shortest_legal_paths(SwitchId s, SwitchId d,
                                                      int max_paths) const {
-  if (max_paths <= 0 || s == d) {
-    return shortest_legal_paths(s, d, max_paths, {});
-  }
-  return shortest_legal_paths(s, d, max_paths, state_distances_from(s));
-}
-
-std::vector<SwitchPath> UpDown::shortest_legal_paths(
-    SwitchId s, SwitchId d, int max_paths,
-    const std::vector<int>& dist) const {
   std::vector<SwitchPath> out;
   if (max_paths <= 0) return out;
-  if (s == d) {
-    out.push_back(SwitchPath{{s}, {}});
-    return out;
-  }
-  const int da = dist[idx(2 * d)];
-  const int db = dist[idx(2 * d + 1)];
-  if (da < 0 && db < 0) return out;
-  const int best = (da < 0) ? db : (db < 0 ? da : std::min(da, db));
-
-  // Depth-first backward walk over the BFS predecessor DAG.  The reversed
-  // cable list is accumulated on an explicit stack-free recursion (paths
-  // are at most a few tens of hops).
-  std::vector<CableId> rev_cables;
-  std::vector<SwitchId> rev_switches;
-
-  auto emit = [&] {
-    SwitchPath path;
-    path.sw.assign(rev_switches.rbegin(), rev_switches.rend());
-    path.cable.assign(rev_cables.rbegin(), rev_cables.rend());
-    out.push_back(std::move(path));
-  };
-
-  // rec(v, phase): dist[(v,phase)] steps remain back to (s, 0).
-  auto rec = [&](auto&& self, SwitchId v, int phase) -> void {
-    if (static_cast<int>(out.size()) >= max_paths) return;
-    const int dv = dist[idx(2 * v + phase)];
-    if (dv == 0) {
-      assert(v == s && phase == 0);
-      emit();
-      return;
-    }
-    for (const PortId p : topo_->switch_ports_of(v)) {
-      if (static_cast<int>(out.size()) >= max_paths) return;
-      const PortPeer& e = topo_->peer(v, p);
-      const SwitchId u = e.sw;
-      const CableId c = e.cable;
-      const bool traversal_up = is_up(c, u);  // direction of u -> v
-      rev_cables.push_back(c);
-      rev_switches.push_back(u);
-      if (phase == 0) {
-        // (u,0) --up--> (v,0)
-        if (traversal_up && dist[idx(2 * u)] == dv - 1) self(self, u, 0);
-      } else {
-        // (u,0) --down--> (v,1) or (u,1) --down--> (v,1)
-        if (!traversal_up) {
-          if (dist[idx(2 * u)] == dv - 1) self(self, u, 0);
-          if (static_cast<int>(out.size()) < max_paths &&
-              dist[idx(2 * u + 1)] == dv - 1) {
-            self(self, u, 1);
-          }
-        }
-      }
-      rev_cables.pop_back();
-      rev_switches.pop_back();
-    }
-  };
-
-  rev_switches.push_back(d);  // destination is the last switch of every path
-  // A path's final phase is determined by its contents (pure-up paths end
-  // in phase 0, everything else in phase 1), so the two start phases emit
-  // disjoint path sets.
-  for (int phase = 0; phase < 2; ++phase) {
-    const int dp = dist[idx(2 * d + phase)];
-    if (dp == best) {
-      rev_switches.clear();
-      rev_cables.clear();
-      rev_switches.push_back(d);
-      rec(rec, d, phase);
-    }
-  }
+  Scratch sc;
+  if (s != d) state_distances_from(s, sc);
+  visit_shortest_legal_paths(
+      s, d, max_paths, sc,
+      [&out](std::span<const SwitchId> rev_sw,
+             std::span<const CableId> rev_cables) {
+        out.push_back(SwitchPath{{rev_sw.rbegin(), rev_sw.rend()},
+                                 {rev_cables.rbegin(), rev_cables.rend()}});
+      });
   return out;
 }
 

@@ -10,6 +10,10 @@
 // dependency, making the routing deadlock-free without virtual channels.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "route/switch_path.hpp"
@@ -66,32 +70,127 @@ class UpDown {
 
   /// Up to `max_paths` distinct shortest legal paths from s to d, in a
   /// deterministic (port-order) sequence.  For s == d returns the trivial
-  /// single-switch path.
+  /// single-switch path.  A wrapper over visit_shortest_legal_paths.
   [[nodiscard]] std::vector<SwitchPath> shortest_legal_paths(
       SwitchId s, SwitchId d, int max_paths) const;
 
-  /// Same, with the product-graph distances from `s` supplied by the caller
-  /// (a state_distances_from(s) result).  Per-source consumers — the
-  /// simple_routes placement enumerates candidates for every destination of
-  /// one source — hoist the BFS this way; emitted paths and order are
-  /// identical to the overload above.
-  [[nodiscard]] std::vector<SwitchPath> shortest_legal_paths(
-      SwitchId s, SwitchId d, int max_paths,
-      const std::vector<int>& state_dist) const;
+  /// Caller-owned buffers for the walks below.  One scratch serves every
+  /// destination of a source, and every source of a worker: buffers are
+  /// overwritten, never shrunk, so a warm scratch allocates nothing.
+  struct Scratch {
+    std::vector<int> dist;               // 2*switch + phase (see below)
+    std::vector<std::int32_t> queue;     // BFS states, each pushed once
+    std::vector<SwitchId> rev_switches;  // current path, destination first
+    std::vector<CableId> rev_cables;
+  };
+
+  /// Fills `sc.dist` with the product-graph distances from `s` (see
+  /// state_distances_from).
+  void state_distances_from(SwitchId s, Scratch& sc) const;
+
+  /// The walk behind shortest_legal_paths, with `sc.dist` already filled
+  /// from `s` by state_distances_from(s, sc) (for s != d).  Calls
+  /// visit(rev_switches, rev_cables) once per path in the same order,
+  /// with the path reversed: rev_switches runs d..s and rev_cables[i] joins
+  /// rev_switches[i + 1] to rev_switches[i].  The spans are only valid
+  /// during the call.  Returns the number of paths visited.
+  template <typename Visit>
+  int visit_shortest_legal_paths(SwitchId s, SwitchId d, int max_paths,
+                                 Scratch& sc, Visit&& visit) const;
 
   /// All shortest legal distances from `s` (index = destination switch).
   [[nodiscard]] std::vector<int> legal_distances_from(SwitchId s) const;
 
   /// BFS over the (switch, phase) product graph; phase 0 = may still go up,
   /// phase 1 = has gone down.  Returns 2*num_switches distances, indexed by
-  /// 2*switch + phase.  Exposed for per-source hoisting (see above).
+  /// 2*switch + phase.
   [[nodiscard]] std::vector<int> state_distances_from(SwitchId s) const;
 
  private:
+  /// A switch-to-switch port of a switch, with the orientation of both
+  /// crossings precomputed for the walks above.
+  struct Link {
+    SwitchId peer;
+    CableId cable;
+    bool up_out;  // this switch -> peer goes up
+    bool up_in;   // peer -> this switch goes up
+  };
+  /// The switch-to-switch ports of `s`, in port order.
+  [[nodiscard]] std::span<const Link> links(SwitchId s) const {
+    const auto i = static_cast<std::size_t>(s);
+    return {link_.data() + link_first_[i], link_.data() + link_first_[i + 1]};
+  }
+
   const Topology* topo_;
   SwitchId root_;
   std::vector<int> level_;        // per switch
   std::vector<SwitchId> up_end_;  // per cable; kNoSwitch for host cables
+  std::vector<std::uint32_t> link_first_;  // per switch, + 1 -> link_
+  std::vector<Link> link_;
 };
+
+template <typename Visit>
+int UpDown::visit_shortest_legal_paths(SwitchId s, SwitchId d, int max_paths,
+                                       Scratch& sc, Visit&& visit) const {
+  if (max_paths <= 0) return 0;
+  sc.rev_switches.assign(1, d);  // destination is the last switch of a path
+  sc.rev_cables.clear();
+  if (s == d) {
+    visit(std::span<const SwitchId>(sc.rev_switches),
+          std::span<const CableId>(sc.rev_cables));
+    return 1;
+  }
+  const std::vector<int>& dist = sc.dist;
+  const auto at = [&dist](std::int64_t state) {
+    return dist[static_cast<std::size_t>(state)];
+  };
+  const int da = at(2 * d);
+  const int db = at(2 * d + 1);
+  if (da < 0 && db < 0) return 0;
+  const int best = (da < 0) ? db : (db < 0 ? da : std::min(da, db));
+
+  // Depth-first backward walk over the BFS predecessor DAG, appending to
+  // the reversed path in `sc` (paths are at most a few tens of hops).
+  int found = 0;
+  // rec(v, phase): dist[(v,phase)] steps remain back to (s, 0).
+  auto rec = [&](auto&& self, SwitchId v, int phase) -> void {
+    if (found >= max_paths) return;
+    const int dv = at(2 * v + phase);
+    if (dv == 0) {
+      assert(v == s && phase == 0);
+      ++found;
+      visit(std::span<const SwitchId>(sc.rev_switches),
+            std::span<const CableId>(sc.rev_cables));
+      return;
+    }
+    for (const Link& l : links(v)) {
+      if (found >= max_paths) return;
+      const SwitchId u = l.peer;
+      const bool traversal_up = l.up_in;  // direction of u -> v
+      sc.rev_cables.push_back(l.cable);
+      sc.rev_switches.push_back(u);
+      if (phase == 0) {
+        // (u,0) --up--> (v,0)
+        if (traversal_up && at(2 * u) == dv - 1) self(self, u, 0);
+      } else {
+        // (u,0) --down--> (v,1) or (u,1) --down--> (v,1)
+        if (!traversal_up) {
+          if (at(2 * u) == dv - 1) self(self, u, 0);
+          if (found < max_paths && at(2 * u + 1) == dv - 1) self(self, u, 1);
+        }
+      }
+      sc.rev_cables.pop_back();
+      sc.rev_switches.pop_back();
+    }
+  };
+
+  // A path's final phase is determined by its contents (pure-up paths end
+  // in phase 0, everything else in phase 1), so the two start phases emit
+  // disjoint path sets.
+  for (int phase = 0; phase < 2; ++phase) {
+    if (at(2 * d + phase) == best) rec(rec, d, phase);
+  }
+  return found;
+}
 
 }  // namespace itb

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "core/itb_split.hpp"
 #include "core/route_builder.hpp"
@@ -138,6 +141,108 @@ TEST(SimpleRoutes, BalancesBetterThanFirstCandidate) {
   const auto& w = sr.channel_weights();
   const int balanced_max = *std::max_element(w.begin(), w.end());
   EXPECT_LT(balanced_max, naive_max);
+}
+
+// FNV-1a over every selected path (hop count, switches, cables) in pair
+// order, then every channel weight.
+std::uint64_t simple_routes_digest(const SimpleRoutes& sr, int n) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::int64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= static_cast<std::uint64_t>(v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (SwitchId s = 0; s < n; ++s) {
+    for (SwitchId d = 0; d < n; ++d) {
+      const SwitchPath& p = sr.route(s, d);
+      mix(p.hops());
+      for (const SwitchId w : p.sw) mix(w);
+      for (const CableId c : p.cable) mix(c);
+    }
+  }
+  for (const int w : sr.channel_weights()) mix(w);
+  return h;
+}
+
+// Candidate enumeration fans out per source block; every jobs value must
+// give the same table.  The digests pin the selection itself: a change to
+// one changes which paths the UP/DOWN baseline runs.
+TEST(SimpleRoutesParallel, JobsInvariantAndGolden) {
+  struct Case {
+    const char* name;
+    Topology topo;
+    SwitchId root;
+    std::uint64_t golden_minmax;
+    std::uint64_t golden_minsum;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"torus8x8", make_torus_2d(8, 8, 1), 0,
+                   0xc116a5f4a8b36f19ull, 0x562f1efb934a9f82ull});
+  cases.push_back({"express8x8", make_torus_2d_express(8, 8, 1), kAutoRoot,
+                   0x274eac297680a144ull, 0xefade384691d7e43ull});
+  cases.push_back({"hyperx16x16", make_hyperx({16, 16}, 1), kAutoRoot,
+                   0x9271763c0244c86eull, 0x7995914eef120d3full});
+  for (const Case& c : cases) {
+    const UpDown ud(c.topo, c.root == kAutoRoot ? select_updown_root(c.topo)
+                                                : c.root);
+    const int n = c.topo.num_switches();
+    for (const BalanceObjective obj :
+         {BalanceObjective::kMinMax, BalanceObjective::kMinSum}) {
+      SCOPED_TRACE(std::string(c.name) +
+                   (obj == BalanceObjective::kMinMax ? " minmax" : " minsum"));
+      SimpleRoutesOptions o;
+      o.objective = obj;
+      const SimpleRoutes serial(c.topo, ud, o, 1);
+      EXPECT_EQ(simple_routes_digest(serial, n),
+                obj == BalanceObjective::kMinMax ? c.golden_minmax
+                                                 : c.golden_minsum);
+      for (const int jobs : {2, 4}) {
+        const SimpleRoutes par(c.topo, ud, o, jobs);
+        EXPECT_EQ(par.channel_weights(), serial.channel_weights())
+            << "jobs=" << jobs;
+        int mismatches = 0;
+        for (SwitchId s = 0; s < n; ++s) {
+          for (SwitchId d = 0; d < n; ++d) {
+            if (!(par.route(s, d) == serial.route(s, d))) ++mismatches;
+          }
+        }
+        EXPECT_EQ(mismatches, 0) << "jobs=" << jobs;
+      }
+    }
+  }
+}
+
+TEST(SimpleRoutes, RejectsOutOfRangeOptions) {
+  const Topology t = make_torus_2d(4, 4, 1);
+  const UpDown ud(t, 0);
+  const auto throws_naming = [&](SimpleRoutesOptions o, const char* field) {
+    try {
+      const SimpleRoutes sr(t, ud, o);
+      ADD_FAILURE() << "accepted bad " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  SimpleRoutesOptions o;
+  o.max_candidates = 0;
+  throws_naming(o, "max_candidates");
+  o.max_candidates = -3;
+  throws_naming(o, "max_candidates");
+  // The chosen candidate is a 16-bit per-pair index.
+  o.max_candidates = SimpleRoutes::kMaxCandidates + 1;
+  throws_naming(o, "max_candidates");
+  o = {};
+  o.refine_passes = -1;
+  throws_naming(o, "refine_passes");
+  // The extremes of the accepted range still build.
+  o = {};
+  o.max_candidates = 1;
+  o.refine_passes = 0;
+  EXPECT_NO_THROW(SimpleRoutes(t, ud, o));
+  o.max_candidates = SimpleRoutes::kMaxCandidates;
+  EXPECT_NO_THROW(SimpleRoutes(t, ud, o));
 }
 
 // ---- ITB splitting ----

@@ -19,8 +19,6 @@
 // a violation.
 #include "bench_common.hpp"
 
-#include "harness/json.hpp"
-
 using namespace itb;
 using namespace itb::bench;
 
@@ -40,9 +38,6 @@ struct TableStat {
   std::uint64_t table_bytes;
   double build_ms;
 };
-
-constexpr char kSection[] = "lowdiameter";
-constexpr char kScaleSection[] = "lowdiameter_scale";
 
 }  // namespace
 
@@ -157,8 +152,6 @@ int main(int argc, char** argv) {
     int switches = 0;
     int hosts = 0;
     RunResult serial;
-    std::uint64_t table_bytes = 0;
-    double build_ms = 0.0;
   };
   std::vector<ScaleCell> scale;
   bool scale_ok = true;
@@ -170,9 +163,6 @@ int main(int argc, char** argv) {
     cell.testbed = name;
     cell.switches = tb.topo().num_switches();
     cell.hosts = tb.topo().num_hosts();
-    const RouteSet& routes = tb.routes(RoutingScheme::kItbRr);
-    cell.table_bytes = routes.table_bytes();
-    cell.build_ms = routes.build_ms();
 
     UniformPattern pattern(tb.topo().num_hosts());
     RunConfig cfg = base;
@@ -207,70 +197,5 @@ int main(int argc, char** argv) {
   std::printf("scale invariants: %s\n",
               scale_ok ? "OK (0 violations)" : "VIOLATED");
 
-  if (!opts.json.empty()) {
-    {
-      JsonWriter w;
-      w.begin_object();
-      w.key("cells").begin_array();
-      for (std::size_t i = 0; i < cells.size(); ++i) {
-        const GridSpec& c = cells[i];
-        const RunResult& r = grid[i];
-        w.begin_object();
-        w.key("testbed").value(c.testbed);
-        w.key("scheme").value(to_string(c.scheme));
-        w.key("load").value(c.load);
-        w.key("offered").value(r.offered);
-        w.key("accepted").value(r.accepted);
-        w.key("avg_latency_ns").value(r.avg_latency_ns);
-        w.key("p99_latency_ns").value(r.p99_latency_ns);
-        w.key("avg_itbs").value(r.avg_itbs);
-        w.key("saturated").value(r.saturated);
-        w.end_object();
-      }
-      w.end_array();
-      w.key("tables").begin_array();
-      for (const TableStat& t : tables) {
-        w.begin_object();
-        w.key("testbed").value(t.testbed);
-        w.key("scheme").value(to_string(t.scheme));
-        w.key("switches").value(t.switches);
-        w.key("hosts").value(t.hosts);
-        w.key("table_bytes").value(t.table_bytes);
-        w.key("build_ms").value(t.build_ms);
-        w.end_object();
-      }
-      w.end_array();
-      w.end_object();
-      write_json_section(opts.json, kSection, w.str());
-    }
-    {
-      JsonWriter w;
-      w.begin_object();
-      w.key("violation_free").value(scale_ok);
-      w.key("cells").begin_array();
-      for (const ScaleCell& c : scale) {
-        w.begin_object();
-        w.key("testbed").value(c.testbed);
-        w.key("switches").value(c.switches);
-        w.key("hosts").value(c.hosts);
-        w.key("scheme").value(to_string(RoutingScheme::kItbRr));
-        w.key("table_bytes").value(c.table_bytes);
-        w.key("build_ms").value(c.build_ms);
-        w.key("serial").begin_object();
-        w.key("accepted").value(c.serial.accepted);
-        w.key("avg_latency_ns").value(c.serial.avg_latency_ns);
-        w.key("events").value(c.serial.events);
-        w.key("invariant_violations").value(c.serial.invariant_violations);
-        w.key("checked").value(c.serial.checked);
-        w.end_object();
-        w.end_object();
-      }
-      w.end_array();
-      w.end_object();
-      write_json_section(opts.json, kScaleSection, w.str());
-    }
-    std::printf("wrote %s + %s sections to %s\n", kSection, kScaleSection,
-                opts.json.c_str());
-  }
   return scale_ok ? 0 : 1;
 }

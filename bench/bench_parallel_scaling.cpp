@@ -11,7 +11,6 @@
 
 #include <chrono>
 
-#include "harness/json.hpp"
 #include "harness/replicate.hpp"
 
 using namespace itb;
@@ -37,8 +36,6 @@ int main(int argc, char** argv) {
     int jobs;
     double wall_s;
     std::uint64_t events;
-    std::uint64_t workspace_reuses;
-    std::uint64_t arena_bytes_peak;
     std::uint64_t heap_allocs_steady_state;
   };
   std::vector<Sample> samples;
@@ -52,14 +49,12 @@ int main(int argc, char** argv) {
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    std::uint64_t events = 0, reuses = 0, arena_peak = 0, steady = 0;
+    std::uint64_t events = 0, steady = 0;
     for (const RunResult& r : rep.runs) {
       events += r.events;
-      reuses += r.workspace_reuses;
-      arena_peak = std::max(arena_peak, r.arena_bytes_peak);
       steady += r.heap_allocs_steady_state;
     }
-    samples.push_back({jobs, wall_s, events, reuses, arena_peak, steady});
+    samples.push_back({jobs, wall_s, events, steady});
     if (jobs == 1) {
       baseline = std::move(rep);
     } else {
@@ -75,7 +70,7 @@ int main(int argc, char** argv) {
 
   // Per-worker rate divides the aggregate by the workers that can actually
   // run at once (min(jobs, cores)); the ratio jobs=N / jobs=1 is the
-  // parallel efficiency the perf gate tracks.  On an oversubscribed box
+  // parallel efficiency.  On an oversubscribed box
   // (jobs > cores) healthy efficiency stays near 1.0 — it only drops when
   // the workers contend, e.g. on the global allocator lock.
   const unsigned hw = std::thread::hardware_concurrency();
@@ -106,30 +101,5 @@ int main(int argc, char** argv) {
               deterministic ? "OK (all jobs values bit-identical)"
                             : "VIOLATED");
 
-  if (!opts.json.empty()) {
-    JsonWriter w;
-    w.begin_object();
-    w.key("points").value(kPoints);
-    w.key("deterministic").value(deterministic);
-    w.key("hardware_concurrency").value(static_cast<std::int64_t>(hw));
-    w.key("samples").begin_array();
-    for (const Sample& s : samples) {
-      w.begin_object();
-      w.key("jobs").value(s.jobs);
-      w.key("wall_s").value(s.wall_s);
-      w.key("events").value(s.events);
-      w.key("events_per_sec").value(static_cast<double>(s.events) / s.wall_s);
-      w.key("per_worker_events_per_sec").value(per_worker(s));
-      w.key("efficiency").value(per_worker(s) / serial_rate);
-      w.key("workspace_reuses").value(s.workspace_reuses);
-      w.key("arena_bytes_peak").value(s.arena_bytes_peak);
-      w.key("heap_allocs_steady_state").value(s.heap_allocs_steady_state);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    write_json_section(opts.json, "parallel_scaling", w.str());
-    std::printf("wrote parallel_scaling section to %s\n", opts.json.c_str());
-  }
   return deterministic ? 0 : 1;
 }

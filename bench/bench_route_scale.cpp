@@ -2,25 +2,19 @@
 // (compose) cost of the switch-pair factorized store across the topology
 // ladder — the 512-host paper torus up to the 2064-switch / 16512-host
 // Dragonfly — for every table the scheme set uses (UP/DOWN, MIN, and the
-// shared ITB table of ITB-SP/RR).  Table footprints are tracked against the
-// committed baseline record by tools/perf_check.py.
-//
-// JSON section: "route_scale" (BENCH_pr9.json).
+// shared ITB table of ITB-SP/RR).
 #include "bench_common.hpp"
 
 #include <chrono>
 #include <cstdint>
 
 #include "core/route_builder.hpp"
-#include "harness/json.hpp"
 #include "route/topo_minimal.hpp"
 
 using namespace itb;
 using namespace itb::bench;
 
 namespace {
-
-constexpr char kSection[] = "route_scale";
 
 struct Cell {
   std::string testbed;
@@ -33,8 +27,6 @@ struct Cell {
   std::uint64_t route_instances = 0;
   std::uint64_t distinct_walks = 0;
   std::uint64_t distinct_routes = 0;
-  std::uint64_t distinct_altlists = 0;
-  std::uint64_t segments_shared = 0;
   double compose_ns_avg = 0.0;
 };
 
@@ -94,8 +86,6 @@ Cell measure(const std::string& name, const Testbed& tb, RoutingScheme scheme,
   c.route_instances = store.num_routes();
   c.distinct_walks = store.distinct_walks();
   c.distinct_routes = store.distinct_routes();
-  c.distinct_altlists = store.distinct_altlists();
-  c.segments_shared = store.segments_shared();
   c.compose_ns_avg = compose_ns_avg(rs, c.switches);
   return c;
 }
@@ -151,31 +141,5 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  if (!opts.json.empty()) {
-    JsonWriter w;
-    w.begin_object();
-    w.key("cells").begin_array();
-    for (const Cell& c : cells) {
-      w.begin_object();
-      w.key("testbed").value(c.testbed);
-      w.key("switches").value(c.switches);
-      w.key("hosts").value(c.hosts);
-      w.key("scheme").value(to_string(c.scheme));
-      w.key("build_ms").value(c.build_ms);
-      w.key("table_bytes").value(c.table_bytes);
-      w.key("core_bytes").value(c.core_bytes);
-      w.key("route_instances").value(c.route_instances);
-      w.key("distinct_walks").value(c.distinct_walks);
-      w.key("distinct_routes").value(c.distinct_routes);
-      w.key("distinct_altlists").value(c.distinct_altlists);
-      w.key("segments_shared").value(c.segments_shared);
-      w.key("compose_ns_avg").value(c.compose_ns_avg);
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    write_json_section(opts.json, kSection, w.str());
-    std::printf("wrote %s section to %s\n", kSection, opts.json.c_str());
-  }
   return 0;
 }

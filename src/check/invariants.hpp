@@ -5,8 +5,6 @@
 //  * Always-on ledgers (cheap integer comparisons inlined into the engine
 //    steps): flit/credit conservation per channel, slack-buffer occupancy
 //    bounds, ITB pool capacity, and source->sink packet-count conservation.
-//    Gated at runtime by MyrinetParams::ledger_checks so the overhead can be
-//    A/B-measured (bench_micro_kernel records it in BENCH_pr3.json).
 //  * Deep checks (the route-legality verifier in check/route_verify.hpp and
 //    the wait-graph deadlock watchdog in check/watchdog.hpp) attached by the
 //    harness when RunConfig::checked is set; the ITB_CHECKED build flips

@@ -166,17 +166,6 @@ void emit_result(JsonWriter& w, const RunResult& r, bool host_metrics) {
     }
     w.end_array();
   }
-  if (host_metrics && !r.profile.empty()) {
-    w.key("profile").begin_object();
-    for (std::size_t i = 0; i < r.profile.size(); ++i) {
-      const PhaseAgg& a = r.profile[i];
-      w.key(to_string(static_cast<Phase>(i))).begin_object();
-      w.key("wall_ns").value(a.wall_ns);
-      w.key("calls").value(a.calls);
-      w.end_object();
-    }
-    w.end_object();
-  }
   w.end_object();
 }
 }  // namespace

@@ -9,7 +9,6 @@
 #include <fstream>
 #include <iostream>
 #include <ostream>
-#include <sstream>
 
 namespace itb {
 
@@ -76,34 +75,6 @@ void append_series_csv(const std::string& path, const std::string& experiment,
   }
 }
 
-void write_json_section(const std::string& path, const std::string& key,
-                        const std::string& object_text) {
-  std::string existing;
-  {
-    std::ifstream in(path);
-    if (in.good()) {
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      existing = ss.str();
-    }
-  }
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' ')) {
-    existing.pop_back();
-  }
-  std::ofstream os(path, std::ios::trunc);
-  if (existing.empty() || existing.back() != '}') {
-    os << "{\n  \"" << key << "\": " << object_text << "\n}\n";
-    return;
-  }
-  existing.pop_back();  // reopen the top-level object
-  while (!existing.empty() &&
-         (existing.back() == '\n' || existing.back() == ' ')) {
-    existing.pop_back();
-  }
-  os << existing << ",\n  \"" << key << "\": " << object_text << "\n}\n";
-}
-
 TextTable::TextTable(std::vector<std::string> headers)
     : headers_(std::move(headers)) {}
 
@@ -148,7 +119,6 @@ namespace {
                "  --fast       smoke-speed windows (also ITB_BENCH_FAST=1)\n"
                "  --full       full-length windows (the default)\n"
                "  --csv FILE   append every measured point as CSV\n"
-               "  --json FILE  write/merge a machine-readable perf section\n"
                "  --jobs N     worker threads for the parallel drivers\n"
                "               (also ITB_BENCH_JOBS; default: hardware "
                "concurrency)\n";
@@ -172,9 +142,6 @@ BenchOptions parse_bench_args(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--csv") == 0) {
       if (i + 1 >= argc) bench_usage(argv0, "--csv needs a file path");
       opts.csv = argv[++i];
-    } else if (std::strcmp(argv[i], "--json") == 0) {
-      if (i + 1 >= argc) bench_usage(argv0, "--json needs a file path");
-      opts.json = argv[++i];
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
       if (i + 1 >= argc) bench_usage(argv0, "--jobs needs a count");
       char* end = nullptr;

@@ -47,17 +47,8 @@ class TextTable {
 struct BenchOptions {
   bool fast = false;
   std::string csv;
-  std::string json;  // machine-readable perf record (BENCH_*.json sections)
   int jobs = 1;  // parse_bench_args fills in the real default
 };
 [[nodiscard]] BenchOptions parse_bench_args(int argc, char** argv);
-
-/// Write `object_text` (a complete JSON object) as the value of top-level
-/// key `key` in the JSON object stored at `path`.  A missing or empty file
-/// becomes `{"<key>": <object>}`; an existing object gains the key by text
-/// splice.  Keys are not deduplicated — delete the file before regenerating
-/// a perf record (the BENCH_*.json workflow always starts fresh).
-void write_json_section(const std::string& path, const std::string& key,
-                        const std::string& object_text);
 
 }  // namespace itb

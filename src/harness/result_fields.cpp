@@ -94,8 +94,6 @@ constexpr ResultField kFields[] = {
      [](const RunResult& r) { return u64(r.route_core_pairs); }},
     {"route_core_bytes", FieldType::kU64, kHost,
      [](const RunResult& r) { return u64(r.route_core_bytes); }},
-    {"route_compose_ns_avg", FieldType::kF64, kHost,
-     [](const RunResult& r) { return f64(r.route_compose_ns_avg); }},
     {"checked", FieldType::kBool, kSim,
      [](const RunResult& r) { return boolean(r.checked); }},
     {"invariant_violations", FieldType::kU64, kSim,

@@ -53,7 +53,7 @@ struct ResultField {
 };
 
 /// Every scalar RunResult field, in serialization order.  Non-scalar
-/// members (link_util, violations, samples, profile) are emitted and
+/// members (link_util, violations, samples) are emitted and
 /// compared structurally by their owners.
 [[nodiscard]] std::span<const ResultField> result_fields();
 

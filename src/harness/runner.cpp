@@ -48,31 +48,6 @@ void verify_routes_checked(const Testbed& tb, RoutingScheme scheme,
   }
 }
 
-/// Average wall time of one pair lookup + view composition over a small
-/// deterministic LCG pair sample — host-side observability of the
-/// factorized store's on-the-fly host-leg derivation cost (~0.1 ms per
-/// point; never part of the simulated outcome).  The checksum folds into
-/// the result at sub-femtosecond scale so the loop cannot be elided.
-double sampled_compose_ns(const RouteSet& routes) {
-  constexpr int kSamples = 1024;
-  const auto n = static_cast<std::uint64_t>(routes.num_switches());
-  std::uint64_t lcg = 0x9e3779b97f4a7c15ULL;
-  std::uint64_t sink = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < kSamples; ++i) {
-    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
-    const auto s = static_cast<SwitchId>((lcg >> 33) % n);
-    const auto d = static_cast<SwitchId>((lcg >> 13) % n);
-    const AltsView alts = routes.alternatives(s, d);
-    const RouteView v = alts[(lcg >> 3) % alts.size()];
-    sink += static_cast<std::uint64_t>(v.total_switch_hops) +
-            v.legs.back().ports.size();
-  }
-  const std::chrono::duration<double, std::nano> dt =
-      std::chrono::steady_clock::now() - t0;
-  return (dt.count() + static_cast<double>(sink & 1) * 1e-15) / kSamples;
-}
-
 }  // namespace
 
 RunResult run_point(const Testbed& tb, RoutingScheme scheme,
@@ -90,6 +65,10 @@ RunResult run_point_in(SimWorkspace& ws, const Testbed& tb,
   if (cfg.warmup < 0) {
     throw std::invalid_argument("run_point: the warm-up must not be negative");
   }
+  if (cfg.measure >= kTimeNever - cfg.warmup) {
+    throw std::invalid_argument(
+        "run_point: warm-up plus measurement overflows the simulated clock");
+  }
   const auto wall_start = std::chrono::steady_clock::now();
   const RouteSet& routes = tb.routes(scheme);
   ws.prepare(cfg.engine, tb.topo(), routes, cfg.params, policy_of(scheme),
@@ -106,12 +85,6 @@ RunResult run_point_in(SimWorkspace& ws, const Testbed& tb,
     ws.tracer().configure(cfg.trace_capacity);
     net.set_tracer(&ws.tracer());
   }
-  PhaseProfiler* prof = nullptr;
-  if (cfg.profile) {
-    ws.profiler().clear();
-    prof = &ws.profiler();
-    net.set_profiler(prof);
-  }
 
   std::optional<DeadlockWatchdog> watchdog;
   if (cfg.checked) {
@@ -127,10 +100,7 @@ RunResult run_point_in(SimWorkspace& ws, const Testbed& tb,
   TrafficGenerator& gen = ws.generator(pattern, tcfg);
   gen.start();
 
-  {
-    ScopedPhase phase(prof, Phase::kWarmup);
-    sim.run_until(cfg.warmup);
-  }
+  sim.run_until(cfg.warmup);
   metrics.reset_window(sim.now());
   net.reset_channel_stats();
   const std::uint64_t gen_before = gen.messages_generated();
@@ -138,25 +108,22 @@ RunResult run_point_in(SimWorkspace& ws, const Testbed& tb,
 
   const TimePs window_end = cfg.warmup + cfg.measure;
   TimeSeriesSampler sampler;
-  {
-    ScopedPhase phase(prof, Phase::kMeasure);
-    if (cfg.sample_period > 0) {
-      // Slice the window at sample boundaries.  run_until executes events
-      // by their own timestamps and pins the clock to each boundary, so
-      // the sliced run is event-for-event identical to the single
-      // run_until below — sampling never perturbs the simulation.
-      sampler.begin(sim.now(), cfg.sample_link_util, sim, net, metrics,
-                    cfg.sample_itb_pool);
-      for (TimePs b = cfg.warmup + cfg.sample_period; b < window_end;
-           b += cfg.sample_period) {
-        sim.run_until(b);
-        sampler.sample(sim.now(), sim, net, metrics);
-      }
-      sim.run_until(window_end);
+  if (cfg.sample_period > 0) {
+    // Slice the window at sample boundaries.  run_until executes events
+    // by their own timestamps and pins the clock to each boundary, so
+    // the sliced run is event-for-event identical to the single
+    // run_until below — sampling never perturbs the simulation.
+    sampler.begin(sim.now(), cfg.sample_link_util, sim, net, metrics,
+                  cfg.sample_itb_pool);
+    for (TimePs b = cfg.warmup; window_end - b > cfg.sample_period;) {
+      b += cfg.sample_period;
+      sim.run_until(b);
       sampler.sample(sim.now(), sim, net, metrics);
-    } else {
-      sim.run_until(window_end);
     }
+    sim.run_until(window_end);
+    sampler.sample(sim.now(), sim, net, metrics);
+  } else {
+    sim.run_until(window_end);
   }
   const TimePs window = sim.now() - cfg.warmup;
 
@@ -218,7 +185,6 @@ RunResult run_point_in(SimWorkspace& ws, const Testbed& tb,
   r.route_segments_shared = routes.segments_shared();
   r.route_core_pairs = routes.store().num_pairs();
   r.route_core_bytes = routes.store().core_bytes();
-  r.route_compose_ns_avg = sampled_compose_ns(routes);
   r.workspace_reuses = ws.reuses();
   r.arena_bytes_peak = net.arena_bytes_peak();
   r.heap_allocs_steady_state = net.heap_allocs_this_run();
@@ -228,11 +194,6 @@ RunResult run_point_in(SimWorkspace& ws, const Testbed& tb,
     r.trace = ws.tracer().snapshot();
     ws.tracer().disable();
     net.set_tracer(nullptr);
-  }
-  if (cfg.profile) {
-    const auto& totals = ws.profiler().totals();
-    r.profile.assign(totals.begin(), totals.end());
-    net.set_profiler(nullptr);
   }
   const auto wall = std::chrono::steady_clock::now() - wall_start;
   r.wall_ms =

@@ -18,7 +18,6 @@
 #include "harness/testbed.hpp"
 #include "metrics/link_util.hpp"
 #include "net/params.hpp"
-#include "obs/profiler.hpp"
 #include "obs/samplers.hpp"
 #include "obs/trace.hpp"
 #include "sim/event.hpp"
@@ -57,7 +56,7 @@ struct RunConfig {
   bool checked = checked_build();
 
   // --- telemetry (src/obs/; all default-off, see docs/OBSERVABILITY.md).
-  // None of these perturb the simulation: a traced/sampled/profiled run is
+  // None of these perturb the simulation: a traced/sampled run is
   // bit-identical in every simulated metric to a plain one.
 
   /// Record the packet-lifecycle trace into the workspace's ring buffer
@@ -76,8 +75,6 @@ struct RunConfig {
   /// sample — the congestion heatmap's second axis (see
   /// write_heatmap_csv in obs/samplers.hpp).
   bool sample_itb_pool = false;
-  /// Run the phase profiler (wall-clock, host-side) over this point.
-  bool profile = false;
 };
 
 struct RunResult {
@@ -125,8 +122,8 @@ struct RunResult {
   // workload's high-water mark — the arena layer's headline property.
   std::uint64_t heap_allocs_steady_state = 0;
 
-  // Telemetry (cfg.trace / cfg.sample_period / cfg.profile; empty/zero when
-  // off).  trace_records/trace_dropped are classed host-side in the field
+  // Telemetry (cfg.trace / cfg.sample_period; empty/zero when off).
+  // trace_records/trace_dropped are classed host-side in the field
   // registry: the counts themselves replay deterministically, but they
   // differ between a traced and an untraced run of the same point, and
   // same_simulated_metrics must hold across exactly that pair.
@@ -141,14 +138,10 @@ struct RunResult {
   std::uint64_t route_segments_shared = 0; // dedup'd leg port sequences
   std::uint64_t route_core_pairs = 0;      // switch pairs the core indexes
   std::uint64_t route_core_bytes = 0;      // S^2 core (excl. compose tables)
-  double route_compose_ns_avg = 0.0;       // sampled pair-lookup latency
   std::vector<PacketTraceRecord> trace;   // chronological ring snapshot
   /// Windowed time series (simulated-deterministic, compared by
   /// same_simulated_metrics when both runs sampled).
   std::vector<TimeSeriesSample> samples;
-  /// Per-phase wall-clock aggregates, indexed by Phase; empty unless
-  /// cfg.profile (host-side).
-  std::vector<PhaseAgg> profile;
 };
 
 class SimWorkspace;

@@ -58,7 +58,6 @@ void Network::reset(const Topology& topo, const RouteSet& routes,
   topo_ = &topo;
   routes_ = &routes;
   params_ = params;
-  ledger_ = params.ledger_checks;
   sim_->set_pod_handler(this);
 
   // --- wire up channels ---
@@ -148,17 +147,11 @@ void Network::reset(const Topology& topo, const RouteSet& routes,
   on_delivery_ = nullptr;
   event_sink_ = nullptr;
   tracer_ = nullptr;
-  prof_ = nullptr;
   checks_.clear();
   heap_allocs_run_base_ = total_heap_allocs();
 }
 
 void Network::handle_event(const Event& e) {
-  ScopedPhase phase(prof_, Phase::kEventDispatch);
-  dispatch_event(e);
-}
-
-void Network::dispatch_event(const Event& e) {
   switch (e.kind) {
     case EventKind::kChunkSent: chunk_sent(e.ch, e.a); break;
     case EventKind::kChunkArrived: chunk_arrived(e.ch, e.a); break;
@@ -317,7 +310,7 @@ void Network::chunk_sent(ChannelId ch, int k) {
     e.forwarded += k;
     in.occupancy -= k;
     assert(in.occupancy >= 0);
-    if (ledger_ && in.occupancy < 0) {
+    if (in.occupancy < 0) {
       checks_.record(InvariantKind::kFlitConservation, sim_->now(),
                         c.src_in_ch,
                         "buffer occupancy went negative on forward");
@@ -383,7 +376,7 @@ void Network::sender_done(ChannelId ch) {
                              [p](const BufferEntry& e) { return e.pkt == p; });
       assert(it != in.entries.end());
       n.itb_pool_used -= it->reserved_bytes;
-      if (ledger_ && n.itb_pool_used < 0) {
+      if (n.itb_pool_used < 0) {
         checks_.record(InvariantKind::kItbPoolOverflow, sim_->now(),
                           n.id, "ITB pool released below zero");
       }
@@ -428,7 +421,7 @@ void Network::chunk_arrived(ChannelId ch, int k) {
   entry->arrived_raw += k;
   c.occupancy += k;
   c.wire_flits -= k;
-  if (ledger_ && c.wire_flits < 0) {
+  if (c.wire_flits < 0) {
     checks_.record(InvariantKind::kFlitConservation, sim_->now(), ch,
                       "more flits landed than were sent on this channel");
   }
@@ -442,12 +435,10 @@ void Network::chunk_arrived(ChannelId ch, int k) {
     if (c.occupancy > max_occupancy_) max_occupancy_ = c.occupancy;
     if (c.occupancy > params_.slack_buffer_flits) {
       ++fc_violations_;
-      if (ledger_) {
-        checks_.record(InvariantKind::kBufferOverflow, sim_->now(), ch,
-                          "slack buffer at " + std::to_string(c.occupancy) +
-                              " flits, capacity " +
-                              std::to_string(params_.slack_buffer_flits));
-      }
+      checks_.record(InvariantKind::kBufferOverflow, sim_->now(), ch,
+                     "slack buffer at " + std::to_string(c.occupancy) +
+                         " flits, capacity " +
+                         std::to_string(params_.slack_buffer_flits));
     }
     if (!c.stop_sent && c.occupancy > params_.stop_threshold_flits) {
       c.stop_sent = true;
@@ -487,7 +478,7 @@ void Network::burst_arrived(ChannelId ch, int flits) {
   e.arrived_raw += flits;
   c.occupancy += flits;
   c.wire_flits -= flits;
-  if (ledger_ && c.wire_flits < 0) {
+  if (c.wire_flits < 0) {
     checks_.record(InvariantKind::kFlitConservation, sim_->now(), ch,
                       "coalesced burst landed more flits than were sent");
   }
@@ -496,13 +487,12 @@ void Network::burst_arrived(ChannelId ch, int flits) {
 }
 
 void Network::process_header(ChannelId in_ch) {
-  ScopedPhase phase(prof_, Phase::kRouteLookup);
   Channel& in = chan(in_ch);
   BufferEntry& e = in.entries.front();
   assert(!e.header_done && e.arrived_raw > 0);
   e.header_done = true;
   in.occupancy -= 1;  // the routing byte is consumed by the control unit
-  if (ledger_ && in.occupancy < 0) {
+  if (in.occupancy < 0) {
     checks_.record(InvariantKind::kFlitConservation, sim_->now(), in_ch,
                       "buffer occupancy went negative on header strip");
   }
@@ -589,7 +579,7 @@ void Network::stop_arrived(ChannelId ch) {
   // Stop and go credits strictly alternate per channel (stop_sent guards
   // both send sites and the wire preserves order), so a repeated stop means
   // a credit was duplicated or lost somewhere.
-  if (ledger_ && c.sender_stopped) {
+  if (c.sender_stopped) {
     checks_.record(
         InvariantKind::kCreditConservation, sim_->now(), ch,
         "stop credit arrived while the sender was already stopped");
@@ -604,7 +594,7 @@ void Network::go_arrived(ChannelId ch) {
     c.drop_next_go = false;
     return;
   }
-  if (ledger_ && !c.sender_stopped) {
+  if (!c.sender_stopped) {
     checks_.record(InvariantKind::kCreditConservation, sim_->now(), ch,
                       "go credit arrived while the sender was not stopped");
   }
@@ -635,7 +625,7 @@ void Network::nic_header_arrived(ChannelId in_ch, BufferEntry& entry) {
   if (n.itb_pool_used + need <= params_.itb_pool_bytes) {
     n.itb_pool_used += need;
     entry.reserved_bytes = need;
-    if (ledger_ && n.itb_pool_used > params_.itb_pool_bytes) {
+    if (n.itb_pool_used > params_.itb_pool_bytes) {
       checks_.record(InvariantKind::kItbPoolOverflow, sim_->now(), n.id,
                         "ITB pool reserved past capacity");
     }
@@ -672,7 +662,7 @@ void Network::deliver(ChannelId in_ch, BufferEntry& entry) {
   Packet* p = entry.pkt;
   p->deliver_time = sim_->now();
   ++delivered_;
-  if (ledger_ && delivered_ > injected_) {
+  if (delivered_ > injected_) {
     checks_.record(InvariantKind::kPacketConservation, sim_->now(),
                       static_cast<std::int64_t>(p->id),
                       "more packets delivered than injected");
@@ -684,10 +674,7 @@ void Network::deliver(ChannelId in_ch, BufferEntry& entry) {
                            p->inject_time, p->deliver_time, p->itbs_used,
                            p->alt_index, p->route.total_switch_hops,
                            p->spilled_to_host_memory};
-  if (on_delivery_) {
-    ScopedPhase phase(prof_, Phase::kMetrics);
-    on_delivery_(rec);
-  }
+  if (on_delivery_) on_delivery_(rec);
   // Close the adaptive-policy loop: the source learns the network latency
   // of the alternative it picked (models an acknowledgment path).
   nic(p->src).selector.feedback(p->route.dst_switch, p->alt_index,
@@ -771,7 +758,6 @@ std::string Network::channel_label(ChannelId ch) const {
 }
 
 void Network::audit_invariants(bool quiescent) {
-  ScopedPhase phase(prof_, Phase::kLedgerChecks);
   const TimePs now = sim_->now();
   // Per-channel ledgers: every occupancy must equal the sum of its live
   // entries' resident flits, and no wire may have landed more than was sent.

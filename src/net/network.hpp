@@ -42,7 +42,6 @@
 #include "core/route_set.hpp"
 #include "net/packet.hpp"
 #include "net/params.hpp"
-#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "sim/arena.hpp"
 #include "sim/rng.hpp"
@@ -125,11 +124,6 @@ class Network : public PodHandler {
   /// every hot-path hook is a single null test when disabled.  Cleared by
   /// reset().
   void set_tracer(PacketTracer* tracer) { tracer_ = tracer; }
-
-  /// Attach a phase profiler (src/obs/profiler.hpp) timing event dispatch,
-  /// route lookup, ledger audits and the metrics callback.  Null disables.
-  /// Cleared by reset().
-  void set_profiler(PhaseProfiler* prof) { prof_ = prof; }
 
   /// Queue a message (ready in the source NIC's memory now) for injection.
   void inject(HostId src, HostId dst, int payload_bytes);
@@ -340,7 +334,6 @@ class Network : public PodHandler {
   };
 
   // ---- engine steps ----
-  void dispatch_event(const Event& e);
   void try_send(ChannelId ch);
   void chunk_sent(ChannelId ch, int k);
   void chunk_arrived(ChannelId ch, int k);
@@ -421,11 +414,9 @@ class Network : public PodHandler {
   DeliveryCallback on_delivery_;
   PacketEventSink event_sink_;
   PacketTracer* tracer_ = nullptr;   // null unless a run asked for tracing
-  PhaseProfiler* prof_ = nullptr;    // null unless a run asked for profiling
   // The (arena blocks + packet growth) watermark captured at the last
   // reset — see heap_allocs_this_run.
   std::uint64_t heap_allocs_run_base_ = 0;
-  bool ledger_ = true;  // params.ledger_checks (always-on invariant tier)
   InvariantRecorder checks_;
 };
 

@@ -70,12 +70,6 @@ struct MyrinetParams {
   /// schedule of every remaining event bit-for-bit.
   bool coalesce_chunk_flow = true;
 
-  /// Always-on invariant ledgers (flit/credit conservation, buffer bounds,
-  /// ITB pool capacity, packet conservation): cheap integer comparisons on
-  /// the hot path, on by default.  Off exists solely so bench_micro_kernel
-  /// can A/B their cost (the ≤5% budget recorded in BENCH_pr3.json).
-  bool ledger_checks = true;
-
   [[nodiscard]] TimePs cable_prop_delay(double length_m) const {
     return static_cast<TimePs>(cable_delay_ps_per_m * length_m + 0.5);
   }

@@ -2,8 +2,9 @@
 //
 // The Network carries a `PacketTracer*` that is null unless a run asked for
 // tracing (RunConfig::trace), so every hot-path hook compiles to a single
-// predictable null test when tracing is disabled — the ≤2% overhead budget
-// enforced by bench_micro_kernel's tracing A/B and tools/perf_check.py.
+// predictable null test when tracing is disabled.  The benchmark suite
+// records what tracing costs when enabled as obs.trace_overhead_frac
+// (benchsuite/README.md).
 //
 // The buffer is bounded: once `capacity` records have been written the ring
 // wraps and the oldest records are overwritten, keeping the most recent

@@ -8,7 +8,7 @@
 // workspace that is reused across simulation points performs ZERO global
 // heap allocations once the block list has grown to the workload's
 // high-water mark — the property RunResult::heap_allocs_steady_state
-// reports and bench_parallel_scaling tracks.
+// reports (asserted by test_workspace).
 //
 // Single-threaded by design: each Network owns one arena and a Network is
 // only ever driven by one thread (the per-worker workspace contract).

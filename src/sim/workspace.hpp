@@ -31,7 +31,6 @@
 
 #include "metrics/collector.hpp"
 #include "net/network.hpp"
-#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "traffic/generator.hpp"
@@ -62,12 +61,11 @@ class SimWorkspace {
   [[nodiscard]] Network& net() { return *net_; }
   [[nodiscard]] MetricsCollector& metrics() { return *metrics_; }
 
-  /// Per-workspace telemetry buffers (src/obs/).  Owned here so traced runs
-  /// honor the reuse contract: the tracer ring and profiler table keep
-  /// their storage across points.  prepare() does NOT attach them — the
-  /// harness does, only for runs that asked for tracing/profiling.
+  /// Per-workspace trace buffer (src/obs/).  Owned here so traced runs
+  /// honor the reuse contract: the tracer ring keeps its storage across
+  /// points.  prepare() does NOT attach it — the harness does, only for
+  /// runs that asked for tracing.
   [[nodiscard]] PacketTracer& tracer() { return tracer_; }
-  [[nodiscard]] PhaseProfiler& profiler() { return profiler_; }
 
   /// How many prepare() calls reused existing storage instead of
   /// constructing it (0 through a fresh workspace's first point).
@@ -79,7 +77,6 @@ class SimWorkspace {
   std::optional<MetricsCollector> metrics_;
   std::optional<TrafficGenerator> gen_;
   PacketTracer tracer_;
-  PhaseProfiler profiler_;
   std::uint64_t reuses_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace itb {
 
@@ -22,6 +23,10 @@ void TrafficGenerator::reset(const DestinationPattern& pattern,
     throw std::invalid_argument("TrafficGenerator: bad load/payload");
   }
   const auto& topo = net_->topology();
+  if (topo.num_hosts() == 0) {
+    throw std::invalid_argument("TrafficGenerator: topology '" + topo.name() +
+                                "' has no hosts to generate traffic");
+  }
   // load [flits/ns/switch] * switches = network flits/ns; divide across
   // hosts; a host then emits payload_bytes flits every `interval`.
   const double per_host_flits_per_ns =

@@ -1,5 +1,5 @@
 // Telemetry-layer suite: the PacketTracer ring (wrap/overflow accounting),
-// the pure-observer contract (tracing/profiling on vs off is bit-identical
+// the pure-observer contract (tracing on vs off is bit-identical
 // in every simulated metric), trace determinism across workspace reuse, and
 // the Perfetto exporter's structural sanity.
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 
 #include "harness/runner.hpp"
 #include "obs/perfetto.hpp"
-#include "obs/profiler.hpp"
 #include "obs/trace.hpp"
 #include "sim/workspace.hpp"
 #include "topo/generators.hpp"
@@ -187,36 +186,6 @@ TEST(Obs, PerfettoExportIsStructurallySane) {
       static_cast<std::size_t>(std::count(csv.begin(), csv.end(), '\n'));
   EXPECT_EQ(rows, r.trace.size() + 1);
   EXPECT_EQ(csv.rfind("t_ps,kind,packet,channel,switch,host\n", 0), 0u);
-}
-
-TEST(Obs, ProfilerPopulatesEveryPhaseAndStaysPureObserver) {
-  Testbed tb(make_torus_2d(4, 4, 4));
-  UniformPattern pat(tb.topo().num_hosts());
-  RunConfig cfg = traced_config();
-  cfg.trace = false;
-  cfg.profile = true;
-  cfg.checked = true;  // exercise the ledger-checks phase too
-
-  const RunResult prof = run_point(tb, RoutingScheme::kItbRr, pat, cfg);
-  cfg.profile = false;
-  const RunResult plain = run_point(tb, RoutingScheme::kItbRr, pat, cfg);
-
-  EXPECT_TRUE(same_simulated_metrics(prof, plain));
-  EXPECT_TRUE(plain.profile.empty());
-  ASSERT_EQ(prof.profile.size(), PhaseProfiler::kPhases);
-
-  const auto& warm = prof.profile[static_cast<std::size_t>(Phase::kWarmup)];
-  const auto& meas = prof.profile[static_cast<std::size_t>(Phase::kMeasure)];
-  const auto& disp =
-      prof.profile[static_cast<std::size_t>(Phase::kEventDispatch)];
-  EXPECT_EQ(warm.calls, 1u);
-  EXPECT_EQ(meas.calls, 1u);
-  EXPECT_GT(warm.wall_ns, 0);
-  EXPECT_GT(meas.wall_ns, 0);
-  // Dispatch is called once per engine event and nested inside the
-  // warmup/measure scopes (times are inclusive).
-  EXPECT_GT(disp.calls, 0u);
-  EXPECT_LE(disp.wall_ns, warm.wall_ns + meas.wall_ns);
 }
 
 }  // namespace

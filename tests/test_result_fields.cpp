@@ -54,7 +54,6 @@ RunResult distinctive_result() {
   r.route_segments_shared = 115;
   r.route_core_pairs = 120;
   r.route_core_bytes = 121;
-  r.route_compose_ns_avg = 13.25;
   r.checked = false;
   r.invariant_violations = 113;
   return r;
@@ -167,7 +166,6 @@ TEST(ResultFields, DeterminismComparisonUsesTheRegistryClasses) {
   b.route_segments_shared += 3;
   b.route_core_pairs += 19;
   b.route_core_bytes += 23;
-  b.route_compose_ns_avg += 0.75;
   EXPECT_TRUE(same_simulated_metrics(a, b));
 
   // …while any simulated scalar difference must.
@@ -186,7 +184,7 @@ TEST(ResultFields, RegistryCoversEveryRunResultScalar) {
   // Drift guard: adding a scalar to RunResult without registering it (or
   // registering without adding) trips this count.  Update BOTH together —
   // result_fields.cpp is the single source the emitters iterate.
-  EXPECT_EQ(result_fields().size(), 31u);
+  EXPECT_EQ(result_fields().size(), 30u);
 }
 
 }  // namespace

@@ -86,16 +86,15 @@ using namespace itb;
                "                   at ui.perfetto.dev or chrome://tracing)\n"
                "  --trace-raw PATH write the raw trace as CSV (convert later\n"
                "                   with tools/trace2perfetto.py)\n"
-               "  --trace-capacity N  trace ring size in records (default\n"
-               "                   65536; oldest records drop on overflow)\n"
+               "  --trace-capacity N  trace ring size in records, 1 to\n"
+               "                   16777216 (default 65536; oldest records\n"
+               "                   drop on overflow)\n"
                "  --samples PATH   append windowed time-series samples as CSV\n"
                "  --sample-us N    sample window width (default measure/20)\n"
                "  --heatmap PATH   write a congestion heatmap CSV: one row\n"
                "                   per (metric, id, window) — link_util by\n"
                "                   channel, itb_pool by host; implies\n"
-               "                   windowed sampling\n"
-               "  --profile        time engine phases, report per-phase wall\n"
-               "                   clock (included in --json output)\n",
+               "                   windowed sampling\n",
                argv0);
   std::exit(2);
 }
@@ -177,6 +176,22 @@ std::unique_ptr<DestinationPattern> make_pattern(const std::string& spec,
   usage(argv0, "unknown pattern '" + spec + "'");
 }
 
+/// Largest microsecond count whose picosecond value fits in TimePs.
+constexpr long long kMaxUs = kTimeNever / us(1);
+/// Largest trace ring: 16 Mi records of at most 32 bytes each.
+constexpr long long kMaxTraceCapacity = 1LL << 24;
+
+/// Parse a whole decimal integer in [lo, hi].  Anything else (a value out
+/// of range, trailing junk) throws std::out_of_range or
+/// std::invalid_argument, which the option loop reports as "bad value".
+long long parse_int_in(const std::string& s, long long lo, long long hi) {
+  std::size_t end = 0;
+  const long long v = std::stoll(s, &end);
+  if (end != s.size()) throw std::invalid_argument(s);
+  if (v < lo || v > hi) throw std::out_of_range(s);
+  return v;
+}
+
 std::optional<RoutingScheme> parse_scheme(const std::string& name) {
   for (const RoutingScheme s :
        {RoutingScheme::kUpDown, RoutingScheme::kItbSp, RoutingScheme::kItbRr,
@@ -207,8 +222,7 @@ int main(int argc, char** argv) {
   std::string trace_raw_path;
   std::string samples_path;
   std::string heatmap_path;
-  long long sample_us = 0;
-  bool profile = false;
+  long long sample_us = 0;  // 0: default window (measure / 20)
   RunConfig cfg;
 
   auto need_value = [&](int& i) -> std::string {
@@ -226,8 +240,10 @@ int main(int argc, char** argv) {
       else if (arg == "--sweep") sweep_spec = need_value(i);
       else if (arg == "--find-saturation") find_sat = true;
       else if (arg == "--payload") cfg.payload_bytes = std::stoi(need_value(i));
-      else if (arg == "--warmup-us") cfg.warmup = us(std::stoll(need_value(i)));
-      else if (arg == "--measure-us") cfg.measure = us(std::stoll(need_value(i)));
+      else if (arg == "--warmup-us")
+        cfg.warmup = us(parse_int_in(need_value(i), 0, kMaxUs));
+      else if (arg == "--measure-us")
+        cfg.measure = us(parse_int_in(need_value(i), 0, kMaxUs));
       else if (arg == "--seed") cfg.seed = std::stoull(need_value(i));
       else if (arg == "--chunk") cfg.params.chunk_flits = std::stoi(need_value(i));
       else if (arg == "--poisson") cfg.poisson = true;
@@ -240,11 +256,12 @@ int main(int argc, char** argv) {
       else if (arg == "--trace") trace_path = need_value(i);
       else if (arg == "--trace-raw") trace_raw_path = need_value(i);
       else if (arg == "--trace-capacity")
-        cfg.trace_capacity = static_cast<std::size_t>(std::stoull(need_value(i)));
+        cfg.trace_capacity = static_cast<std::size_t>(
+            parse_int_in(need_value(i), 1, kMaxTraceCapacity));
       else if (arg == "--samples") samples_path = need_value(i);
       else if (arg == "--heatmap") heatmap_path = need_value(i);
-      else if (arg == "--sample-us") sample_us = std::stoll(need_value(i));
-      else if (arg == "--profile") profile = true;
+      else if (arg == "--sample-us")
+        sample_us = parse_int_in(need_value(i), 1, kMaxUs);
       else if (arg == "--help" || arg == "-h") usage(argv[0]);
       else usage(argv[0], "unknown option '" + arg + "'");
     } catch (const std::invalid_argument&) {
@@ -344,7 +361,6 @@ int main(int argc, char** argv) {
     } else {
       cfg.load_flits_per_ns_per_switch = load;
       cfg.trace = !trace_path.empty() || !trace_raw_path.empty();
-      cfg.profile = profile;
       if (!samples_path.empty() || !heatmap_path.empty() || sample_us > 0) {
         cfg.sample_period =
             sample_us > 0 ? us(sample_us) : cfg.measure / 20;
@@ -389,17 +405,6 @@ int main(int argc, char** argv) {
         write_heatmap_csv(heatmap_path, r.samples);
         std::fprintf(stderr, "heatmap: %zu windows -> %s\n",
                      r.samples.size(), heatmap_path.c_str());
-      }
-      if (profile && !as_json) {
-        std::printf("# phase profile (wall clock, inclusive)\n");
-        for (std::size_t i = 0; i < r.profile.size(); ++i) {
-          const PhaseAgg& a = r.profile[i];
-          if (a.calls == 0) continue;
-          std::printf("  %-16s %10.3f ms  %12llu calls\n",
-                      to_string(static_cast<Phase>(i)),
-                      static_cast<double>(a.wall_ns) / 1e6,
-                      static_cast<unsigned long long>(a.calls));
-        }
       }
     }
   } catch (const std::exception& e) {

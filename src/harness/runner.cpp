@@ -192,7 +192,6 @@ RunResult run_point_in(SimWorkspace& ws, const Testbed& tb,
     r.trace_records = ws.tracer().recorded();
     r.trace_dropped = ws.tracer().dropped();
     r.trace = ws.tracer().snapshot();
-    ws.tracer().disable();
     net.set_tracer(nullptr);
   }
   const auto wall = std::chrono::steady_clock::now() - wall_start;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <ostream>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -25,17 +24,6 @@ std::size_t idx(std::int64_t v) { return static_cast<std::size_t>(v); }
   do {                                      \
   } while (0)
 #endif
-
-const char* to_string(PacketEvent e) {
-  switch (e) {
-    case PacketEvent::kInjected: return "injected";
-    case PacketEvent::kHeaderAtSwitch: return "header";
-    case PacketEvent::kEjectedAtItb: return "ejected";
-    case PacketEvent::kReinjectionReady: return "ready";
-    case PacketEvent::kDelivered: return "delivered";
-  }
-  return "?";
-}
 
 Network::Network(Simulator& sim, const Topology& topo, const RouteSet& routes,
                  const MyrinetParams& params, PathPolicy policy,
@@ -145,7 +133,6 @@ void Network::reset(const Topology& topo, const RouteSet& routes,
   max_occupancy_ = 0;
 
   on_delivery_ = nullptr;
-  event_sink_ = nullptr;
   tracer_ = nullptr;
   checks_.clear();
   heap_allocs_run_base_ = total_heap_allocs();
@@ -180,12 +167,6 @@ Packet* Network::alloc_packet() {
 
 void Network::free_packet(Packet* p) { packet_free_.push_back(p); }
 
-void Network::emit_event(const Packet* p, PacketEvent ev, SwitchId sw,
-                         HostId host) {
-  if (!event_sink_) return;
-  event_sink_(PacketEventRecord{sim_->now(), p->id, ev, sw, host});
-}
-
 void Network::inject(HostId src, HostId dst, int payload_bytes) {
   assert(src != dst);
   assert(payload_bytes > 0);
@@ -208,7 +189,6 @@ void Network::inject(HostId src, HostId dst, int payload_bytes) {
                                            params_.type_bytes);
   ++injected_;
   n.source_queue.push_back(p);
-  emit_event(p, PacketEvent::kInjected, kNoSwitch, src);
   trace(TraceKind::kInject, p->id, -1, kNoSwitch, src);
   nic_try_start(src);
 }
@@ -501,7 +481,6 @@ void Network::process_header(ChannelId in_ch) {
     sched_event(in.prop_delay, EventKind::kGoArrived, in_ch);
   }
   Packet* p = e.pkt;
-  emit_event(p, PacketEvent::kHeaderAtSwitch, in.dst_sw, kNoHost);
   trace(TraceKind::kHeader, p->id, in_ch, in.dst_sw, kNoHost);
   const PortId port = p->next_port();
   const ChannelId out_ch = out_channel(in.dst_sw, port);
@@ -617,7 +596,6 @@ void Network::nic_header_arrived(ChannelId in_ch, BufferEntry& entry) {
   // programming pipeline.
   entry.is_delivery = false;
   ++p->itbs_used;
-  emit_event(p, PacketEvent::kEjectedAtItb, kNoSwitch, chan(in_ch).dst_host);
   trace(TraceKind::kEject, p->id, in_ch, kNoSwitch, chan(in_ch).dst_host);
   Nic& n = nic(chan(in_ch).dst_host);
   const std::int64_t need = entry.total_flits;  // one byte per flit
@@ -650,7 +628,6 @@ void Network::itb_ready(Packet* p) {
   p->leg_wire_flits = leg_start_wire_flits(p->route, p->current_leg,
                                            p->payload_flits,
                                            params_.type_bytes);
-  emit_event(p, PacketEvent::kReinjectionReady, kNoSwitch, host);
   trace(TraceKind::kReinject, p->id, -1, kNoSwitch, host);
   Nic& n = nic(host);
   n.itb_queue.push_back(p);
@@ -667,7 +644,6 @@ void Network::deliver(ChannelId in_ch, BufferEntry& entry) {
                       static_cast<std::int64_t>(p->id),
                       "more packets delivered than injected");
   }
-  emit_event(p, PacketEvent::kDelivered, kNoSwitch, p->dst);
   trace(TraceKind::kDeliver, p->id, in_ch, kNoSwitch, p->dst);
 
   const DeliveryRecord rec{p->src, p->dst, p->payload_flits, p->gen_time,
@@ -693,48 +669,6 @@ void Network::reset_channel_stats() {
     c.busy_accum = 0;
     c.stopped_accum = 0;
     if (c.stopped_since >= 0) c.stopped_since = sim_->now();
-  }
-}
-
-void Network::debug_dump(std::ostream& os) const {
-  os << "=== network dump @" << sim_->now()
-     << "ps: injected=" << packets_injected()
-     << " delivered=" << packets_delivered() << "\n";
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    const Channel& c = channels_[i];
-    if (c.owner == nullptr && c.entries.empty() && c.requests.empty()) {
-      continue;
-    }
-    os << "ch " << i << " [";
-    if (c.from_switch) {
-      os << "sw" << c.src_sw << ":p" << c.src_port;
-    } else {
-      os << "host" << c.src_host;
-    }
-    os << " -> ";
-    if (c.into_switch) {
-      os << "sw" << c.dst_sw << ":p" << c.dst_port;
-    } else {
-      os << "host" << c.dst_host;
-    }
-    os << "]";
-    if (c.owner != nullptr) {
-      os << " owner=pkt" << c.owner->id << " sent=" << c.sent << "/"
-         << c.flow_len << (c.sending ? " SENDING" : "")
-         << (c.grant_pending ? " GRANT_PENDING" : "")
-         << (c.sender_stopped ? " STOPPED" : "");
-    }
-    os << " occ=" << c.occupancy << (c.stop_sent ? " STOP_SENT" : "");
-    for (const BufferEntry& e : c.entries) {
-      os << " {pkt" << e.pkt->id << " " << e.arrived_raw << "/"
-         << e.total_flits << " fwd=" << e.forwarded
-         << (e.header_done ? " hdr" : "") << " out=" << e.out_ch << "}";
-    }
-    if (!c.requests.empty()) {
-      os << " waiting:";
-      for (const Request& r : c.requests) os << " pkt" << r.pkt->id;
-    }
-    os << "\n";
   }
 }
 

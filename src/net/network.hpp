@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,28 +49,6 @@
 #include "topo/topology.hpp"
 
 namespace itb {
-
-/// Milestones in a packet's life, reported through the optional packet
-/// event sink (observability/debugging; zero cost when no sink is set).
-enum class PacketEvent : std::uint8_t {
-  kInjected,          // first enqueued at the source NIC
-  kHeaderAtSwitch,    // routing control unit consumed the header byte
-  kEjectedAtItb,      // recognised as in-transit at a host NIC
-  kReinjectionReady,  // detection + DMA programming finished
-  kDelivered,         // tail arrived at the destination NIC
-};
-
-[[nodiscard]] const char* to_string(PacketEvent e);
-
-struct PacketEventRecord {
-  TimePs time;
-  std::uint64_t packet_id;
-  PacketEvent event;
-  SwitchId sw;   // kHeaderAtSwitch only
-  HostId host;   // source / in-transit / destination host, by event
-};
-
-using PacketEventSink = std::function<void(const PacketEventRecord&)>;
 
 /// Snapshot of one delivered packet handed to the delivery callback.
 struct DeliveryRecord {
@@ -113,12 +90,6 @@ class Network : public PodHandler {
 
   /// Called for every packet delivered at its final destination.
   void set_delivery_callback(DeliveryCallback cb) { on_delivery_ = std::move(cb); }
-
-  /// Observe every packet milestone (header consumption per switch, ITB
-  /// ejection/re-injection, delivery).  Pass nullptr to disable.
-  void set_packet_event_sink(PacketEventSink sink) {
-    event_sink_ = std::move(sink);
-  }
 
   /// Attach a packet-lifecycle tracer (src/obs/trace.hpp).  Null disables;
   /// every hot-path hook is a single null test when disabled.  Cleared by
@@ -234,10 +205,6 @@ class Network : public PodHandler {
   [[nodiscard]] std::int64_t itb_pool_used(HostId h) const {
     return nics_[static_cast<std::size_t>(h)].itb_pool_used;
   }
-
-  /// Diagnostic dump of every busy channel (owner, progress, flow-control
-  /// state) — used to investigate stalls in tests.
-  void debug_dump(std::ostream& os) const;
 
  private:
   // ---- internal structures ----
@@ -362,7 +329,6 @@ class Network : public PodHandler {
 
   Packet* alloc_packet();
   void free_packet(Packet* p);
-  void emit_event(const Packet* p, PacketEvent ev, SwitchId sw, HostId host);
 
   /// Lifecycle hook shared by every trace site.  Disabled cost is the one
   /// null test on tracer_.
@@ -412,7 +378,6 @@ class Network : public PodHandler {
   int max_occupancy_ = 0;
 
   DeliveryCallback on_delivery_;
-  PacketEventSink event_sink_;
   PacketTracer* tracer_ = nullptr;   // null unless a run asked for tracing
   // The (arena blocks + packet growth) watermark captured at the last
   // reset — see heap_allocs_this_run.

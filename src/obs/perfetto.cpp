@@ -135,24 +135,4 @@ std::string trace_to_chrome_json(const std::vector<PacketTraceRecord>& records,
   return out;
 }
 
-std::string trace_to_csv(const std::vector<PacketTraceRecord>& records) {
-  std::string out = "t_ps,kind,packet,channel,switch,host\n";
-  out.reserve(out.size() + records.size() * 40);
-  for (const PacketTraceRecord& r : records) {
-    out += std::to_string(r.t);
-    out += ',';
-    out += to_string(r.kind);
-    out += ',';
-    out += std::to_string(r.packet);
-    out += ',';
-    out += std::to_string(r.ch);
-    out += ',';
-    out += std::to_string(r.sw);
-    out += ',';
-    out += std::to_string(r.host);
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace itb

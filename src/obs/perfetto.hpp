@@ -29,9 +29,4 @@ struct PacketTraceRecord;
     const std::vector<PacketTraceRecord>& records, const Network& net,
     std::uint64_t dropped);
 
-/// Raw dump, one record per row (t_ps,kind,packet,channel,switch,host) —
-/// the input format tools/trace2perfetto.py converts, for workflows that
-/// post-process traces without re-running the simulator.
-[[nodiscard]] std::string trace_to_csv(const std::vector<PacketTraceRecord>& records);
-
 }  // namespace itb

@@ -71,20 +71,17 @@ static_assert(sizeof(PacketTraceRecord) <= 32, "keep trace records compact");
 
 class PacketTracer {
  public:
-  /// Enable tracing into a ring of `capacity` records, discarding any
-  /// previous content.  Storage is reused when the capacity is unchanged
-  /// (no steady-state allocation across reused workspaces).
+  /// Prepare a ring of `capacity` records, discarding any previous
+  /// content.  Storage is reused when the capacity is unchanged (no
+  /// steady-state allocation across reused workspaces).
   void configure(std::size_t capacity) {
     if (capacity == 0) capacity = 1;
     if (ring_.size() != capacity) {
       ring_.assign(capacity, PacketTraceRecord{});
     }
     recorded_ = 0;
-    enabled_ = true;
   }
 
-  void disable() { enabled_ = false; }
-  [[nodiscard]] bool enabled() const { return enabled_; }
   [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
 
   /// Total records observed since configure(), including overwritten ones.
@@ -99,8 +96,8 @@ class PacketTracer {
                                     : ring_.size();
   }
 
-  /// Hot-path append (call only while enabled; the Network guards with its
-  /// null tracer pointer, so the disabled cost is that single branch).
+  /// Hot-path append.  The Network calls it only while this tracer is
+  /// attached, so the disabled cost is its single null-pointer test.
   void record(TimePs t, TraceKind kind, std::uint64_t packet, ChannelId ch,
               SwitchId sw, HostId host) {
     PacketTraceRecord& r = ring_[static_cast<std::size_t>(recorded_ % ring_.size())];
@@ -132,7 +129,6 @@ class PacketTracer {
 
   std::vector<PacketTraceRecord> ring_;
   std::uint64_t recorded_ = 0;
-  bool enabled_ = false;
 };
 
 }  // namespace itb

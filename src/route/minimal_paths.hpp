@@ -69,7 +69,7 @@ struct SwitchAdjacency {
   std::vector<Edge> edges;
 };
 
-/// Reusable DFS state for for_each_minimal_path; sized on first use,
+/// Reusable DFS state for for_each_minimal_path_dag; sized on first use,
 /// alloc-free afterwards.
 struct MinimalPathScratch {
   std::vector<SwitchId> sw;
@@ -139,68 +139,21 @@ struct PrunedDag {
   std::span<const int> dist;            // the row the DAG was built from
 };
 
-/// Allocation-free variant of enumerate_minimal_paths: emits each minimal
-/// path as `emit(sw, cable, port, hops)` — `sw` has hops+1 entries,
-/// `cable`/`port` have `hops` (the output port of sw[i] crossing cable[i]).
-/// Paths and order are identical to enumerate_minimal_paths; returns the
-/// number emitted.  The spans point into `scratch` and are only valid for
-/// the duration of the callback.
-template <typename Emit>
-int for_each_minimal_path(const SwitchAdjacency& adj, SwitchId s, SwitchId d,
-                          int max_paths, unsigned rotation,
-                          std::span<const int> dist_to_d,
-                          MinimalPathScratch& sc, Emit&& emit) {
-  if (max_paths <= 0) return 0;
-  const auto uz = [](std::int64_t v) { return static_cast<std::size_t>(v); };
-  if (s == d) {
-    sc.ensure(0);
-    sc.sw[0] = s;
-    emit(sc.sw.data(), sc.cable.data(), sc.port.data(), 0);
-    return 1;
-  }
-  if (dist_to_d[uz(s)] < 0) return 0;
-  sc.ensure(dist_to_d[uz(s)]);
-  int found = 0;
-  int depth = 0;
-  sc.sw[0] = s;
-  sc.pi[0] = 0;
-  while (depth >= 0) {
-    const SwitchId u = sc.sw[uz(depth)];
-    if (u == d) {
-      emit(sc.sw.data(), sc.cable.data(), sc.port.data(), depth);
-      if (++found >= max_paths) break;
-      --depth;
-      continue;
-    }
-    const std::span<const SwitchAdjacency::Edge> edges = adj.of(u);
-    const std::size_t deg = edges.size();
-    const int want = dist_to_d[uz(u)] - 1;
-    bool advanced = false;
-    while (sc.pi[uz(depth)] < deg) {
-      const std::size_t k = sc.pi[uz(depth)]++;
-      const SwitchAdjacency::Edge& e = edges[(k + rotation) % deg];
-      if (dist_to_d[uz(e.sw)] != want) continue;
-      sc.cable[uz(depth)] = e.cable;
-      sc.port[uz(depth)] = e.port;
-      sc.sw[uz(depth) + 1] = e.sw;
-      ++depth;
-      sc.pi[uz(depth)] = 0;
-      advanced = true;
-      break;
-    }
-    if (!advanced) --depth;
-  }
-  return found;
-}
-
-/// Pruned-DAG twin of for_each_minimal_path: identical paths in identical
-/// order, but all feasibility decisions were precomputed by
-/// PrunedDag::build, so the DFS inner loop touches only edges that lie on
-/// some minimal path.  Order equivalence: the plain DFS scans the full
-/// port list starting at offset `rotation % deg` and skips infeasible
-/// edges — which visits the feasible sub-list cyclically starting at its
-/// first entry whose full-list index is >= the offset.  That cyclic scan
-/// is what this DFS performs directly.
+/// Allocation-free minimal-path enumeration over a pruned DAG: emits each
+/// minimal path as `emit(sw, cable, port, hops)` — `sw` has hops+1
+/// entries, `cable`/`port` have `hops` (the output port of sw[i] crossing
+/// cable[i]) — and returns the number emitted.  The spans point into
+/// `sc` and are only valid for the duration of the callback.
+///
+/// It emits the same paths in the same order as enumerate_minimal_paths,
+/// the oracle of the test reference builder (tests/support), but every
+/// feasibility decision was precomputed by PrunedDag::build, so the inner
+/// loop touches only edges that lie on some minimal path.  Order
+/// equivalence: enumerate_minimal_paths scans the full port list starting
+/// at offset `rotation % deg` and skips infeasible edges, which visits the
+/// feasible sub-list cyclically starting at its first entry whose
+/// full-list index is >= the offset.  That cyclic scan is what this DFS
+/// performs directly.
 template <typename Emit>
 int for_each_minimal_path_dag(const PrunedDag& dag, SwitchId s, SwitchId d,
                               int max_paths, unsigned rotation,

@@ -30,9 +30,8 @@ void Simulator::run_callback_slot(std::int32_t slot) {
 
 std::uint64_t Simulator::run_until(TimePs deadline) {
   std::uint64_t n = 0;
-  stop_requested_ = false;
   Event e;
-  while (!stop_requested_ && calendar_.pop_if_at_most(deadline, e)) {
+  while (calendar_.pop_if_at_most(deadline, e)) {
     if (e.at < now_) ++causality_violations_;
     now_ = e.at;
     if (e.kind == EventKind::kCallback) {
@@ -49,24 +48,6 @@ std::uint64_t Simulator::run_until(TimePs deadline) {
       calendar_.next_time() > deadline) {
     now_ = deadline;
   }
-  return n;
-}
-
-std::uint64_t Simulator::run_while(const std::function<bool()>& keep_going) {
-  std::uint64_t n = 0;
-  stop_requested_ = false;
-  while (!calendar_.empty() && !stop_requested_ && keep_going()) {
-    const Event e = calendar_.pop();
-    if (e.at < now_) ++causality_violations_;
-    now_ = e.at;
-    if (e.kind == EventKind::kCallback) {
-      run_callback_slot(e.a);
-    } else {
-      handler_->handle_event(e);
-    }
-    ++n;
-  }
-  executed_ += n;
   return n;
 }
 

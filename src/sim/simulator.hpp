@@ -45,7 +45,6 @@ class Simulator {
     now_ = 0;
     executed_ = 0;
     causality_violations_ = 0;
-    stop_requested_ = false;
   }
 
   /// Current simulated time.
@@ -105,13 +104,6 @@ class Simulator {
   /// this call.
   std::uint64_t run_until(TimePs deadline = kTimeNever);
 
-  /// Run while `keep_going()` is true (checked between events) and the queue
-  /// is non-empty.  Used by the harness to stop after N measured messages.
-  std::uint64_t run_while(const std::function<bool()>& keep_going);
-
-  /// Ask a running run_* loop to stop after the current event.
-  void request_stop() { stop_requested_ = true; }
-
  private:
   void schedule_fn(TimePs at, EventFn fn);
   void run_callback_slot(std::int32_t slot);
@@ -125,7 +117,6 @@ class Simulator {
   TimePs now_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t causality_violations_ = 0;
-  bool stop_requested_ = false;
 };
 
 }  // namespace itb

@@ -3,8 +3,8 @@
 //
 //  * A hand-built illegal routing table (cyclic channel dependencies on a
 //    4-switch ring, the textbook wormhole deadlock) must trip the
-//    wait-graph watchdog with the exact 4-channel cycle — and a legal
-//    workload must not.
+//    wait-graph watchdog with the exact 4-channel cycle — and neither a
+//    legal workload nor a disarmed watchdog may.
 //  * Each test_* fault-injection hook corrupts one piece of engine state;
 //    the intended ledger — and only that ledger — must catch it.
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "check/watchdog.hpp"
 #include "core/route_builder.hpp"
 #include "net/network.hpp"
+#include "route/simple_routes.hpp"
 #include "route/updown.hpp"
 #include "sim/simulator.hpp"
 #include "support/route_reference.hpp"
@@ -68,20 +69,24 @@ PortId port_to(const Topology& t, SwitchId a, SwitchId b) {
   return kNoPort;
 }
 
-TEST(DeadlockWatchdog, CyclicRoutesOnRingAreCaughtWithTheExactCycle) {
-  // 4-switch ring, one host each, and clockwise 2-hop routes for the four
-  // antipodal pairs.  Every route is minimal — but the channel dependency
-  // graph is the 4-cycle sw0->sw1->sw2->sw3->sw0, so once each flow holds
-  // its first ring channel and queues for the next, nothing can drain.
-  // This is exactly the configuration up*/down* (and ITB splitting) exists
-  // to exclude; bypassing the route builder is the only way to create it.
+/// 4-switch ring, one host per switch.
+Topology ring4() {
   Topology t(4, 4, "ring4");
   t.connect_auto(0, 1);
   t.connect_auto(1, 2);
   t.connect_auto(2, 3);
   t.connect_auto(3, 0);
   for (SwitchId s = 0; s < 4; ++s) t.attach_hosts(s, 1);
+  return t;
+}
 
+/// Clockwise 2-hop routes for the four antipodal pairs of ring4().  Every
+/// route is minimal — but the channel dependency graph is the 4-cycle
+/// sw0->sw1->sw2->sw3->sw0, so once each flow holds its first ring channel
+/// and queues for the next, nothing can drain.  This is exactly the
+/// configuration up*/down* (and ITB splitting) exists to exclude;
+/// bypassing the route builder is the only way to create it.
+RouteSet cyclic_antipodal_routes(const Topology& t) {
   RouteTable staged(16);
   for (SwitchId s = 0; s < 4; ++s) {
     const SwitchId via = (s + 1) % 4;
@@ -97,17 +102,26 @@ TEST(DeadlockWatchdog, CyclicRoutesOnRingAreCaughtWithTheExactCycle) {
     r.legs.push_back(leg);
     staged[pair_key(4, s, d)].push_back(r);
   }
-  const RouteSet routes =
-      factorize(t, RoutingAlgorithm::kUpDown, 0, staged);
+  return factorize(t, RoutingAlgorithm::kUpDown, 0, staged);
+}
 
+/// Every host of ring4() sends one packet to the antipodal host.  2048-byte
+/// packets dwarf the 80-flit slack buffers, so on cyclic routes each flow
+/// wedges.
+void inject_antipodal(Network& net) {
+  for (SwitchId s = 0; s < 4; ++s) {
+    net.inject(/*src=*/s, /*dst=*/(s + 2) % 4, 2048);
+  }
+}
+
+TEST(DeadlockWatchdog, CyclicRoutesOnRingAreCaughtWithTheExactCycle) {
+  const Topology t = ring4();
+  const RouteSet routes = cyclic_antipodal_routes(t);
   MyrinetParams p;
   Simulator sim;
   Network net(sim, t, routes, p, PathPolicy::kSingle);
   DeadlockWatchdog dog(sim, net, us(10));
-  // 2048-flit packets dwarf the 80-flit slack buffers: each flow wedges.
-  for (SwitchId s = 0; s < 4; ++s) {
-    net.inject(/*src=*/s, /*dst=*/(s + 2) % 4, 2048);
-  }
+  inject_antipodal(net);
   sim.run_until(ms(2));
 
   EXPECT_EQ(net.packets_delivered(), 0u);
@@ -126,6 +140,88 @@ TEST(DeadlockWatchdog, CyclicRoutesOnRingAreCaughtWithTheExactCycle) {
   // The ledgers stay clean mid-deadlock: stalled, not corrupted.
   net.audit_invariants(false);
   EXPECT_EQ(net.invariants().total(), 1u);
+}
+
+TEST(DeadlockWatchdog, ConstructedDeadlockKeepsFlowControlIntact) {
+  // Each worm grabs its first ring channel and waits for the next, which
+  // its neighbour holds.  The slack buffers fill, stop&go freezes every
+  // sender, and nothing is delivered — yet no buffer ever overflows.
+  const Topology t = ring4();
+  const RouteSet routes = cyclic_antipodal_routes(t);
+  MyrinetParams p;
+  Simulator sim;
+  Network net(sim, t, routes, p, PathPolicy::kSingle);
+  DeadlockWatchdog dog(sim, net, us(50));
+  inject_antipodal(net);
+  sim.run_until(ms(2));
+
+  EXPECT_GT(dog.cycles_found(), 0u);
+  EXPECT_EQ(net.packets_delivered(), 0u);
+  EXPECT_EQ(net.packets_in_flight(), 4u);
+  EXPECT_EQ(net.flow_control_violations(), 0u);
+  EXPECT_LE(net.max_buffer_occupancy(), 80);
+}
+
+TEST(DeadlockWatchdog, UpDownRoutesOnTheSameRingDrainWithoutACycle) {
+  // Control: same ring, same demands, but up*/down* legal routes, which
+  // refuse one of the ring directions somewhere.
+  const Topology t = ring4();
+  const UpDown ud(t, 0);
+  const RouteSet routes = build_updown_routes(t, SimpleRoutes(t, ud));
+  MyrinetParams p;
+  Simulator sim;
+  Network net(sim, t, routes, p, PathPolicy::kSingle);
+  DeadlockWatchdog dog(sim, net, us(10));
+  inject_antipodal(net);
+  sim.run_until(ms(2));
+
+  EXPECT_EQ(net.packets_delivered(), 4u);
+  EXPECT_EQ(net.packets_in_flight(), 0u);
+  EXPECT_EQ(dog.cycles_found(), 0u);
+  EXPECT_EQ(net.invariants().total(), 0u);
+}
+
+TEST(DeadlockWatchdog, QuietOnSustainedUpDownRingTraffic) {
+  // Eighty worms in flight at once on the legal ring table: the watchdog
+  // samples throughout and never sees a wait cycle.
+  const Topology t = ring4();
+  const UpDown ud(t, 0);
+  const RouteSet routes = build_updown_routes(t, SimpleRoutes(t, ud));
+  MyrinetParams p;
+  Simulator sim;
+  Network net(sim, t, routes, p, PathPolicy::kSingle);
+  DeadlockWatchdog dog(sim, net, us(50));
+  for (int i = 0; i < 20; ++i) {
+    net.inject(0, 2, 512);
+    net.inject(1, 3, 512);
+    net.inject(2, 0, 512);
+    net.inject(3, 1, 512);
+  }
+  sim.run_until(ms(2));
+
+  EXPECT_EQ(net.packets_delivered(), 80u);
+  EXPECT_EQ(net.packets_in_flight(), 0u);
+  EXPECT_EQ(dog.cycles_found(), 0u);
+  EXPECT_EQ(net.invariants().total(), 0u);
+}
+
+TEST(DeadlockWatchdog, DisarmedWatchdogRecordsNoCycle) {
+  const Topology t = ring4();
+  const RouteSet routes = cyclic_antipodal_routes(t);
+  MyrinetParams p;
+  Simulator sim;
+  Network net(sim, t, routes, p, PathPolicy::kSingle);
+  DeadlockWatchdog dog(sim, net, us(10));
+  dog.disarm();
+  inject_antipodal(net);
+  sim.run_until(ms(1));
+
+  EXPECT_EQ(dog.cycles_found(), 0u);
+  EXPECT_EQ(net.invariants().count(InvariantKind::kDeadlockCycle), 0u)
+      << "a disarmed watchdog must stay silent";
+  // The deadlock is there all the same: one explicit sample sees it.
+  EXPECT_EQ(net.packets_delivered(), 0u);
+  EXPECT_TRUE(dog.sample());
 }
 
 TEST(DeadlockWatchdog, LegalItbWorkloadNeverTripsIt) {

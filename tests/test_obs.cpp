@@ -4,7 +4,6 @@
 // the Perfetto exporter's structural sanity.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
 
 #include "harness/runner.hpp"
@@ -43,7 +42,6 @@ bool same_trace(const std::vector<PacketTraceRecord>& a,
 TEST(PacketTracer, RingWrapKeepsNewestAndCountsDropped) {
   PacketTracer tr;
   tr.configure(4);
-  EXPECT_TRUE(tr.enabled());
   EXPECT_EQ(tr.capacity(), 4u);
   for (std::uint64_t i = 0; i < 10; ++i) {
     tr.record(static_cast<TimePs>(100 * i), TraceKind::kHeader, i,
@@ -179,13 +177,6 @@ TEST(Obs, PerfettoExportIsStructurallySane) {
 
   // Export is a pure function of the records: byte-stable across calls.
   EXPECT_EQ(json, trace_to_chrome_json(r.trace, net, r.trace_dropped));
-
-  // The raw CSV carries one row per record plus the header.
-  const std::string csv = trace_to_csv(r.trace);
-  const std::size_t rows =
-      static_cast<std::size_t>(std::count(csv.begin(), csv.end(), '\n'));
-  EXPECT_EQ(rows, r.trace.size() + 1);
-  EXPECT_EQ(csv.rfind("t_ps,kind,packet,channel,switch,host\n", 0), 0u);
 }
 
 }  // namespace

@@ -146,26 +146,6 @@ TEST(Simulator, EventsCanScheduleEvents) {
   EXPECT_EQ(sim.now(), 100);
 }
 
-TEST(Simulator, RunWhilePredicateStops) {
-  Simulator sim;
-  int count = 0;
-  for (int i = 0; i < 100; ++i) sim.schedule_in(i, [&] { ++count; });
-  sim.run_while([&] { return count < 7; });
-  EXPECT_EQ(count, 7);
-}
-
-TEST(Simulator, RequestStopHaltsLoop) {
-  Simulator sim;
-  int count = 0;
-  for (int i = 1; i <= 100; ++i) {
-    sim.schedule_in(i, [&] {
-      if (++count == 5) sim.request_stop();
-    });
-  }
-  sim.run_until();
-  EXPECT_EQ(count, 5);
-}
-
 TEST(Rng, DeterministicForSeed) {
   Rng a(123), b(123);
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());

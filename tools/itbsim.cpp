@@ -9,10 +9,12 @@
 //          --sweep 0.01:0.12:10 --csv out.csv     (one command line)
 //   itbsim --topology file:mynet.topo --scheme ITB-SP --pattern local:3
 //   itbsim --topology irregular:16:4:2:99 --list-topology
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -60,7 +62,8 @@ using namespace itb;
                "local:<radius> (default uniform)\n"
                "  --load X         offered load, flits/ns/switch (default "
                "0.01)\n"
-               "  --sweep LO:HI:N  geometric load sweep instead of one point\n"
+               "  --sweep LO:HI:N  geometric load sweep of N points, 1 to\n"
+               "                   10000, instead of one point\n"
                "  --find-saturation  ladder search for the saturation point\n"
                "  --payload N      message payload bytes (default 512)\n"
                "  --warmup-us N    warm-up time (default 150)\n"
@@ -71,8 +74,8 @@ using namespace itb;
                "  --poisson        Poisson instead of constant-rate arrivals\n"
                "  --csv PATH       append results as CSV\n"
                "  --json           print results as JSON instead of a table\n"
-               "  --replications N single-point mode: N seed replications "
-               "with a 95%% CI\n"
+               "  --replications N single-point mode: N seed replications\n"
+               "                   (1 to 10000) with a 95%% CI\n"
                "  --jobs N         worker threads for sweeps/replications\n"
                "                   (also ITB_BENCH_JOBS; default: hardware\n"
                "                   concurrency; results are identical for\n"
@@ -84,8 +87,6 @@ using namespace itb;
                "  --trace PATH     record a packet-lifecycle trace and write\n"
                "                   Chrome/Perfetto trace-event JSON (load it\n"
                "                   at ui.perfetto.dev or chrome://tracing)\n"
-               "  --trace-raw PATH write the raw trace as CSV (convert later\n"
-               "                   with tools/trace2perfetto.py)\n"
                "  --trace-capacity N  trace ring size in records, 1 to\n"
                "                   16777216 (default 65536; oldest records\n"
                "                   drop on overflow)\n"
@@ -113,6 +114,48 @@ std::vector<std::string> split(const std::string& s, char sep) {
   }
 }
 
+/// Largest microsecond count whose picosecond value fits in TimePs.
+constexpr long long kMaxUs = kTimeNever / us(1);
+/// Largest trace ring: 16 Mi records of at most 32 bytes each.
+constexpr long long kMaxTraceCapacity = 1LL << 24;
+/// Most points in one --sweep and most --replications: each is a full
+/// simulation whose result is held in memory until the end.
+constexpr long long kMaxRuns = 10000;
+
+/// Parse a whole decimal integer in [lo, hi].  Anything else (a value out
+/// of range, trailing junk) throws std::out_of_range or
+/// std::invalid_argument, which the option loop reports as "bad value".
+long long parse_int_in(const std::string& s, long long lo, long long hi) {
+  std::size_t end = 0;
+  const long long v = std::stoll(s, &end);
+  if (end != s.size()) throw std::invalid_argument(s);
+  if (v < lo || v > hi) throw std::out_of_range(s);
+  return v;
+}
+
+/// Parse a whole decimal number in [lo, hi] (NaN is out of every range),
+/// with the same errors as parse_int_in.
+double parse_double_in(const std::string& s, double lo, double hi) {
+  std::size_t end = 0;
+  const double v = std::stod(s, &end);
+  if (end != s.size()) throw std::invalid_argument(s);
+  if (!(v >= lo && v <= hi)) throw std::out_of_range(s);
+  return v;
+}
+
+/// A whole number in [lo, hi] embedded in an option's spec (`--topology
+/// hyperx:4x4:2`, `--pattern local:3`).  A malformed one exits with "bad
+/// value for `flag`"; finer range checks stay with the constructor it
+/// feeds, whose message names the field.
+long long spec_int(const std::string& s, const char* flag, const char* argv0,
+                   long long lo = INT_MIN, long long hi = INT_MAX) {
+  try {
+    return parse_int_in(s, lo, hi);
+  } catch (const std::logic_error&) {
+    usage(argv0, std::string("bad value for ") + flag);
+  }
+}
+
 Topology make_topology(const std::string& spec, const char* argv0) {
   if (spec == "torus") return make_torus_2d(8, 8, 8);
   if (spec == "express") return make_torus_2d_express(8, 8, 8);
@@ -122,8 +165,10 @@ Topology make_topology(const std::string& spec, const char* argv0) {
     const auto parts = split(spec.substr(7), ':');
     if (parts.size() != 2) usage(argv0, "hyperx wants hyperx:<S1>x..x<SL>:<hosts>");
     std::vector<int> dims;
-    for (const std::string& d : split(parts[0], 'x')) dims.push_back(std::stoi(d));
-    return make_hyperx(dims, std::stoi(parts[1]));
+    for (const std::string& d : split(parts[0], 'x')) {
+      dims.push_back(spec_int(d, "--topology", argv0));
+    }
+    return make_hyperx(dims, spec_int(parts[1], "--topology", argv0));
   }
   if (spec.rfind("dragonfly:", 0) == 0) {
     const auto parts = split(spec.substr(10), ':');
@@ -135,22 +180,26 @@ Topology make_topology(const std::string& spec, const char* argv0) {
       if (parts[3] == "absolute") arr = DragonflyArrangement::kAbsolute;
       else if (parts[3] != "palmtree") usage(argv0, "unknown dragonfly arrangement '" + parts[3] + "'");
     }
-    return make_dragonfly(std::stoi(parts[0]), std::stoi(parts[1]),
-                          std::stoi(parts[2]), arr);
+    return make_dragonfly(spec_int(parts[0], "--topology", argv0),
+                          spec_int(parts[1], "--topology", argv0),
+                          spec_int(parts[2], "--topology", argv0), arr);
   }
   if (spec.rfind("fullmesh:", 0) == 0) {
     const auto parts = split(spec.substr(9), ':');
     if (parts.size() != 2) usage(argv0, "fullmesh wants fullmesh:<switches>:<hosts>");
-    return make_full_mesh(std::stoi(parts[0]), std::stoi(parts[1]));
+    return make_full_mesh(spec_int(parts[0], "--topology", argv0),
+                          spec_int(parts[1], "--topology", argv0));
   }
   if (spec.rfind("irregular:", 0) == 0) {
     const auto parts = split(spec.substr(10), ':');
     if (parts.size() != 4) {
       usage(argv0, "irregular wants irregular:<sw>:<hosts>:<ports>:<seed>");
     }
-    Rng rng(std::stoull(parts[3]));
-    return make_irregular(std::stoi(parts[0]), std::stoi(parts[1]),
-                          std::stoi(parts[2]), rng);
+    Rng rng(static_cast<std::uint64_t>(
+        spec_int(parts[3], "--topology", argv0, 0, LLONG_MAX)));
+    return make_irregular(spec_int(parts[0], "--topology", argv0),
+                          spec_int(parts[1], "--topology", argv0),
+                          spec_int(parts[2], "--topology", argv0), rng);
   }
   usage(argv0, "unknown topology '" + spec + "'");
 }
@@ -167,29 +216,32 @@ std::unique_ptr<DestinationPattern> make_pattern(const std::string& spec,
   if (spec.rfind("hotspot:", 0) == 0) {
     const auto parts = split(spec.substr(8), ':');
     if (parts.size() != 2) usage(argv0, "hotspot wants hotspot:<host>:<frac>");
+    double frac = 0;
+    try {
+      frac = parse_double_in(parts[1], 0.0, 1.0);
+    } catch (const std::logic_error&) {
+      usage(argv0, "bad value for --pattern");
+    }
     return std::make_unique<HotspotPattern>(
-        topo.num_hosts(), std::stoi(parts[0]), std::stod(parts[1]));
+        topo.num_hosts(), spec_int(parts[0], "--pattern", argv0), frac);
   }
   if (spec.rfind("local:", 0) == 0) {
-    return std::make_unique<LocalPattern>(topo, std::stoi(spec.substr(6)));
+    return std::make_unique<LocalPattern>(
+        topo, spec_int(spec.substr(6), "--pattern", argv0));
   }
   usage(argv0, "unknown pattern '" + spec + "'");
 }
 
-/// Largest microsecond count whose picosecond value fits in TimePs.
-constexpr long long kMaxUs = kTimeNever / us(1);
-/// Largest trace ring: 16 Mi records of at most 32 bytes each.
-constexpr long long kMaxTraceCapacity = 1LL << 24;
-
-/// Parse a whole decimal integer in [lo, hi].  Anything else (a value out
-/// of range, trailing junk) throws std::out_of_range or
-/// std::invalid_argument, which the option loop reports as "bad value".
-long long parse_int_in(const std::string& s, long long lo, long long hi) {
-  std::size_t end = 0;
-  const long long v = std::stoll(s, &end);
-  if (end != s.size()) throw std::invalid_argument(s);
-  if (v < lo || v > hi) throw std::out_of_range(s);
-  return v;
+/// `--sweep LO:HI:N`: N (1 to kMaxRuns) geometric load points from LO to
+/// HI, both positive.
+std::vector<double> parse_sweep(const std::string& spec, const char* argv0) {
+  const auto parts = split(spec, ':');
+  if (parts.size() != 3) usage(argv0, "--sweep wants LO:HI:N");
+  constexpr double kMinLoad = std::numeric_limits<double>::min();
+  constexpr double kMaxLoad = std::numeric_limits<double>::max();
+  return geometric_loads(parse_double_in(parts[0], kMinLoad, kMaxLoad),
+                         parse_double_in(parts[1], kMinLoad, kMaxLoad),
+                         static_cast<int>(parse_int_in(parts[2], 1, kMaxRuns)));
 }
 
 std::optional<RoutingScheme> parse_scheme(const std::string& name) {
@@ -206,12 +258,12 @@ std::optional<RoutingScheme> parse_scheme(const std::string& name) {
 
 int main(int argc, char** argv) {
   std::string topo_spec = "torus";
-  std::string root_spec = "0";
+  SwitchId root = 0;
   std::string scheme_name = "ITB-RR";
   std::string pattern_spec = "uniform";
   std::string csv;
   double load = 0.01;
-  std::optional<std::string> sweep_spec;
+  std::optional<std::vector<double>> sweep;
   bool find_sat = false;
   bool list_topology = false;
   bool as_json = false;
@@ -219,7 +271,6 @@ int main(int argc, char** argv) {
   int jobs = default_jobs();
   std::optional<int> dump_routes_min;
   std::string trace_path;
-  std::string trace_raw_path;
   std::string samples_path;
   std::string heatmap_path;
   long long sample_us = 0;  // 0: default window (measure / 20)
@@ -233,11 +284,15 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     try {
       if (arg == "--topology") topo_spec = need_value(i);
-      else if (arg == "--root") root_spec = need_value(i);
+      else if (arg == "--root") {
+        const std::string v = need_value(i);
+        root = v == "auto" ? kAutoRoot
+                           : static_cast<SwitchId>(parse_int_in(v, 0, INT_MAX));
+      }
       else if (arg == "--scheme") scheme_name = need_value(i);
       else if (arg == "--pattern") pattern_spec = need_value(i);
       else if (arg == "--load") load = std::stod(need_value(i));
-      else if (arg == "--sweep") sweep_spec = need_value(i);
+      else if (arg == "--sweep") sweep = parse_sweep(need_value(i), argv[0]);
       else if (arg == "--find-saturation") find_sat = true;
       else if (arg == "--payload") cfg.payload_bytes = std::stoi(need_value(i));
       else if (arg == "--warmup-us")
@@ -249,12 +304,12 @@ int main(int argc, char** argv) {
       else if (arg == "--poisson") cfg.poisson = true;
       else if (arg == "--csv") csv = need_value(i);
       else if (arg == "--json") as_json = true;
-      else if (arg == "--replications") replications = std::stoi(need_value(i));
+      else if (arg == "--replications")
+        replications = static_cast<int>(parse_int_in(need_value(i), 0, kMaxRuns));
       else if (arg == "--jobs") jobs = std::stoi(need_value(i));
       else if (arg == "--list-topology") list_topology = true;
       else if (arg == "--dump-routes") dump_routes_min = std::stoi(need_value(i));
       else if (arg == "--trace") trace_path = need_value(i);
-      else if (arg == "--trace-raw") trace_raw_path = need_value(i);
       else if (arg == "--trace-capacity")
         cfg.trace_capacity = static_cast<std::size_t>(
             parse_int_in(need_value(i), 1, kMaxTraceCapacity));
@@ -281,9 +336,7 @@ int main(int argc, char** argv) {
     }
     const auto scheme = parse_scheme(scheme_name);
     if (!scheme) usage(argv[0], "unknown scheme '" + scheme_name + "'");
-    const SwitchId root =
-        root_spec == "auto" ? kAutoRoot : std::stoi(root_spec);
-    if (root != kAutoRoot && (root < 0 || root >= topo.num_switches())) {
+    if (root != kAutoRoot && root >= topo.num_switches()) {
       usage(argv[0], "--root out of range for this topology");
     }
     Testbed tb(std::move(topo), root);
@@ -319,13 +372,8 @@ int main(int argc, char** argv) {
       }
       append_series_csv(csv, tb.topo().name() + "/" + pattern_spec,
                         scheme_name, sat.trace);
-    } else if (sweep_spec) {
-      const auto parts = split(*sweep_spec, ':');
-      if (parts.size() != 3) usage(argv[0], "--sweep wants LO:HI:N");
-      const auto loads = geometric_loads(std::stod(parts[0]),
-                                         std::stod(parts[1]),
-                                         std::stoi(parts[2]));
-      const auto series = sweep_loads(tb, *scheme, *pattern, cfg, loads, jobs);
+    } else if (sweep) {
+      const auto series = sweep_loads(tb, *scheme, *pattern, cfg, *sweep, jobs);
       if (as_json) {
         std::printf("%s\n",
                     series_to_json(tb.topo().name() + "/" + pattern_spec,
@@ -360,7 +408,7 @@ int main(int argc, char** argv) {
       }
     } else {
       cfg.load_flits_per_ns_per_switch = load;
-      cfg.trace = !trace_path.empty() || !trace_raw_path.empty();
+      cfg.trace = !trace_path.empty();
       if (!samples_path.empty() || !heatmap_path.empty() || sample_us > 0) {
         cfg.sample_period =
             sample_us > 0 ? us(sample_us) : cfg.measure / 20;
@@ -390,11 +438,6 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(r.trace_records),
                      static_cast<unsigned long long>(r.trace_dropped),
                      trace_path.c_str());
-      }
-      if (!trace_raw_path.empty()) {
-        std::ofstream os(trace_raw_path);
-        os << trace_to_csv(r.trace);
-        if (!os) throw std::runtime_error("cannot write " + trace_raw_path);
       }
       if (!samples_path.empty()) {
         append_samples_csv(samples_path,

@@ -72,6 +72,10 @@ constexpr ResultField kFields[] = {
      [](const RunResult& r) { return u64(r.peak_event_queue_len); }},
     {"events_coalesced", FieldType::kU64, kSim,
      [](const RunResult& r) { return u64(r.events_coalesced); }},
+    // Host-side: a property of the event queue's layout, not of the
+    // simulated outcome, so a queue change may move it with goldens fixed.
+    {"queue_far_pops", FieldType::kU64, kHost,
+     [](const RunResult& r) { return u64(r.queue_far_pops); }},
     {"workspace_reuses", FieldType::kU64, kHost,
      [](const RunResult& r) { return u64(r.workspace_reuses); }},
     {"arena_bytes_peak", FieldType::kU64, kHost,

@@ -180,6 +180,7 @@ RunResult run_point_in(SimWorkspace& ws, const Testbed& tb,
   r.events = sim.events_executed();
   r.peak_event_queue_len = sim.peak_queue_len();
   r.events_coalesced = net.chunk_events_coalesced();
+  r.queue_far_pops = sim.queue_far_pops();
   r.route_table_bytes = routes.table_bytes();
   r.route_build_ms = routes.build_ms();
   r.route_segments_shared = routes.segments_shared();

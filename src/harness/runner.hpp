@@ -111,6 +111,9 @@ struct RunResult {
   double events_per_sec = 0.0;
   std::uint64_t peak_event_queue_len = 0;  // pending-event high-water mark
   std::uint64_t events_coalesced = 0;      // chunk arrivals elided (POD)
+  // Events the calendar queue served from its far heap rather than its
+  // near ring (host-side: a property of the queue, not of the simulation).
+  std::uint64_t queue_far_pops = 0;
 
   // Allocation observability (host-side, excluded from determinism
   // comparisons: a reused workspace legitimately reports different values

@@ -10,6 +10,12 @@ constexpr std::size_t kArity = 4;
 
 void CalendarQueue::remove_min() {
   if (min_in_far_) {
+    // Ring drained: re-anchor the window at the popped event's bucket.
+    // Every later push is at or after it, so none falls behind base_.
+    if (near_size_ == 0) {
+      base_ = static_cast<std::uint64_t>(far_.front().at) >> kWidthBits;
+    }
+    ++far_pops_;
     far_pop();
   } else {
     Bucket& bkt = near_[base_ & (kBuckets - 1)];

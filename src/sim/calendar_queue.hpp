@@ -13,12 +13,18 @@
 // compared by (time, seq), so simultaneous events fire exactly in push
 // order (FIFO-stable); far events are never migrated into the ring.
 //
-// The window start (`base_`) only advances lazily, past buckets verified
-// empty while locating the minimum.  A push whose bucket index falls behind
-// `base_` (possible when the scan overshot the clock) is clamped into the
-// base bucket: the clamped event is earlier than everything in later
-// buckets and the min-scan orders it correctly within the bucket by its
-// true (time, seq) key.
+// The window start (`base_`) moves in two ways.  While the ring holds
+// events it advances lazily, past buckets verified empty while locating the
+// minimum.  When the ring is empty and the minimum pops from the far heap,
+// the window re-anchors at that event's bucket, so pushes after an idle gap
+// longer than the horizon land in the ring again instead of following the
+// popped event into the heap.  A peek (next_time) never re-anchors.  A push
+// whose bucket index falls behind `base_` (possible when the scan overshot
+// the clock) is clamped into the base bucket: the clamped event is earlier
+// than everything in later buckets and the min-scan orders it correctly
+// within the bucket by its true (time, seq) key.  Far events left inside
+// the re-anchored window stay in the heap; the (time, seq) comparison
+// against the heap top keeps them in order.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +54,10 @@ class CalendarQueue {
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] std::size_t peak_size() const { return peak_; }
+  /// Events pending in the far heap (beyond the ring's window when pushed).
+  [[nodiscard]] std::size_t far_size() const { return far_.size(); }
+  /// Events popped from the far heap since construction or clear().
+  [[nodiscard]] std::uint64_t far_pops() const { return far_pops_; }
 
   /// Drop all pending events and restart the sequence counter and window,
   /// keeping every bucket's capacity and the far heap's reserve.  Leaves the
@@ -61,6 +71,7 @@ class CalendarQueue {
     size_ = 0;
     peak_ = 0;
     next_seq_ = 0;
+    far_pops_ = 0;
     min_idx_ = 0;
     min_in_far_ = false;
   }
@@ -134,6 +145,7 @@ class CalendarQueue {
   std::size_t size_ = 0;
   std::size_t peak_ = 0;
   std::uint64_t next_seq_ = 0;
+  std::uint64_t far_pops_ = 0;
   // Where the last find_min located the minimum (valid until mutation).
   std::size_t min_idx_ = 0;
   bool min_in_far_ = false;

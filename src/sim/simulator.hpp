@@ -69,6 +69,11 @@ class Simulator {
     return calendar_.peak_size();
   }
 
+  /// Events served from the calendar queue's far heap since reset().
+  [[nodiscard]] std::uint64_t queue_far_pops() const {
+    return calendar_.far_pops();
+  }
+
   /// Register the receiver of non-callback POD events (the Network).  Must
   /// be set before any schedule_event_* call.
   void set_pod_handler(PodHandler* h) { handler_ = h; }

@@ -6,6 +6,7 @@
 
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "harness/runner.hpp"
 #include "harness/testbed.hpp"
@@ -244,6 +245,31 @@ TEST(AdaptiveExtension, AtLeastAsGoodAsSingle) {
   const RunResult sp = run_point(tb, RoutingScheme::kItbSp, pat, cfg);
   const RunResult ad = run_point(tb, RoutingScheme::kItbAdapt, pat, cfg);
   EXPECT_GT(ad.accepted, 0.8 * sp.accepted);
+}
+
+TEST(CalendarQueueWindow, LowLoadPaperTorusPointsRunFromTheRing) {
+  // At low load every host's message interval exceeds the calendar
+  // queue's horizon.  If no message lands within the first horizon, the
+  // ring drains at start-up; a queue that does not re-anchor its window
+  // then serves every later event from its far heap.  These seeds fell into
+  // that mode (0.02 seeds 2 and 5 served all ~9M events of a 4 ms window
+  // from the heap).  Only the per-host generator ticks belong there.
+  Testbed tb(make_torus_2d(8, 8, 8));
+  UniformPattern pat(tb.topo().num_hosts());
+  const std::pair<double, std::uint64_t> points[] = {
+      {0.005, 1}, {0.005, 2}, {0.005, 3}, {0.02, 2}, {0.02, 5}};
+  for (const auto& [load, seed] : points) {
+    RunConfig cfg;
+    cfg.load_flits_per_ns_per_switch = load;
+    cfg.seed = seed;
+    cfg.warmup = us(150);
+    cfg.measure = us(400);
+    const RunResult r = run_point(tb, RoutingScheme::kItbRr, pat, cfg);
+    ASSERT_GT(r.events, 0u);
+    EXPECT_LT(r.queue_far_pops * 100, r.events)
+        << "load " << load << " seed " << seed << ": " << r.queue_far_pops
+        << " of " << r.events << " events came from the far heap";
+  }
 }
 
 }  // namespace

@@ -44,6 +44,7 @@ RunResult distinctive_result() {
   r.events_per_sec = 10.25;
   r.peak_event_queue_len = 106;
   r.events_coalesced = 107;
+  r.queue_far_pops = 122;
   r.workspace_reuses = 108;
   r.arena_bytes_peak = 109;
   r.heap_allocs_steady_state = 110;
@@ -166,6 +167,7 @@ TEST(ResultFields, DeterminismComparisonUsesTheRegistryClasses) {
   b.route_segments_shared += 3;
   b.route_core_pairs += 19;
   b.route_core_bytes += 23;
+  b.queue_far_pops += 29;
   EXPECT_TRUE(same_simulated_metrics(a, b));
 
   // …while any simulated scalar difference must.
@@ -184,7 +186,7 @@ TEST(ResultFields, RegistryCoversEveryRunResultScalar) {
   // Drift guard: adding a scalar to RunResult without registering it (or
   // registering without adding) trips this count.  Update BOTH together —
   // result_fields.cpp is the single source the emitters iterate.
-  EXPECT_EQ(result_fields().size(), 30u);
+  EXPECT_EQ(result_fields().size(), 31u);
 }
 
 }  // namespace

@@ -81,7 +81,8 @@ TEST(CalendarQueue, PopIfAtMostAtTheNearFarHorizon) {
   // The far event must not pop below its time...
   EXPECT_FALSE(q.pop_if_at_most(CalendarQueue::kHorizonPs - 1, e));
   // ...and must pop at exactly its time, straight from the heap (far
-  // events are never migrated into the ring).
+  // events are never migrated into the ring; the window re-anchors only
+  // after they pop).
   ASSERT_TRUE(q.pop_if_at_most(CalendarQueue::kHorizonPs, e));
   EXPECT_EQ(e.ch, 7);
   EXPECT_TRUE(q.empty());
@@ -103,6 +104,62 @@ TEST(CalendarQueue, EqualTimesAcrossTheHorizonPopInPushOrder) {
   EXPECT_EQ(e.ch, 1);  // the far event pushed first wins the tie
   ASSERT_TRUE(q.pop_if_at_most(horizon, e));
   EXPECT_EQ(e.ch, 2);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(CalendarQueue, RingIsReusedAfterAnIdleGapPastTheHorizon) {
+  CalendarQueue q;
+  const TimePs horizon = CalendarQueue::kHorizonPs;
+  // The ring drains at t = 100; the next event lies past the horizon, so
+  // it waits in the far heap.
+  q.push(100, EventKind::kCallback, 0, 0, nullptr);
+  EXPECT_EQ(q.pop().ch, 0);
+  const TimePs later = 100 + 3 * horizon + 7;
+  q.push(later, EventKind::kCallback, 1, 0, nullptr);
+  EXPECT_EQ(q.far_size(), 1u);
+  // Popping it with the ring empty re-anchors the window at its bucket...
+  const Event gap = q.pop();
+  EXPECT_EQ(gap.ch, 1);
+  EXPECT_EQ(q.far_pops(), 1u);
+  // ...so what it schedules within the horizon lands in the ring: the
+  // current instant, an equal-timestamp pair and the horizon's middle.
+  q.push(later + 500, EventKind::kCallback, 2, 0, nullptr);
+  q.push(later, EventKind::kCallback, 3, 0, nullptr);
+  q.push(later + 500, EventKind::kCallback, 4, 0, nullptr);
+  q.push(later + horizon / 2, EventKind::kCallback, 5, 0, nullptr);
+  q.push(later + 20, EventKind::kCallback, 6, 0, nullptr);
+  EXPECT_EQ(q.far_size(), 0u);
+  std::vector<std::int32_t> order;
+  TimePs last = later;
+  while (!q.empty()) {
+    const Event e = q.pop();
+    EXPECT_GE(e.at, last);
+    last = e.at;
+    order.push_back(e.ch);
+  }
+  EXPECT_EQ(order, (std::vector<std::int32_t>{3, 6, 2, 4, 5}));
+  EXPECT_EQ(q.far_pops(), 1u);
+}
+
+TEST(CalendarQueue, PeekAcrossAnIdleGapDoesNotReanchor) {
+  CalendarQueue q;
+  const TimePs horizon = CalendarQueue::kHorizonPs;
+  const TimePs later = 3 * horizon;
+  q.push(later, EventKind::kCallback, 0, 0, nullptr);
+  // Neither a peek nor a refused pop moves the window: the clock has not
+  // reached `later`, so an event just after it is still beyond the horizon.
+  EXPECT_EQ(q.next_time(), later);
+  Event e;
+  EXPECT_FALSE(q.pop_if_at_most(later - 1, e));
+  q.push(later + 100, EventKind::kCallback, 1, 0, nullptr);
+  EXPECT_EQ(q.far_size(), 2u);
+  // An earlier event still goes to the ring and pops first.
+  q.push(10, EventKind::kCallback, 2, 0, nullptr);
+  EXPECT_EQ(q.far_size(), 2u);
+  EXPECT_EQ(q.pop().ch, 2);
+  EXPECT_EQ(q.pop().ch, 0);
+  EXPECT_EQ(q.pop().ch, 1);
+  EXPECT_EQ(q.far_pops(), 2u);
   EXPECT_TRUE(q.empty());
 }
 

@@ -37,8 +37,12 @@ class CalendarQueueFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 // Differential fuzz of the POD calendar queue against the reference order,
 // deliberately covering the contract's hard cases: bursts of events sharing
 // one timestamp (must pop FIFO in push order), pushes beyond the near-window
-// horizon (land in the far heap, never migrated), and pushes that fall into
-// the already-scanned base bucket (clamped, but ordered by true time).
+// horizon (land in the far heap and stay there until they pop), pushes that
+// fall into the already-scanned base bucket (clamped, but ordered by true
+// time, including after a next_time() peek moved the window), and idle
+// gaps: the ring drains, a far event pops and re-anchors the window, and
+// the next pushes land near the new clock, among far events already inside
+// the new window.
 TEST_P(CalendarQueueFuzz, MatchesReferenceOrder) {
   Rng rng(GetParam());
   CalendarQueue q;
@@ -49,10 +53,18 @@ TEST_P(CalendarQueueFuzz, MatchesReferenceOrder) {
     q.push(t, EventKind::kCallback, /*ch=*/0, /*a=*/0, /*p=*/nullptr);
     ref.push(t);
   };
-  for (int op = 0; op < 20000; ++op) {
+  auto pop = [&] {
+    const Event e = q.pop();
+    EXPECT_GE(e.at, now);
+    now = e.at;
+    const auto [rt, rseq] = ref.pop();
+    ASSERT_EQ(e.at, rt);
+    ASSERT_EQ(e.seq, rseq);
+  };
+  for (int op = 0; op < 20000 && !HasFatalFailure(); ++op) {
     const bool do_push = q.empty() || rng.next_bool(0.55);
     if (do_push) {
-      const std::uint64_t shape = rng.next_below(10);
+      const std::uint64_t shape = rng.next_below(11);
       if (shape < 6) {  // near future, within a few buckets
         push(now + static_cast<TimePs>(rng.next_below(5000)));
       } else if (shape < 8) {  // equal-timestamp burst
@@ -61,17 +73,30 @@ TEST_P(CalendarQueueFuzz, MatchesReferenceOrder) {
         for (std::uint64_t i = 0; i < n; ++i) push(t);
       } else if (shape == 8) {  // same instant as the clock (base bucket)
         push(now);
-      } else {  // beyond the horizon: far heap
+      } else if (shape == 9) {  // beyond the horizon: far heap
         push(now + CalendarQueue::kHorizonPs +
              static_cast<TimePs>(rng.next_below(1u << 20)));
+      } else {  // drain the ring, jump past the horizon, push near it
+        while (q.size() > q.far_size()) pop();
+        push(now + CalendarQueue::kHorizonPs +
+             static_cast<TimePs>(rng.next_below(1u << 20)));
+        pop();  // from the far heap with the ring empty: re-anchors
+        ASSERT_EQ(q.size(), q.far_size());
+        const std::uint64_t n = 1 + rng.next_below(6);
+        for (std::uint64_t i = 0; i < n; ++i) {
+          push(now + static_cast<TimePs>(rng.next_below(3000)));
+        }
+        push(now);
+        // Fill the new window out to its far edge.
+        push(now + static_cast<TimePs>(
+                       rng.next_below(CalendarQueue::kHorizonPs)));
       }
+    } else if (rng.next_bool(0.25)) {
+      // A peek may move the window past the clock; later pushes behind it
+      // take the clamp path.
+      ASSERT_EQ(q.next_time(), ref.q.top().first);
     } else {
-      const Event e = q.pop();
-      EXPECT_GE(e.at, now);
-      now = e.at;
-      const auto [rt, rseq] = ref.pop();
-      ASSERT_EQ(e.at, rt);
-      ASSERT_EQ(e.seq, rseq);
+      pop();
     }
   }
   while (!q.empty()) {

@@ -65,7 +65,7 @@ using namespace itb;
                "  --sweep LO:HI:N  geometric load sweep of N points, 1 to\n"
                "                   10000, instead of one point\n"
                "  --find-saturation  ladder search for the saturation point\n"
-               "  --payload N      message payload bytes (default 512)\n"
+               "  --payload N      message payload bytes, >= 1 (default 512)\n"
                "  --warmup-us N    warm-up time (default 150)\n"
                "  --measure-us N   measurement window (default 400)\n"
                "  --seed N         RNG seed (default 42)\n"
@@ -76,10 +76,10 @@ using namespace itb;
                "  --json           print results as JSON instead of a table\n"
                "  --replications N single-point mode: N seed replications\n"
                "                   (1 to 10000) with a 95%% CI\n"
-               "  --jobs N         worker threads for sweeps/replications\n"
-               "                   (also ITB_BENCH_JOBS; default: hardware\n"
-               "                   concurrency; results are identical for\n"
-               "                   every N)\n"
+               "  --jobs N         worker threads for sweeps/replications,\n"
+               "                   1 to 1024 (also ITB_BENCH_JOBS; default:\n"
+               "                   hardware concurrency; results are\n"
+               "                   identical for every N)\n"
                "  --list-topology  print the topology description and exit\n"
                "  --dump-routes N  print routes whose first alternative uses\n"
                "                   >= N in-transit hosts, then exit\n"
@@ -121,6 +121,8 @@ constexpr long long kMaxTraceCapacity = 1LL << 24;
 /// Most points in one --sweep and most --replications: each is a full
 /// simulation whose result is held in memory until the end.
 constexpr long long kMaxRuns = 10000;
+/// Most --jobs: each is a thread with its own simulation workspace.
+constexpr long long kMaxJobs = 1024;
 
 /// Parse a whole decimal integer in [lo, hi].  Anything else (a value out
 /// of range, trailing junk) throws std::out_of_range or
@@ -133,12 +135,28 @@ long long parse_int_in(const std::string& s, long long lo, long long hi) {
   return v;
 }
 
-/// Parse a whole decimal number in [lo, hi] (NaN is out of every range),
-/// with the same errors as parse_int_in.
-double parse_double_in(const std::string& s, double lo, double hi) {
+/// Parse a whole unsigned decimal integer (a sign, which std::stoull would
+/// wrap, is junk), with the same errors as parse_int_in.
+unsigned long long parse_u64(const std::string& s) {
+  if (s.empty() || s[0] < '0' || s[0] > '9') throw std::invalid_argument(s);
+  std::size_t end = 0;
+  const unsigned long long v = std::stoull(s, &end);
+  if (end != s.size()) throw std::invalid_argument(s);
+  return v;
+}
+
+/// Parse a whole decimal number, NaN and infinities included (the consumer
+/// range-checks them), with the same errors as parse_int_in.
+double parse_double(const std::string& s) {
   std::size_t end = 0;
   const double v = std::stod(s, &end);
   if (end != s.size()) throw std::invalid_argument(s);
+  return v;
+}
+
+/// parse_double limited to [lo, hi] (NaN is out of every range).
+double parse_double_in(const std::string& s, double lo, double hi) {
+  const double v = parse_double(s);
   if (!(v >= lo && v <= hi)) throw std::out_of_range(s);
   return v;
 }
@@ -291,24 +309,31 @@ int main(int argc, char** argv) {
       }
       else if (arg == "--scheme") scheme_name = need_value(i);
       else if (arg == "--pattern") pattern_spec = need_value(i);
-      else if (arg == "--load") load = std::stod(need_value(i));
+      else if (arg == "--load") load = parse_double(need_value(i));
       else if (arg == "--sweep") sweep = parse_sweep(need_value(i), argv[0]);
       else if (arg == "--find-saturation") find_sat = true;
-      else if (arg == "--payload") cfg.payload_bytes = std::stoi(need_value(i));
+      else if (arg == "--payload")
+        cfg.payload_bytes =
+            static_cast<int>(parse_int_in(need_value(i), 1, INT_MAX));
       else if (arg == "--warmup-us")
         cfg.warmup = us(parse_int_in(need_value(i), 0, kMaxUs));
       else if (arg == "--measure-us")
         cfg.measure = us(parse_int_in(need_value(i), 0, kMaxUs));
-      else if (arg == "--seed") cfg.seed = std::stoull(need_value(i));
-      else if (arg == "--chunk") cfg.params.chunk_flits = std::stoi(need_value(i));
+      else if (arg == "--seed") cfg.seed = parse_u64(need_value(i));
+      else if (arg == "--chunk")
+        cfg.params.chunk_flits =
+            static_cast<int>(parse_int_in(need_value(i), 1, 8));
       else if (arg == "--poisson") cfg.poisson = true;
       else if (arg == "--csv") csv = need_value(i);
       else if (arg == "--json") as_json = true;
       else if (arg == "--replications")
         replications = static_cast<int>(parse_int_in(need_value(i), 0, kMaxRuns));
-      else if (arg == "--jobs") jobs = std::stoi(need_value(i));
+      else if (arg == "--jobs")
+        jobs = static_cast<int>(parse_int_in(need_value(i), 0, kMaxJobs));
       else if (arg == "--list-topology") list_topology = true;
-      else if (arg == "--dump-routes") dump_routes_min = std::stoi(need_value(i));
+      else if (arg == "--dump-routes")
+        dump_routes_min =
+            static_cast<int>(parse_int_in(need_value(i), 0, INT_MAX));
       else if (arg == "--trace") trace_path = need_value(i);
       else if (arg == "--trace-capacity")
         cfg.trace_capacity = static_cast<std::size_t>(

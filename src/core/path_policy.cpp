@@ -15,31 +15,36 @@ const char* to_string(PathPolicy p) {
 }
 
 PathSelector::PathSelector(PathPolicy policy, int num_switches,
-                           std::uint64_t seed)
-    : policy_(policy), rng_(seed) {
-  reset(policy, num_switches, seed);
+                           std::uint64_t seed, Arena& arena) {
+  reset(policy, num_switches, seed, arena);
 }
 
 void PathSelector::reset(PathPolicy policy, int num_switches,
-                         std::uint64_t seed) {
+                         std::uint64_t seed, Arena& arena) {
   policy_ = policy;
   rng_ = Rng(seed);
   num_switches_ = num_switches;
-  const auto n = static_cast<std::size_t>(num_switches);
-  if (policy_ == PathPolicy::kRoundRobin) {
-    // Random starting offsets: different sources begin their rotation at
-    // different alternatives, so the load-spreading effect of round-robin
-    // appears immediately instead of only after many repeat messages to
-    // the same destination.
-    rr_next_.assign(n, 0);
-    for (auto& v : rr_next_) v = static_cast<std::uint32_t>(rng_.next_u64());
-  } else {
-    rr_next_.clear();
-  }
+  arena_ = &arena;
+  rr_next_ = nullptr;
   // All destinations unexplored; the flat table regrows its stride on
   // demand (capacity is kept, so a reset-and-rerun reuses the storage).
   ewma_.clear();
   ewma_stride_ = 0;
+}
+
+void PathSelector::draw_rotation_row() {
+  // Random starting offsets: different sources begin their rotation at
+  // different alternatives, so the load-spreading effect of round-robin
+  // appears immediately instead of only after many repeat messages to
+  // the same destination.  Round-robin reads nothing else from rng_, so
+  // drawing the whole row at the first multi-path pick gives every
+  // destination the offset an up-front draw at reset() would have.
+  const auto n = static_cast<std::size_t>(num_switches_);
+  rr_next_ = static_cast<std::uint32_t*>(
+      arena_->allocate(n * sizeof(std::uint32_t)));
+  for (std::size_t d = 0; d < n; ++d) {
+    rr_next_[d] = static_cast<std::uint32_t>(rng_.next_u64());
+  }
 }
 
 void PathSelector::ensure_ewma_stride(int alts) {
@@ -65,6 +70,7 @@ int PathSelector::pick(SwitchId dst_switch, int num_alternatives) {
     case PathPolicy::kSingle:
       return 0;
     case PathPolicy::kRoundRobin: {
+      if (rr_next_ == nullptr) draw_rotation_row();
       auto& next = rr_next_[static_cast<std::size_t>(dst_switch)];
       const int alt = static_cast<int>(next % static_cast<std::uint32_t>(
                                                   num_alternatives));

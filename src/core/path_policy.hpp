@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/arena.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 #include "topo/types.hpp"
@@ -28,17 +29,25 @@ enum class PathPolicy : std::uint8_t {
 /// reports the measured network latency of a delivered packet so the source
 /// can steer toward currently faster alternatives — the "adaptivity at the
 /// source host" the paper's future-work section sketches.
+///
+/// kRoundRobin's rotation row (one counter per destination switch) is drawn
+/// from `arena` on the first pick with more than one alternative, so it
+/// lives until the arena's next rewind.  Most sources of a large network
+/// never make such a pick in a point and never pay for a row.
 class PathSelector {
  public:
   /// An empty selector (no destinations); reset() before use.
-  PathSelector() : PathSelector(PathPolicy::kSingle, 0, 0) {}
-  PathSelector(PathPolicy policy, int num_switches, std::uint64_t seed);
+  PathSelector() = default;
+  PathSelector(PathPolicy policy, int num_switches, std::uint64_t seed,
+               Arena& arena);
 
   /// Return the selector to the exact state the corresponding constructor
-  /// would produce (same RNG stream, same rotation offsets), reusing table
-  /// capacity where possible.  Part of the workspace-reuse determinism
-  /// contract (see sim/workspace.hpp).
-  void reset(PathPolicy policy, int num_switches, std::uint64_t seed);
+  /// would produce: the same RNG stream and no rotation row yet.  Draws
+  /// nothing, so it must run before `arena` is rewound (it drops the row
+  /// the arena is about to recycle).  Part of the workspace-reuse
+  /// determinism contract (see sim/workspace.hpp).
+  void reset(PathPolicy policy, int num_switches, std::uint64_t seed,
+             Arena& arena);
 
   [[nodiscard]] PathPolicy policy() const { return policy_; }
 
@@ -46,6 +55,10 @@ class PathSelector {
   void feedback(SwitchId dst_switch, int alternative, TimePs latency);
 
  private:
+  /// Draw the rotation row: one starting offset per destination switch,
+  /// in destination order, from the selector's own stream.
+  void draw_rotation_row();
+
   /// Grow the EWMA table's row stride to at least `alts` columns,
   /// re-laying existing rows out in place (new cells read "unexplored").
   void ensure_ewma_stride(int alts);
@@ -55,10 +68,11 @@ class PathSelector {
                               static_cast<std::size_t>(ewma_stride_);
   }
 
-  PathPolicy policy_;
+  PathPolicy policy_ = PathPolicy::kSingle;
   Rng rng_;
   int num_switches_ = 0;
-  std::vector<std::uint32_t> rr_next_;  // per destination switch
+  Arena* arena_ = nullptr;            // rotation-row source; bound by reset()
+  std::uint32_t* rr_next_ = nullptr;  // per destination switch, or not drawn
   // One flat num_switches x ewma_stride_ array (row-major, -1.0 means
   // unexplored) instead of a vector per destination: the same
   // pointer-chasing fix as the route store, selector-local.  The stride

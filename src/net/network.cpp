@@ -111,10 +111,12 @@ void Network::reset(const Topology& topo, const RouteSet& routes,
     n.itb_queue.reset(&arena_);
     n.itb_pool_used = 0;
     n.selector.reset(policy, topo.num_switches(),
-                     seeder.next_u64() ^ static_cast<std::uint64_t>(h));
+                     seeder.next_u64() ^ static_cast<std::uint64_t>(h),
+                     arena_);
   }
 
-  // Every spilled buffer has been dropped above; recycle the arena blocks.
+  // Every spilled buffer and rotation row has been dropped above; recycle
+  // the arena blocks.
   arena_.rewind();
 
   // Packet storage persists; rebuild the free list in reverse storage order

@@ -354,9 +354,9 @@ class Network : public PodHandler {
   const RouteSet* routes_ = nullptr;
   MyrinetParams params_;
 
-  // Spill target for every ShortQueue in channels_/nics_; rewound wholesale
-  // by reset().  Its address must be stable, which Network's deleted
-  // copy/move guarantees.
+  // Spill target for every ShortQueue in channels_/nics_ and source of each
+  // NIC's round-robin rotation row; rewound wholesale by reset().  Its
+  // address must be stable, which Network's deleted copy/move guarantees.
   Arena arena_;
 
   std::vector<Channel> channels_;

@@ -5,6 +5,8 @@
 #include <vector>
 
 #include "core/path_policy.hpp"
+#include "sim/arena.hpp"
+#include "sim/rng.hpp"
 
 namespace itb {
 namespace {
@@ -17,20 +19,23 @@ TEST(PathPolicy, Names) {
 }
 
 TEST(PathPolicy, SingleAlwaysZero) {
-  PathSelector s(PathPolicy::kSingle, 8, 1);
+  Arena arena;
+  PathSelector s(PathPolicy::kSingle, 8, 1, arena);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(s.pick(3, 7), 0);
 }
 
 TEST(PathPolicy, SingleAlternativeShortCircuits) {
   for (const PathPolicy p : {PathPolicy::kSingle, PathPolicy::kRoundRobin,
                              PathPolicy::kRandom, PathPolicy::kAdaptive}) {
-    PathSelector s(p, 8, 1);
+    Arena arena;
+    PathSelector s(p, 8, 1, arena);
     for (int i = 0; i < 10; ++i) EXPECT_EQ(s.pick(2, 1), 0);
   }
 }
 
 TEST(PathPolicy, RoundRobinCyclesThroughAllAlternatives) {
-  PathSelector s(PathPolicy::kRoundRobin, 8, 42);
+  Arena arena;
+  PathSelector s(PathPolicy::kRoundRobin, 8, 42, arena);
   const int first = s.pick(5, 4);
   std::vector<int> seq;
   for (int i = 0; i < 8; ++i) seq.push_back(s.pick(5, 4));
@@ -40,7 +45,8 @@ TEST(PathPolicy, RoundRobinCyclesThroughAllAlternatives) {
 }
 
 TEST(PathPolicy, RoundRobinPerDestinationIndependent) {
-  PathSelector s(PathPolicy::kRoundRobin, 8, 42);
+  Arena arena;
+  PathSelector s(PathPolicy::kRoundRobin, 8, 42, arena);
   const int a0 = s.pick(1, 5);
   s.pick(2, 5);  // different destination: must not advance dst 1's counter
   s.pick(2, 5);
@@ -51,15 +57,46 @@ TEST(PathPolicy, RoundRobinOffsetsVaryBySeed) {
   // Random starting offsets are what spreads alternatives across sources.
   std::set<int> firsts;
   for (std::uint64_t seed = 0; seed < 32; ++seed) {
-    PathSelector s(PathPolicy::kRoundRobin, 8, seed);
+    Arena arena;
+    PathSelector s(PathPolicy::kRoundRobin, 8, seed, arena);
     firsts.insert(s.pick(0, 10));
   }
   EXPECT_GT(firsts.size(), 3u);
 }
 
+TEST(PathPolicy, RoundRobinRowIsTheSeedStreamInDestinationOrder) {
+  // The row is drawn on the first multi-path pick, but it must hold what
+  // an up-front draw would: destination d's offset is the d-th value of the
+  // selector's stream, whichever destination is picked first.
+  constexpr int kSwitches = 8;
+  constexpr std::uint64_t kSeed = 0x5eed;
+  Rng stream(kSeed);
+  std::vector<std::uint32_t> row;
+  for (int d = 0; d < kSwitches; ++d) {
+    row.push_back(static_cast<std::uint32_t>(stream.next_u64()));
+  }
+  Arena arena;
+  PathSelector s(PathPolicy::kRoundRobin, kSwitches, kSeed, arena);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    EXPECT_EQ(s.pick(3, 1), 0);
+    EXPECT_EQ(arena.bytes_in_use(), 0u);  // one alternative draws no row
+    for (const int d : {7, 2, 0}) {
+      const auto n = static_cast<std::uint32_t>(3 + d);
+      EXPECT_EQ(s.pick(d, static_cast<int>(n)),
+                static_cast<int>(row[static_cast<std::size_t>(d)] % n));
+    }
+    EXPECT_EQ(arena.bytes_in_use(), kSwitches * sizeof(std::uint32_t));
+    // A reset selector over a rewound arena starts from the same stream.
+    s.reset(PathPolicy::kRoundRobin, kSwitches, kSeed, arena);
+    arena.rewind();
+  }
+}
+
 TEST(PathPolicy, RandomInRangeAndDeterministic) {
-  PathSelector a(PathPolicy::kRandom, 8, 7);
-  PathSelector b(PathPolicy::kRandom, 8, 7);
+  Arena arena;
+  PathSelector a(PathPolicy::kRandom, 8, 7, arena);
+  PathSelector b(PathPolicy::kRandom, 8, 7, arena);
   std::set<int> seen;
   for (int i = 0; i < 200; ++i) {
     const int va = a.pick(0, 6);
@@ -72,7 +109,8 @@ TEST(PathPolicy, RandomInRangeAndDeterministic) {
 }
 
 TEST(PathPolicy, AdaptiveExploresUnseenFirst) {
-  PathSelector s(PathPolicy::kAdaptive, 8, 3);
+  Arena arena;
+  PathSelector s(PathPolicy::kAdaptive, 8, 3, arena);
   std::set<int> first_picks;
   for (int i = 0; i < 4; ++i) {
     const int alt = s.pick(0, 4);
@@ -85,7 +123,8 @@ TEST(PathPolicy, AdaptiveExploresUnseenFirst) {
 }
 
 TEST(PathPolicy, AdaptiveConvergesToFastAlternative) {
-  PathSelector s(PathPolicy::kAdaptive, 8, 3);
+  Arena arena;
+  PathSelector s(PathPolicy::kAdaptive, 8, 3, arena);
   // Feed strong signal: alternative 2 is 10x faster.
   for (int round = 0; round < 50; ++round) {
     const int alt = s.pick(1, 4);
@@ -103,7 +142,8 @@ TEST(PathPolicy, AdaptiveConvergesToFastAlternative) {
 }
 
 TEST(PathPolicy, AdaptiveFeedbackIgnoredByOtherPolicies) {
-  PathSelector s(PathPolicy::kRoundRobin, 8, 3);
+  Arena arena;
+  PathSelector s(PathPolicy::kRoundRobin, 8, 3, arena);
   s.feedback(0, 1, ns(std::int64_t{100}));  // must not crash or affect state
   const int first = s.pick(0, 3);
   EXPECT_EQ(s.pick(0, 3), (first + 1) % 3);

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <vector>
 
+#include "sim/arena.hpp"
 #include "sim/calendar_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
@@ -333,6 +334,27 @@ TEST(Histogram, OverflowCounted) {
   h.add(100.0);
   EXPECT_EQ(h.overflow(), 1u);
   EXPECT_EQ(h.count(), 2u);
+}
+
+TEST(Arena, RewoundBlocksArePoisonedUnderAsan) {
+#ifndef ITB_ARENA_ASAN
+  GTEST_SKIP() << "needs an AddressSanitizer build";
+#else
+  // Only the bytes handed out since the last rewind are addressable, so a
+  // spilled buffer or rotation row kept across a rewind faults when read.
+  Arena arena;
+  auto* a = static_cast<std::byte*>(arena.allocate(100));  // 112 after round-up
+  EXPECT_FALSE(__asan_address_is_poisoned(a));
+  EXPECT_FALSE(__asan_address_is_poisoned(a + 111));
+  EXPECT_TRUE(__asan_address_is_poisoned(a + 112));
+  arena.rewind();
+  EXPECT_TRUE(__asan_address_is_poisoned(a));
+  EXPECT_TRUE(__asan_address_is_poisoned(a + 111));
+  auto* b = static_cast<std::byte*>(arena.allocate(16));
+  ASSERT_EQ(b, a);  // the retained block is reused
+  EXPECT_FALSE(__asan_address_is_poisoned(b + 15));
+  EXPECT_TRUE(__asan_address_is_poisoned(b + 16));
+#endif
 }
 
 }  // namespace

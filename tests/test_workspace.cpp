@@ -157,5 +157,49 @@ TEST(Workspace, TopologySwitchRoundTrips) {
   EXPECT_EQ(ws.reuses(), 3u);
 }
 
+TEST(Workspace, LazyRotationRowsDoNotLeakAcrossPoints) {
+  // A dragonfly where most source NICs make no multi-path pick in a short
+  // point, so most never draw a rotation row.  Rows live in the network's
+  // arena until the next point's reset: after a busy RR point, an SP point
+  // and a 5x-load RR point, a quiet RR point in the same workspace must
+  // match a fresh workspace and hold only its own rows.
+  Testbed tb(make_dragonfly(8, 8, 4), kAutoRoot);  // 264 switches, 2112 hosts
+  UniformPattern pat(tb.topo().num_hosts());
+  RunConfig cfg = small_config();
+  cfg.warmup = us(5);
+  cfg.measure = us(20);
+  const auto point = [&](double load, std::uint64_t seed) {
+    RunConfig c = cfg;
+    c.load_flits_per_ns_per_switch = load;
+    c.seed = seed;
+    return c;
+  };
+  const RunConfig quiet = point(0.002, 4);
+
+  SimWorkspace ws;
+  const RunResult rr = run_point_in(ws, tb, RoutingScheme::kItbRr, pat,
+                                    point(0.02, 1));
+  const RunResult sp = run_point_in(ws, tb, RoutingScheme::kItbSp, pat,
+                                    point(0.02, 2));
+  const RunResult busy = run_point_in(ws, tb, RoutingScheme::kItbRr, pat,
+                                      point(0.1, 3));
+  const RunResult last = run_point_in(ws, tb, RoutingScheme::kItbRr, pat,
+                                      quiet);
+  SimWorkspace fresh;
+  const RunResult ref = run_point_in(fresh, tb, RoutingScheme::kItbRr, pat,
+                                     quiet);
+
+  EXPECT_TRUE(same_simulated_metrics(ref, last));
+  EXPECT_GT(last.delivered, 0u);
+  EXPECT_EQ(last.invariant_violations, 0u);
+  EXPECT_EQ(last.arena_bytes_peak, ref.arena_bytes_peak);
+  // An up-front row for every NIC would take 2112 x 264 x 4 B ~ 2.2 MB.
+  const std::size_t eager = std::size_t{2112} * 264 * sizeof(std::uint32_t);
+  EXPECT_LT(last.arena_bytes_peak, eager / 10);
+  EXPECT_GT(busy.arena_bytes_peak, last.arena_bytes_peak);
+  EXPECT_GT(rr.delivered, 0u);
+  EXPECT_GT(sp.delivered, 0u);
+}
+
 }  // namespace
 }  // namespace itb

@@ -123,6 +123,9 @@ constexpr long long kMaxTraceCapacity = 1LL << 24;
 constexpr long long kMaxRuns = 10000;
 /// Most --jobs: each is a thread with its own simulation workspace.
 constexpr long long kMaxJobs = 1024;
+/// Offered loads (--load, --sweep) are positive and finite.
+constexpr double kMinLoad = std::numeric_limits<double>::min();
+constexpr double kMaxLoad = std::numeric_limits<double>::max();
 
 /// Parse a whole decimal integer in [lo, hi].  Anything else (a value out
 /// of range, trailing junk) throws std::out_of_range or
@@ -145,18 +148,12 @@ unsigned long long parse_u64(const std::string& s) {
   return v;
 }
 
-/// Parse a whole decimal number, NaN and infinities included (the consumer
-/// range-checks them), with the same errors as parse_int_in.
-double parse_double(const std::string& s) {
+/// Parse a whole decimal number in [lo, hi] (NaN is out of every range),
+/// with the same errors as parse_int_in.
+double parse_double_in(const std::string& s, double lo, double hi) {
   std::size_t end = 0;
   const double v = std::stod(s, &end);
   if (end != s.size()) throw std::invalid_argument(s);
-  return v;
-}
-
-/// parse_double limited to [lo, hi] (NaN is out of every range).
-double parse_double_in(const std::string& s, double lo, double hi) {
-  const double v = parse_double(s);
   if (!(v >= lo && v <= hi)) throw std::out_of_range(s);
   return v;
 }
@@ -255,8 +252,6 @@ std::unique_ptr<DestinationPattern> make_pattern(const std::string& spec,
 std::vector<double> parse_sweep(const std::string& spec, const char* argv0) {
   const auto parts = split(spec, ':');
   if (parts.size() != 3) usage(argv0, "--sweep wants LO:HI:N");
-  constexpr double kMinLoad = std::numeric_limits<double>::min();
-  constexpr double kMaxLoad = std::numeric_limits<double>::max();
   return geometric_loads(parse_double_in(parts[0], kMinLoad, kMaxLoad),
                          parse_double_in(parts[1], kMinLoad, kMaxLoad),
                          static_cast<int>(parse_int_in(parts[2], 1, kMaxRuns)));
@@ -309,7 +304,8 @@ int main(int argc, char** argv) {
       }
       else if (arg == "--scheme") scheme_name = need_value(i);
       else if (arg == "--pattern") pattern_spec = need_value(i);
-      else if (arg == "--load") load = parse_double(need_value(i));
+      else if (arg == "--load")
+        load = parse_double_in(need_value(i), kMinLoad, kMaxLoad);
       else if (arg == "--sweep") sweep = parse_sweep(need_value(i), argv[0]);
       else if (arg == "--find-saturation") find_sat = true;
       else if (arg == "--payload")

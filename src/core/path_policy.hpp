@@ -42,10 +42,10 @@ class PathSelector {
                Arena& arena);
 
   /// Return the selector to the exact state the corresponding constructor
-  /// would produce: the same RNG stream and no rotation row yet.  Draws
-  /// nothing, so it must run before `arena` is rewound (it drops the row
-  /// the arena is about to recycle).  Part of the workspace-reuse
-  /// determinism contract (see sim/workspace.hpp).
+  /// would produce: the same RNG stream and no rotation row yet.  The old
+  /// row is dropped, not freed, so call this before rewinding the arena
+  /// that holds it.  Part of the workspace-reuse determinism contract (see
+  /// sim/workspace.hpp).
   void reset(PathPolicy policy, int num_switches, std::uint64_t seed,
              Arena& arena);
 

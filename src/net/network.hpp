@@ -188,8 +188,8 @@ class Network : public PodHandler {
   /// measurement window).
   void reset_channel_stats();
 
-  /// Flits currently queued at source NICs (injection backlog), across all
-  /// hosts; grows without bound past saturation.
+  /// Packets currently queued at source NICs (injection backlog), across
+  /// all hosts; grows without bound past saturation.
   [[nodiscard]] std::uint64_t source_backlog_packets() const;
 
   /// Bytes currently reserved across every NIC's ITB pool (time-series

@@ -1,6 +1,6 @@
 #include "sim/calendar_queue.hpp"
 
-#include <cassert>
+#include <algorithm>
 
 namespace itb {
 
@@ -8,38 +8,22 @@ namespace {
 constexpr std::size_t kArity = 4;
 }  // namespace
 
-void CalendarQueue::remove_min() {
-  if (min_in_far_) {
-    // Ring drained: re-anchor the window at the popped event's bucket.
-    // Every later push is at or after it, so none falls behind base_.
-    if (near_size_ == 0) {
-      base_ = static_cast<std::uint64_t>(far_.front().at) >> kWidthBits;
-    }
-    ++far_pops_;
-    far_pop();
-  } else {
-    Bucket& bkt = near_[base_ & (kBuckets - 1)];
-    bkt[min_idx_] = bkt.back();  // order within a bucket is irrelevant
-    bkt.pop_back();
-    --near_size_;
-  }
-  --size_;
+void CalendarQueue::clear() {
+  for (Lane& l : lanes_) l.head = l.count = 0;
+  live_ = 0;
+  far_.clear();
+  ref_ = 0;
+  size_ = 0;
+  peak_ = 0;
+  next_seq_ = 0;
+  far_pops_ = 0;
 }
 
-Event CalendarQueue::pop() {
-  assert(size_ > 0);
-  const Event e = *find_min();
-  remove_min();
-  return e;
-}
-
-bool CalendarQueue::pop_if_at_most(TimePs deadline, Event& out) {
-  if (size_ == 0) return false;
-  const Event* m = find_min();
-  if (m->at > deadline) return false;
-  out = *m;
-  remove_min();
-  return true;
+void CalendarQueue::grow(Lane& l) {  // l is full: unroll it and double it
+  std::rotate(l.ring.begin(), l.ring.begin() + l.head, l.ring.end());
+  l.ring.resize(2 * l.ring.size());
+  l.mask = 2 * l.mask + 1;
+  l.head = 0;
 }
 
 void CalendarQueue::far_push(const Event& e) {

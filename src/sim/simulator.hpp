@@ -21,10 +21,11 @@ using EventFn = std::function<void()>;
 /// hold a reference to the Simulator and schedule events on it; they must
 /// outlive the run.
 ///
-/// Trivially-copyable Event records go through the CalendarQueue and are
-/// dispatched to the registered PodHandler (the Network).  schedule_in /
-/// schedule_at park a callback in a slot slab and fire it through a
-/// kCallback event, so generators, detectors and tests need no handler.
+/// Trivially-copyable Event records go through the CalendarQueue (delay
+/// lanes plus a heap, see sim/calendar_queue.hpp) and are dispatched to
+/// the registered PodHandler (the Network).  schedule_in / schedule_at
+/// park a callback in a slot slab and fire it through a kCallback event,
+/// so generators, detectors and tests need no handler.
 /// Events fire by (time, seq): equal timestamps in scheduling order.
 class Simulator {
  public:
@@ -69,7 +70,8 @@ class Simulator {
     return calendar_.peak_size();
   }
 
-  /// Events served from the calendar queue's far heap since reset().
+  /// Events served from the event queue's heap rather than a lane since
+  /// reset().
   [[nodiscard]] std::uint64_t queue_far_pops() const {
     return calendar_.far_pops();
   }

@@ -4,7 +4,7 @@
 //
 // Why: the parallel drivers used to construct and tear down the whole stack
 // for every point.  Construction is hundreds of container allocations
-// (channels, buffers, calendar buckets, packet storage), so replicated
+// (channels, buffers, event-queue lanes, packet storage), so replicated
 // sweeps hammered the global allocator from every worker at once and
 // per-worker throughput *fell* as jobs rose.  A workspace keeps all of that
 // capacity alive: prepare() rewinds the arena, clears the queues, rewires

@@ -26,14 +26,14 @@ TEST(Time, ConversionsAreExact) {
 }
 
 // --- CalendarQueue boundary behaviour -------------------------------------
-// The parallel engine leans on pop_if_at_most at its window deadlines, so
-// the edges matter: a deadline exactly on a bucket boundary, and events
-// sitting exactly at the near-ring horizon (the near/far split).
+// run_until pops with pop_if_at_most against its deadline, so the edges
+// matter: a deadline exactly on an event's time, and events sitting exactly
+// at the lane horizon (the lane/heap split).
 
 TEST(CalendarQueue, NextTimeReportsHead) {
   // next_time() is what run_until pins the clock against once the queue
   // idles: kTimeNever when empty, otherwise the earliest event wherever it
-  // lives (near ring or far heap).
+  // lives (a lane or the heap).
   CalendarQueue q;
   EXPECT_EQ(q.next_time(), kTimeNever);
   q.push(CalendarQueue::kHorizonPs + 5, EventKind::kCallback, 0, 0, nullptr);
@@ -48,30 +48,32 @@ TEST(CalendarQueue, NextTimeReportsHead) {
 
 TEST(CalendarQueue, PopIfAtMostIsInclusiveAtBucketEdge) {
   CalendarQueue q;
-  const TimePs width = TimePs{1} << CalendarQueue::kWidthBits;
-  // Last picosecond of bucket 0 and first of bucket 1.
-  q.push(width - 1, EventKind::kCallback, 0, 0, nullptr);
-  q.push(width, EventKind::kCallback, 1, 0, nullptr);
+  // Two events one picosecond apart (the last and first picosecond of two
+  // 1024 ps buckets in the former calendar ring).
+  const TimePs first = 1023;
+  const TimePs second = 1024;
+  q.push(first, EventKind::kCallback, 0, 0, nullptr);
+  q.push(second, EventKind::kCallback, 1, 0, nullptr);
 
   Event e;
   // A deadline one below the first event leaves the queue untouched.
-  EXPECT_FALSE(q.pop_if_at_most(width - 2, e));
+  EXPECT_FALSE(q.pop_if_at_most(first - 1, e));
   EXPECT_EQ(q.size(), 2u);
   // A deadline exactly on the event's time pops it (inclusive contract,
-  // same as Simulator::run_until), but not its bucket-1 neighbour.
-  ASSERT_TRUE(q.pop_if_at_most(width - 1, e));
-  EXPECT_EQ(e.at, width - 1);
-  EXPECT_FALSE(q.pop_if_at_most(width - 1, e));
-  ASSERT_TRUE(q.pop_if_at_most(width, e));
-  EXPECT_EQ(e.at, width);
+  // same as Simulator::run_until), but not its neighbour one ps later.
+  ASSERT_TRUE(q.pop_if_at_most(first, e));
+  EXPECT_EQ(e.at, first);
+  EXPECT_FALSE(q.pop_if_at_most(first, e));
+  ASSERT_TRUE(q.pop_if_at_most(second, e));
+  EXPECT_EQ(e.at, second);
   EXPECT_TRUE(q.empty());
 }
 
 TEST(CalendarQueue, PopIfAtMostAtTheNearFarHorizon) {
   CalendarQueue q;
-  // kHorizonPs falls outside the near ring when base_ is at zero, so this
-  // event lands in the far heap; its neighbour one ps earlier lands in the
-  // ring's last bucket.
+  // With nothing popped yet the delay of an event is its time, so the one
+  // at kHorizonPs lands in the heap and its neighbour one ps earlier, the
+  // longest delay a lane takes, lands in a lane.
   q.push(CalendarQueue::kHorizonPs, EventKind::kCallback, 7, 0, nullptr);
   q.push(CalendarQueue::kHorizonPs - 1, EventKind::kCallback, 8, 0, nullptr);
 
@@ -81,9 +83,8 @@ TEST(CalendarQueue, PopIfAtMostAtTheNearFarHorizon) {
   EXPECT_EQ(e.ch, 8);
   // The far event must not pop below its time...
   EXPECT_FALSE(q.pop_if_at_most(CalendarQueue::kHorizonPs - 1, e));
-  // ...and must pop at exactly its time, straight from the heap (far
-  // events are never migrated into the ring; the window re-anchors only
-  // after they pop).
+  // ...and must pop at exactly its time, straight from the heap (heap
+  // events are never migrated into a lane).
   ASSERT_TRUE(q.pop_if_at_most(CalendarQueue::kHorizonPs, e));
   EXPECT_EQ(e.ch, 7);
   EXPECT_TRUE(q.empty());
@@ -92,17 +93,18 @@ TEST(CalendarQueue, PopIfAtMostAtTheNearFarHorizon) {
 TEST(CalendarQueue, EqualTimesAcrossTheHorizonPopInPushOrder) {
   CalendarQueue q;
   const TimePs horizon = CalendarQueue::kHorizonPs;
-  // First push at the horizon goes far (base_ = 0).  Popping the filler
-  // advances base_ to the ring's last bucket, so the SECOND push at the
-  // very same time lands in the near ring.  The (time, seq) contract must
-  // still pop them in push order across the two stores.
-  q.push(horizon, EventKind::kCallback, 1, 0, nullptr);    // far, seq 0
-  q.push(horizon - 1, EventKind::kCallback, 0, 0, nullptr);  // near filler
+  // First push at the horizon goes to the heap (nothing popped yet, so its
+  // delay is the horizon).  Popping the filler moves the reference time to
+  // horizon - 1, so the SECOND push at the very same time is 1 ps ahead and
+  // lands in a lane.  The (time, seq) contract must still pop them in push
+  // order across the two stores.
+  q.push(horizon, EventKind::kCallback, 1, 0, nullptr);    // heap, seq 0
+  q.push(horizon - 1, EventKind::kCallback, 0, 0, nullptr);  // lane filler
   Event e;
   ASSERT_TRUE(q.pop_if_at_most(horizon - 1, e));
-  q.push(horizon, EventKind::kCallback, 2, 0, nullptr);    // near, seq 2
+  q.push(horizon, EventKind::kCallback, 2, 0, nullptr);    // lane, seq 2
   ASSERT_TRUE(q.pop_if_at_most(horizon, e));
-  EXPECT_EQ(e.ch, 1);  // the far event pushed first wins the tie
+  EXPECT_EQ(e.ch, 1);  // the heap event pushed first wins the tie
   ASSERT_TRUE(q.pop_if_at_most(horizon, e));
   EXPECT_EQ(e.ch, 2);
   EXPECT_TRUE(q.empty());
@@ -111,18 +113,18 @@ TEST(CalendarQueue, EqualTimesAcrossTheHorizonPopInPushOrder) {
 TEST(CalendarQueue, RingIsReusedAfterAnIdleGapPastTheHorizon) {
   CalendarQueue q;
   const TimePs horizon = CalendarQueue::kHorizonPs;
-  // The ring drains at t = 100; the next event lies past the horizon, so
-  // it waits in the far heap.
+  // The lanes drain at t = 100; the next event lies past the horizon, so
+  // it waits in the heap.
   q.push(100, EventKind::kCallback, 0, 0, nullptr);
   EXPECT_EQ(q.pop().ch, 0);
   const TimePs later = 100 + 3 * horizon + 7;
   q.push(later, EventKind::kCallback, 1, 0, nullptr);
   EXPECT_EQ(q.far_size(), 1u);
-  // Popping it with the ring empty re-anchors the window at its bucket...
+  // Popping it moves the reference time to `later`...
   const Event gap = q.pop();
   EXPECT_EQ(gap.ch, 1);
   EXPECT_EQ(q.far_pops(), 1u);
-  // ...so what it schedules within the horizon lands in the ring: the
+  // ...so what it schedules within the horizon lands in lanes: the
   // current instant, an equal-timestamp pair and the horizon's middle.
   q.push(later + 500, EventKind::kCallback, 2, 0, nullptr);
   q.push(later, EventKind::kCallback, 3, 0, nullptr);
@@ -147,14 +149,14 @@ TEST(CalendarQueue, PeekAcrossAnIdleGapDoesNotReanchor) {
   const TimePs horizon = CalendarQueue::kHorizonPs;
   const TimePs later = 3 * horizon;
   q.push(later, EventKind::kCallback, 0, 0, nullptr);
-  // Neither a peek nor a refused pop moves the window: the clock has not
-  // reached `later`, so an event just after it is still beyond the horizon.
+  // Neither a peek nor a refused pop moves the reference time: nothing has
+  // popped, so an event just after `later` is still beyond the horizon.
   EXPECT_EQ(q.next_time(), later);
   Event e;
   EXPECT_FALSE(q.pop_if_at_most(later - 1, e));
   q.push(later + 100, EventKind::kCallback, 1, 0, nullptr);
   EXPECT_EQ(q.far_size(), 2u);
-  // An earlier event still goes to the ring and pops first.
+  // An earlier event still goes to a lane and pops first.
   q.push(10, EventKind::kCallback, 2, 0, nullptr);
   EXPECT_EQ(q.far_size(), 2u);
   EXPECT_EQ(q.pop().ch, 2);

@@ -2,6 +2,7 @@
 // implementations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <queue>
 #include <string>
@@ -34,15 +35,17 @@ struct RefQueue {
 
 class CalendarQueueFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-// Differential fuzz of the POD calendar queue against the reference order,
+// Differential fuzz of the POD event queue against the reference order,
 // deliberately covering the contract's hard cases: bursts of events sharing
-// one timestamp (must pop FIFO in push order), pushes beyond the near-window
-// horizon (land in the far heap and stay there until they pop), pushes that
-// fall into the already-scanned base bucket (clamped, but ordered by true
-// time, including after a next_time() peek moved the window), and idle
-// gaps: the ring drains, a far event pops and re-anchors the window, and
-// the next pushes land near the new clock, among far events already inside
-// the new window.
+// one timestamp (must pop FIFO in push order), pushes beyond the lane
+// horizon (land in the heap and stay there until they pop), pushes at the
+// current instant (delay 0), idle gaps (the lanes drain, a heap event pops
+// and moves the reference time, and the next pushes land near the new
+// clock, among heap events already inside the new horizon), the two
+// interleaved constant-delay streams of the network model (49.2 and 50 ns),
+// more distinct live delays than there are lanes (the surplus goes to the
+// heap), and a lane that drains and takes a new key while other lanes hold
+// events.
 TEST_P(CalendarQueueFuzz, MatchesReferenceOrder) {
   Rng rng(GetParam());
   CalendarQueue q;
@@ -64,36 +67,61 @@ TEST_P(CalendarQueueFuzz, MatchesReferenceOrder) {
   for (int op = 0; op < 20000 && !HasFatalFailure(); ++op) {
     const bool do_push = q.empty() || rng.next_bool(0.55);
     if (do_push) {
-      const std::uint64_t shape = rng.next_below(11);
+      const std::uint64_t shape = rng.next_below(14);
       if (shape < 6) {  // near future, within a few buckets
         push(now + static_cast<TimePs>(rng.next_below(5000)));
       } else if (shape < 8) {  // equal-timestamp burst
         const TimePs t = now + static_cast<TimePs>(rng.next_below(3000));
         const std::uint64_t n = 1 + rng.next_below(6);
         for (std::uint64_t i = 0; i < n; ++i) push(t);
-      } else if (shape == 8) {  // same instant as the clock (base bucket)
+      } else if (shape == 8) {  // same instant as the clock (delay 0)
         push(now);
-      } else if (shape == 9) {  // beyond the horizon: far heap
+      } else if (shape == 9) {  // beyond the horizon: heap
         push(now + CalendarQueue::kHorizonPs +
              static_cast<TimePs>(rng.next_below(1u << 20)));
-      } else {  // drain the ring, jump past the horizon, push near it
+      } else if (shape == 11) {  // interleaved 49.2 and 50 ns streams
+        const std::uint64_t n = 1 + rng.next_below(40);
+        for (std::uint64_t i = 0; i < n && !HasFatalFailure(); ++i) {
+          push(now + (rng.next_bool(0.5) ? 49200 : 50000));
+          if (rng.next_bool(0.5)) pop();
+        }
+      } else if (shape == 12) {  // more distinct delays than lanes
+        const std::size_t far_before = q.far_size();
+        const TimePs base = 1 + static_cast<TimePs>(rng.next_below(1000));
+        const int n = CalendarQueue::kLanes + 1 +
+                      static_cast<int>(rng.next_below(8));
+        for (int i = 0; i < n; ++i) push(now + base + 6250 * i);
+        ASSERT_GT(q.far_size(), far_before);
+      } else if (shape == 13) {  // a lane drains and takes a new key
+        const TimePs later = now + 400000 +
+                             static_cast<TimePs>(rng.next_below(100000));
+        push(later);
+        push(later + 6250);
+        const TimePs t = now + 1 + static_cast<TimePs>(rng.next_below(2000));
+        const std::uint64_t n = 1 + rng.next_below(4);
+        for (std::uint64_t i = 0; i < n; ++i) push(t);
+        while (q.next_time() <= t && !HasFatalFailure()) pop();
+        const std::uint64_t m = 1 + rng.next_below(4);
+        for (std::uint64_t i = 0; i < m; ++i) {
+          push(now + 1 + static_cast<TimePs>(rng.next_below(3000)));
+        }
+      } else {  // drain the lanes, jump past the horizon, push near it
         while (q.size() > q.far_size()) pop();
         push(now + CalendarQueue::kHorizonPs +
              static_cast<TimePs>(rng.next_below(1u << 20)));
-        pop();  // from the far heap with the ring empty: re-anchors
+        pop();  // from the heap with the lanes empty: moves past the gap
         ASSERT_EQ(q.size(), q.far_size());
         const std::uint64_t n = 1 + rng.next_below(6);
         for (std::uint64_t i = 0; i < n; ++i) {
           push(now + static_cast<TimePs>(rng.next_below(3000)));
         }
         push(now);
-        // Fill the new window out to its far edge.
+        // Fill the new horizon out to its far edge.
         push(now + static_cast<TimePs>(
                        rng.next_below(CalendarQueue::kHorizonPs)));
       }
     } else if (rng.next_bool(0.25)) {
-      // A peek may move the window past the clock; later pushes behind it
-      // take the clamp path.
+      // A peek must not move the reference time the lanes key on.
       ASSERT_EQ(q.next_time(), ref.q.top().first);
     } else {
       pop();
@@ -122,6 +150,40 @@ TEST(CalendarQueue, EqualTimestampBurstPopsInPushOrder) {
     ASSERT_EQ(e.seq, static_cast<std::uint64_t>(i));
   }
   EXPECT_TRUE(q.empty());
+}
+
+TEST(CalendarQueue, MoreDistinctDelaysThanLanesPopInOrder) {
+  // 3 x kLanes distinct delays pushed in scrambled order: the first kLanes
+  // take one lane each and the rest find no free lane, so they go to the
+  // heap.  A repeat of a lane's delay joins that lane; a repeat of a heap
+  // event's time goes to the heap behind it.  Pops follow (time, seq)
+  // across both stores.
+  CalendarQueue q;
+  constexpr int kDelays = 3 * CalendarQueue::kLanes;
+  std::vector<std::pair<TimePs, std::uint64_t>> expected;
+  std::uint64_t seq = 0;
+  auto push = [&](TimePs t) {
+    q.push(t, EventKind::kCallback, 0, 0, nullptr);
+    expected.emplace_back(t, seq++);
+  };
+  for (int i = 0; i < kDelays; ++i) push(100 + 1000 * ((i * 29) % kDelays));
+  EXPECT_EQ(q.far_size(),
+            static_cast<std::size_t>(kDelays - CalendarQueue::kLanes));
+  const TimePs in_lane = expected.front().first;  // the first push
+  const TimePs in_heap = expected.back().first;   // the last push
+  push(in_lane);
+  push(in_heap);
+  EXPECT_EQ(q.far_size(),
+            static_cast<std::size_t>(kDelays - CalendarQueue::kLanes + 1));
+  std::sort(expected.begin(), expected.end());
+  for (const auto& [t, s] : expected) {
+    const Event e = q.pop();
+    ASSERT_EQ(e.at, t);
+    ASSERT_EQ(e.seq, s);
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.far_pops(),
+            static_cast<std::uint64_t>(kDelays - CalendarQueue::kLanes + 1));
 }
 
 TEST(CalendarQueue, TracksPeakSize) {

@@ -144,7 +144,7 @@ class CalendarQueue {
     } else {
       Lane& l = lanes_[static_cast<std::size_t>(lane)];
       l.head = (l.head + 1) & l.mask;
-      heads_[static_cast<std::size_t>(lane)] = key_of(l.front());  // if live
+      heads_[static_cast<std::size_t>(lane)] = key_of(l.front());
       if (--l.count == 0) live_ &= ~(1u << lane);
     }
     ref_ = e.at;
@@ -156,7 +156,7 @@ class CalendarQueue {
   void far_pop();
 
   std::array<Lane, kLanes> lanes_;
-  std::array<Key, kLanes> heads_{};  // key of each non-empty lane's head
+  std::array<Key, kLanes> heads_{};  // head keys; read only while live
   std::uint32_t live_ = 0;           // bit i set: lane i is non-empty
   std::vector<Event> far_;           // 4-ary min-heap on (at, seq)
   TimePs ref_ = 0;                   // time of the last popped event

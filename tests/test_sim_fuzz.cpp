@@ -68,7 +68,7 @@ TEST_P(CalendarQueueFuzz, MatchesReferenceOrder) {
     const bool do_push = q.empty() || rng.next_bool(0.55);
     if (do_push) {
       const std::uint64_t shape = rng.next_below(14);
-      if (shape < 6) {  // near future, within a few buckets
+      if (shape < 6) {  // near future, up to 5 ns ahead
         push(now + static_cast<TimePs>(rng.next_below(5000)));
       } else if (shape < 8) {  // equal-timestamp burst
         const TimePs t = now + static_cast<TimePs>(rng.next_below(3000));
@@ -105,7 +105,7 @@ TEST_P(CalendarQueueFuzz, MatchesReferenceOrder) {
         for (std::uint64_t i = 0; i < m; ++i) {
           push(now + 1 + static_cast<TimePs>(rng.next_below(3000)));
         }
-      } else {  // drain the lanes, jump past the horizon, push near it
+      } else {  // 10: drain the lanes, jump past the horizon, push near it
         while (q.size() > q.far_size()) pop();
         push(now + CalendarQueue::kHorizonPs +
              static_cast<TimePs>(rng.next_below(1u << 20)));

@@ -44,13 +44,13 @@ void BM_CalendarQueuePushPop(benchmark::State& state) {
   }
   CalendarQueue q;
   for (std::size_t i = 0; i < held; ++i) {
-    q.push(static_cast<TimePs>(rng.next_below(50'000)), EventKind::kCallback,
+    q.push(static_cast<TimePs>(rng.next_below(50'000)), EventKind::kChunkSent,
            0, 0, nullptr);
   }
   std::size_t i = 0;
   for (auto _ : state) {
     const Event e = q.pop();
-    q.push(e.at + delays[i++ & (delays.size() - 1)], EventKind::kCallback, 0,
+    q.push(e.at + delays[i++ & (delays.size() - 1)], EventKind::kChunkSent, 0,
            0, nullptr);
     benchmark::DoNotOptimize(e.at);
   }

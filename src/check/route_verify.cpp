@@ -103,7 +103,9 @@ std::string route_identity(const RouteView& r) {
   std::string id;
   for (const LegView l : r.legs) {
     for (const PortId p : l.ports) id += std::to_string(p) + ",";
-    id += "@" + std::to_string(l.end_host) + ";";
+    id += '@';
+    id += std::to_string(l.end_host);
+    id += ';';
   }
   return id;
 }

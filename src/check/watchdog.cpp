@@ -51,13 +51,14 @@ bool find_cycle(const std::vector<std::vector<ChannelId>>& adj,
 
 DeadlockWatchdog::DeadlockWatchdog(Simulator& sim, Network& net, TimePs period)
     : sim_(&sim), net_(&net), period_(period) {
-  sim_->schedule_in(period_, [this] { tick(); });
+  sim_->set_handler(EventKind::kWatchdogTick, this);
+  sim_->schedule_event_in(period_, EventKind::kWatchdogTick, /*ch=*/-1);
 }
 
-void DeadlockWatchdog::tick() {
+void DeadlockWatchdog::handle_event(const Event& /*e*/) {
   if (!armed_) return;
   sample();
-  sim_->schedule_in(period_, [this] { tick(); });
+  sim_->schedule_event_in(period_, EventKind::kWatchdogTick, /*ch=*/-1);
 }
 
 bool DeadlockWatchdog::sample() {

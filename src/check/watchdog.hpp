@@ -32,10 +32,11 @@
 
 namespace itb {
 
-class DeadlockWatchdog {
+class DeadlockWatchdog : public PodHandler {
  public:
-  /// Starts sampling immediately, every `period` of simulated time, until
-  /// disarm() or the simulator stops running events.
+  /// Registers for kWatchdogTick and starts sampling immediately, every
+  /// `period` of simulated time, until disarm() or the simulator stops
+  /// running events.
   DeadlockWatchdog(Simulator& sim, Network& net, TimePs period = us(10));
 
   DeadlockWatchdog(const DeadlockWatchdog&) = delete;
@@ -58,7 +59,8 @@ class DeadlockWatchdog {
   bool sample();
 
  private:
-  void tick();
+  /// kWatchdogTick: sample and schedule the next tick while armed.
+  void handle_event(const Event& e) override;
 
   Simulator* sim_;
   Network* net_;

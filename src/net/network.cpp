@@ -46,7 +46,12 @@ void Network::reset(const Topology& topo, const RouteSet& routes,
   topo_ = &topo;
   routes_ = &routes;
   params_ = params;
-  sim_->set_pod_handler(this);
+  for (const EventKind k :
+       {EventKind::kChunkSent, EventKind::kChunkArrived,
+        EventKind::kBurstArrived, EventKind::kStopArrived,
+        EventKind::kGoArrived, EventKind::kGrantDone, EventKind::kItbReady}) {
+    sim_->set_handler(k, this);
+  }
 
   // --- wire up channels ---
   // Value-reinitialise every channel in place (Channel is trivially
@@ -149,8 +154,10 @@ void Network::handle_event(const Event& e) {
     case EventKind::kGoArrived: go_arrived(e.ch); break;
     case EventKind::kGrantDone: grant_done(e.ch); break;
     case EventKind::kItbReady: itb_ready(static_cast<Packet*>(e.p)); break;
-    case EventKind::kCallback:
-      assert(false && "kCallback is dispatched by the Simulator");
+    case EventKind::kGenTick:
+    case EventKind::kReplay:
+    case EventKind::kWatchdogTick:
+      assert(false && "not a network event kind");
       break;
   }
 }

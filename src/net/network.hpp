@@ -69,8 +69,8 @@ class Network : public PodHandler {
           const MyrinetParams& params, PathPolicy policy,
           std::uint64_t seed = 1);
 
-  /// Event dispatch: one switch over EventKind, no type erasure.
-  /// Registered with the Simulator by every reset().
+  /// Event dispatch: one switch over the seven network kinds, for which
+  /// every reset() registers this network with the Simulator.
   void handle_event(const Event& e) override;
 
   Network(const Network&) = delete;
@@ -79,7 +79,7 @@ class Network : public PodHandler {
   /// Rebind this network to a (possibly different) topology/route set and
   /// return every queue, ledger and counter to its just-constructed state,
   /// reusing channel/NIC/packet-storage capacity in place.  The owning
-  /// Simulator must have been reset first — the POD handler is
+  /// Simulator must have been reset first — the network kinds' handler is
   /// re-registered on it.  A run on a reset network is
   /// bit-identical to one on a freshly constructed network (same RNG
   /// streams, same (time, seq) event order) — the workspace determinism

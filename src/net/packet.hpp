@@ -57,6 +57,11 @@ struct Packet {
   }
 };
 
+/// Largest message payload (bytes) the model accepts.  It is far above the
+/// paper's 32-1024 B messages and keeps every wire length below, which adds
+/// header, ITB mark and type bytes to the payload, well inside int.
+inline constexpr int kMaxPayloadBytes = 1 << 24;
+
 /// Wire length (flits) of leg `leg_index` at the moment it is (re)injected:
 /// payload + type byte(s) + all remaining header port bytes + the remaining
 /// ITB mark bytes.  The delivery port byte of the final leg is included.

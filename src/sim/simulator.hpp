@@ -1,10 +1,9 @@
 // Discrete-event simulator core loop.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "sim/calendar_queue.hpp"
 #include "sim/event.hpp"
@@ -12,37 +11,24 @@
 
 namespace itb {
 
-/// Callback payload of schedule_in / schedule_at.  Captures should stay
-/// within the small-buffer optimisation of std::function (one pointer plus
-/// one word on libstdc++) to keep scheduling allocation-free.
-using EventFn = std::function<void()>;
-
 /// Owns the clock and the event queue and drives the run loop.  Components
-/// hold a reference to the Simulator and schedule events on it; they must
-/// outlive the run.
-///
-/// Trivially-copyable Event records go through the CalendarQueue (delay
-/// lanes plus a heap, see sim/calendar_queue.hpp) and are dispatched to
-/// the registered PodHandler (the Network).  schedule_in / schedule_at
-/// park a callback in a slot slab and fire it through a kCallback event,
-/// so generators, detectors and tests need no handler.
-/// Events fire by (time, seq): equal timestamps in scheduling order.
+/// hold a reference to the Simulator and schedule trivially-copyable Event
+/// records on it (see sim/calendar_queue.hpp); they must outlive the run.
+/// Each event goes to the PodHandler registered for its kind: the Network,
+/// TrafficGenerator, TraceReplayer or DeadlockWatchdog.  Events fire by
+/// (time, seq): equal timestamps in scheduling order.
 class Simulator {
  public:
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Return the simulator to its just-constructed state (clock at 0, empty
-  /// queue, counters zeroed, no pod handler), keeping queue/slab capacity.
-  /// The next run is bit-identical to one on a fresh Simulator — the
-  /// workspace-reuse determinism contract (see sim/workspace.hpp).
+  /// Return to the just-constructed state (clock at 0, empty queue, counters
+  /// zeroed, no handlers), keeping queue capacity, so the next run is
+  /// bit-identical to one on a fresh Simulator (see sim/workspace.hpp).
   void reset() {
     calendar_.clear();
-    handler_ = nullptr;
-    for (EventFn& fn : slots_) fn = nullptr;  // release captures, keep slab
-    slots_.clear();
-    free_slots_.clear();
+    handlers_.fill(nullptr);
     now_ = 0;
     executed_ = 0;
     causality_violations_ = 0;
@@ -70,26 +56,22 @@ class Simulator {
     return calendar_.peak_size();
   }
 
-  /// Events served from the event queue's heap rather than a lane since
-  /// reset().
+  /// Events served from the queue's heap rather than a lane since reset().
   [[nodiscard]] std::uint64_t queue_far_pops() const {
     return calendar_.far_pops();
   }
 
-  /// Register the receiver of non-callback POD events (the Network).  Must
-  /// be set before any schedule_event_* call.
-  void set_pod_handler(PodHandler* h) { handler_ = h; }
-
-  /// Schedule `fn` `delay` picoseconds from now (delay >= 0).
-  void schedule_in(TimePs delay, EventFn fn) {
-    assert(delay >= 0);
-    schedule_fn(now_ + delay, std::move(fn));
+  /// Register `h` for every event of `kind`.  One handler per kind: a
+  /// second, different one is a wiring bug (asserted).
+  void set_handler(EventKind kind, PodHandler* h) {
+    PodHandler*& slot = handlers_[static_cast<std::size_t>(kind)];
+    assert(slot == nullptr || slot == h);
+    slot = h;
   }
 
-  /// Schedule `fn` at absolute time `at` (at >= now()).
-  void schedule_at(TimePs at, EventFn fn) {
-    assert(at >= now_);
-    schedule_fn(at, std::move(fn));
+  /// The handler registered for `kind`, or null.
+  [[nodiscard]] PodHandler* handler(EventKind kind) const {
+    return handlers_[static_cast<std::size_t>(kind)];
   }
 
   /// Schedule a POD event at absolute time `at`.
@@ -112,15 +94,8 @@ class Simulator {
   std::uint64_t run_until(TimePs deadline = kTimeNever);
 
  private:
-  void schedule_fn(TimePs at, EventFn fn);
-  void run_callback_slot(std::int32_t slot);
-
   CalendarQueue calendar_;
-  PodHandler* handler_ = nullptr;
-  // Parked callbacks for kCallback events: slot slab + free list, so
-  // steady-state scheduling never allocates.
-  std::vector<EventFn> slots_;
-  std::vector<std::int32_t> free_slots_;
+  std::array<PodHandler*, kEventKinds> handlers_{};
   TimePs now_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t causality_violations_ = 0;

@@ -19,7 +19,8 @@ void TrafficGenerator::reset(const DestinationPattern& pattern,
   pattern_ = &pattern;
   cfg_ = cfg;
   if (!std::isfinite(cfg_.load_flits_per_ns_per_switch) ||
-      cfg_.load_flits_per_ns_per_switch <= 0.0 || cfg_.payload_bytes <= 0) {
+      cfg_.load_flits_per_ns_per_switch <= 0.0 || cfg_.payload_bytes <= 0 ||
+      cfg_.payload_bytes > kMaxPayloadBytes) {
     throw std::invalid_argument("TrafficGenerator: bad load/payload");
   }
   const auto& topo = net_->topology();
@@ -57,16 +58,18 @@ void TrafficGenerator::reset(const DestinationPattern& pattern,
 }
 
 void TrafficGenerator::start() {
+  sim_->set_handler(EventKind::kGenTick, this);
   const auto& topo = net_->topology();
   for (HostId h = 0; h < topo.num_hosts(); ++h) {
     const auto phase = static_cast<TimePs>(host_rng_[static_cast<std::size_t>(h)]
                                                .next_below(static_cast<std::uint64_t>(interval_)));
-    sim_->schedule_in(phase, [this, h] { host_tick(h); });
+    sim_->schedule_event_in(phase, EventKind::kGenTick, /*ch=*/-1, h);
   }
 }
 
-void TrafficGenerator::host_tick(HostId h) {
+void TrafficGenerator::handle_event(const Event& e) {
   if (stopped_) return;
+  const HostId h = e.a;
   Rng& rng = host_rng_[static_cast<std::size_t>(h)];
   const HostId dst = pattern_->pick(h, rng);
   if (dst != kNoHost) {
@@ -74,17 +77,13 @@ void TrafficGenerator::host_tick(HostId h) {
     ++generated_;
     if (tap_) tap_(sim_->now(), h, dst, cfg_.payload_bytes);
   }
-  schedule_next(h);
-}
-
-void TrafficGenerator::schedule_next(HostId h) {
   TimePs delay = interval_;
   if (cfg_.poisson) {
-    delay = static_cast<TimePs>(host_rng_[static_cast<std::size_t>(h)]
-                                    .next_exponential(static_cast<double>(interval_)));
+    delay = static_cast<TimePs>(
+        rng.next_exponential(static_cast<double>(interval_)));
     if (delay < 1) delay = 1;
   }
-  sim_->schedule_in(delay, [this, h] { host_tick(h); });
+  sim_->schedule_event_in(delay, EventKind::kGenTick, /*ch=*/-1, h);
 }
 
 }  // namespace itb

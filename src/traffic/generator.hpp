@@ -19,7 +19,7 @@ struct TrafficConfig {
   /// Offered load in flits/ns/switch across the whole network (payload
   /// flits; header overhead rides on top, as in the paper's accounting).
   double load_flits_per_ns_per_switch = 0.01;
-  int payload_bytes = 512;
+  int payload_bytes = 512;  // 1..kMaxPayloadBytes
   /// false = constant inter-arrival (paper); true = Poisson arrivals.
   bool poisson = false;
   std::uint64_t seed = 42;
@@ -30,7 +30,9 @@ struct TrafficConfig {
 using MessageTap = std::function<void(TimePs, HostId src, HostId dst,
                                       int payload_bytes)>;
 
-class TrafficGenerator {
+/// Each host's next message is a kGenTick event (a = host) on the
+/// Simulator; start() registers the generator as that kind's handler.
+class TrafficGenerator : public PodHandler {
  public:
   TrafficGenerator(Simulator& sim, Network& net,
                    const DestinationPattern& pattern, TrafficConfig cfg);
@@ -45,8 +47,9 @@ class TrafficGenerator {
   /// Install a tap that sees every injected message.
   void set_tap(MessageTap tap) { tap_ = std::move(tap); }
 
-  /// Schedule the first generation event of every host (random phase within
-  /// one interval, so hosts do not fire in lockstep).
+  /// Register for kGenTick and schedule the first generation event of every
+  /// host (random phase within one interval, so hosts do not fire in
+  /// lockstep).
   void start();
 
   /// Stop generating; already-queued packets drain normally.
@@ -60,8 +63,8 @@ class TrafficGenerator {
   [[nodiscard]] TimePs interval() const { return interval_; }
 
  private:
-  void host_tick(HostId h);
-  void schedule_next(HostId h);
+  /// One host's kGenTick: inject its message and schedule the next.
+  void handle_event(const Event& e) override;
 
   Simulator* sim_;
   Network* net_;

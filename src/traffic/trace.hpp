@@ -46,7 +46,8 @@ class MessageTrace {
   /// Keep only records in [from, to).
   [[nodiscard]] MessageTrace window(TimePs from, TimePs to) const;
 
-  // --- text format: one "time_ps src dst bytes" line per record ---
+  // --- text format: one "time_ps src dst bytes" line per record; read()
+  // rejects negative hosts and trailing tokens ---
   void write(std::ostream& os) const;
   [[nodiscard]] static MessageTrace read(std::istream& is);
   void save(const std::string& path) const;
@@ -59,12 +60,17 @@ class MessageTrace {
 };
 
 /// Replays a trace into a network: each record becomes an inject() at its
-/// timestamp (relative to the replayer's start time).
-class TraceReplayer {
+/// absolute timestamp, through kReplay events on the Simulator.  Records
+/// that are already due when start() runs fire at the current time.
+class TraceReplayer : public PodHandler {
  public:
+  /// Throws std::invalid_argument naming the first record whose source or
+  /// destination is not a host of `net`, or whose payload exceeds
+  /// kMaxPayloadBytes.  Self-sends and empty payloads are accepted and
+  /// skipped at replay.
   TraceReplayer(Simulator& sim, Network& net, MessageTrace trace);
 
-  /// Schedule every record; call once.
+  /// Register for kReplay and schedule the first record; call once.
   void start();
 
   [[nodiscard]] std::uint64_t messages_replayed() const { return replayed_; }
@@ -77,7 +83,9 @@ class TraceReplayer {
   std::uint64_t replayed_ = 0;
   bool started_ = false;
 
-  void inject_next();
+  void schedule_next();
+  /// kReplay: inject every record due now, then schedule the next.
+  void handle_event(const Event& e) override;
 };
 
 }  // namespace itb

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "sim/arena.hpp"
@@ -12,6 +13,7 @@
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
+#include "support/test_handler.hpp"
 
 namespace itb {
 namespace {
@@ -36,9 +38,9 @@ TEST(CalendarQueue, NextTimeReportsHead) {
   // lives (a lane or the heap).
   CalendarQueue q;
   EXPECT_EQ(q.next_time(), kTimeNever);
-  q.push(CalendarQueue::kHorizonPs + 5, EventKind::kCallback, 0, 0, nullptr);
+  q.push(CalendarQueue::kHorizonPs + 5, EventKind::kChunkSent, 0, 0, nullptr);
   EXPECT_EQ(q.next_time(), CalendarQueue::kHorizonPs + 5);
-  q.push(99, EventKind::kCallback, 1, 0, nullptr);
+  q.push(99, EventKind::kChunkSent, 1, 0, nullptr);
   EXPECT_EQ(q.next_time(), 99);
   (void)q.pop();
   EXPECT_EQ(q.next_time(), CalendarQueue::kHorizonPs + 5);
@@ -52,8 +54,8 @@ TEST(CalendarQueue, PopIfAtMostIsInclusiveAtBucketEdge) {
   // 1024 ps buckets in the former calendar ring).
   const TimePs first = 1023;
   const TimePs second = 1024;
-  q.push(first, EventKind::kCallback, 0, 0, nullptr);
-  q.push(second, EventKind::kCallback, 1, 0, nullptr);
+  q.push(first, EventKind::kChunkSent, 0, 0, nullptr);
+  q.push(second, EventKind::kChunkSent, 1, 0, nullptr);
 
   Event e;
   // A deadline one below the first event leaves the queue untouched.
@@ -74,8 +76,8 @@ TEST(CalendarQueue, PopIfAtMostAtTheNearFarHorizon) {
   // With nothing popped yet the delay of an event is its time, so the one
   // at kHorizonPs lands in the heap and its neighbour one ps earlier, the
   // longest delay a lane takes, lands in a lane.
-  q.push(CalendarQueue::kHorizonPs, EventKind::kCallback, 7, 0, nullptr);
-  q.push(CalendarQueue::kHorizonPs - 1, EventKind::kCallback, 8, 0, nullptr);
+  q.push(CalendarQueue::kHorizonPs, EventKind::kChunkSent, 7, 0, nullptr);
+  q.push(CalendarQueue::kHorizonPs - 1, EventKind::kChunkSent, 8, 0, nullptr);
 
   Event e;
   ASSERT_TRUE(q.pop_if_at_most(CalendarQueue::kHorizonPs - 1, e));
@@ -98,11 +100,11 @@ TEST(CalendarQueue, EqualTimesAcrossTheHorizonPopInPushOrder) {
   // horizon - 1, so the SECOND push at the very same time is 1 ps ahead and
   // lands in a lane.  The (time, seq) contract must still pop them in push
   // order across the two stores.
-  q.push(horizon, EventKind::kCallback, 1, 0, nullptr);    // heap, seq 0
-  q.push(horizon - 1, EventKind::kCallback, 0, 0, nullptr);  // lane filler
+  q.push(horizon, EventKind::kChunkSent, 1, 0, nullptr);    // heap, seq 0
+  q.push(horizon - 1, EventKind::kChunkSent, 0, 0, nullptr);  // lane filler
   Event e;
   ASSERT_TRUE(q.pop_if_at_most(horizon - 1, e));
-  q.push(horizon, EventKind::kCallback, 2, 0, nullptr);    // lane, seq 2
+  q.push(horizon, EventKind::kChunkSent, 2, 0, nullptr);    // lane, seq 2
   ASSERT_TRUE(q.pop_if_at_most(horizon, e));
   EXPECT_EQ(e.ch, 1);  // the heap event pushed first wins the tie
   ASSERT_TRUE(q.pop_if_at_most(horizon, e));
@@ -115,10 +117,10 @@ TEST(CalendarQueue, RingIsReusedAfterAnIdleGapPastTheHorizon) {
   const TimePs horizon = CalendarQueue::kHorizonPs;
   // The lanes drain at t = 100; the next event lies past the horizon, so
   // it waits in the heap.
-  q.push(100, EventKind::kCallback, 0, 0, nullptr);
+  q.push(100, EventKind::kChunkSent, 0, 0, nullptr);
   EXPECT_EQ(q.pop().ch, 0);
   const TimePs later = 100 + 3 * horizon + 7;
-  q.push(later, EventKind::kCallback, 1, 0, nullptr);
+  q.push(later, EventKind::kChunkSent, 1, 0, nullptr);
   EXPECT_EQ(q.far_size(), 1u);
   // Popping it moves the reference time to `later`...
   const Event gap = q.pop();
@@ -126,11 +128,11 @@ TEST(CalendarQueue, RingIsReusedAfterAnIdleGapPastTheHorizon) {
   EXPECT_EQ(q.far_pops(), 1u);
   // ...so what it schedules within the horizon lands in lanes: the
   // current instant, an equal-timestamp pair and the horizon's middle.
-  q.push(later + 500, EventKind::kCallback, 2, 0, nullptr);
-  q.push(later, EventKind::kCallback, 3, 0, nullptr);
-  q.push(later + 500, EventKind::kCallback, 4, 0, nullptr);
-  q.push(later + horizon / 2, EventKind::kCallback, 5, 0, nullptr);
-  q.push(later + 20, EventKind::kCallback, 6, 0, nullptr);
+  q.push(later + 500, EventKind::kChunkSent, 2, 0, nullptr);
+  q.push(later, EventKind::kChunkSent, 3, 0, nullptr);
+  q.push(later + 500, EventKind::kChunkSent, 4, 0, nullptr);
+  q.push(later + horizon / 2, EventKind::kChunkSent, 5, 0, nullptr);
+  q.push(later + 20, EventKind::kChunkSent, 6, 0, nullptr);
   EXPECT_EQ(q.far_size(), 0u);
   std::vector<std::int32_t> order;
   TimePs last = later;
@@ -148,16 +150,16 @@ TEST(CalendarQueue, PeekAcrossAnIdleGapDoesNotReanchor) {
   CalendarQueue q;
   const TimePs horizon = CalendarQueue::kHorizonPs;
   const TimePs later = 3 * horizon;
-  q.push(later, EventKind::kCallback, 0, 0, nullptr);
+  q.push(later, EventKind::kChunkSent, 0, 0, nullptr);
   // Neither a peek nor a refused pop moves the reference time: nothing has
   // popped, so an event just after `later` is still beyond the horizon.
   EXPECT_EQ(q.next_time(), later);
   Event e;
   EXPECT_FALSE(q.pop_if_at_most(later - 1, e));
-  q.push(later + 100, EventKind::kCallback, 1, 0, nullptr);
+  q.push(later + 100, EventKind::kChunkSent, 1, 0, nullptr);
   EXPECT_EQ(q.far_size(), 2u);
   // An earlier event still goes to a lane and pops first.
-  q.push(10, EventKind::kCallback, 2, 0, nullptr);
+  q.push(10, EventKind::kChunkSent, 2, 0, nullptr);
   EXPECT_EQ(q.far_size(), 2u);
   EXPECT_EQ(q.pop().ch, 2);
   EXPECT_EQ(q.pop().ch, 0);
@@ -169,7 +171,9 @@ TEST(CalendarQueue, PeekAcrossAnIdleGapDoesNotReanchor) {
 TEST(Simulator, ClockFollowsEvents) {
   Simulator sim;
   TimePs seen = -1;
-  sim.schedule_in(100, [&] { seen = sim.now(); });
+  TestHandler h(sim, EventKind::kGenTick,
+                [&](const Event&) { seen = sim.now(); });
+  sim.schedule_event_in(100, EventKind::kGenTick, -1);
   sim.run_until();
   EXPECT_EQ(seen, 100);
   EXPECT_EQ(sim.now(), 100);
@@ -178,9 +182,10 @@ TEST(Simulator, ClockFollowsEvents) {
 TEST(Simulator, RunUntilStopsAtDeadlineInclusive) {
   Simulator sim;
   int fired = 0;
-  sim.schedule_at(100, [&] { ++fired; });
-  sim.schedule_at(200, [&] { ++fired; });
-  sim.schedule_at(201, [&] { ++fired; });
+  TestHandler h(sim, EventKind::kGenTick, [&](const Event&) { ++fired; });
+  sim.schedule_event_at(100, EventKind::kGenTick, -1);
+  sim.schedule_event_at(200, EventKind::kGenTick, -1);
+  sim.schedule_event_at(201, EventKind::kGenTick, -1);
   sim.run_until(200);
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(sim.now(), 200);
@@ -195,15 +200,74 @@ TEST(Simulator, DeadlineAdvancesClockWhenQueueIdle) {
 }
 
 TEST(Simulator, EventsCanScheduleEvents) {
+  // Each event carries its nesting depth in `a` and schedules the next.
   Simulator sim;
   int depth = 0;
-  std::function<void()> chain = [&] {
-    if (++depth < 10) sim.schedule_in(10, chain);
-  };
-  sim.schedule_in(10, chain);
+  TestHandler h(sim, EventKind::kGenTick, [&](const Event& e) {
+    depth = e.a;
+    if (depth < 10) {
+      sim.schedule_event_in(10, EventKind::kGenTick, -1, depth + 1);
+    }
+  });
+  sim.schedule_event_in(10, EventKind::kGenTick, -1, 1);
   sim.run_until();
   EXPECT_EQ(depth, 10);
   EXPECT_EQ(sim.now(), 100);
+}
+
+TEST(Simulator, DispatchesEachKindToItsHandler) {
+  // Every kind goes to the handler registered for it and to no other.
+  Simulator sim;
+  std::vector<std::vector<int>> seen(kEventKinds);
+  auto record = [&](const Event& e) {
+    seen[static_cast<std::size_t>(e.kind)].push_back(e.a);
+  };
+  using Handler = TestHandler<decltype(record)>;
+  std::vector<std::unique_ptr<Handler>> handlers;
+  for (std::size_t k = 0; k < kEventKinds; ++k) {
+    handlers.push_back(
+        std::make_unique<Handler>(sim, static_cast<EventKind>(k), record));
+  }
+  for (std::size_t k = 0; k < kEventKinds; ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    EXPECT_EQ(sim.handler(kind), handlers[k].get());
+    // Kinds interleave in time: kind k fires at k and 100 + k.
+    sim.schedule_event_at(100 + static_cast<TimePs>(k), kind, -1,
+                          static_cast<int>(k) + 100);
+    sim.schedule_event_at(static_cast<TimePs>(k), kind, -1,
+                          static_cast<int>(k));
+  }
+  EXPECT_EQ(sim.run_until(), 2 * kEventKinds);
+  for (std::size_t k = 0; k < kEventKinds; ++k) {
+    const int i = static_cast<int>(k);
+    EXPECT_EQ(seen[k], (std::vector<int>{i, i + 100})) << "kind " << k;
+  }
+}
+
+TEST(Simulator, ResetClearsHandlers) {
+  // A reset simulator holds no handler, so a reused one can take a new
+  // owner for each kind (one per kind is asserted by set_handler).
+  Simulator sim;
+  int first = 0;
+  int second = 0;
+  TestHandler a(sim, EventKind::kReplay, [&](const Event&) { ++first; });
+  EXPECT_EQ(sim.handler(EventKind::kReplay), &a);
+  // Until then a second handler for the kind is a wiring bug.
+  EXPECT_DEBUG_DEATH(
+      TestHandler(sim, EventKind::kReplay, [](const Event&) {}),
+      "slot == nullptr");
+  sim.set_handler(EventKind::kReplay, &a);
+  sim.schedule_event_in(5, EventKind::kReplay, -1);
+  sim.reset();
+  for (std::size_t k = 0; k < kEventKinds; ++k) {
+    EXPECT_EQ(sim.handler(static_cast<EventKind>(k)), nullptr) << k;
+  }
+  TestHandler b(sim, EventKind::kReplay, [&](const Event&) { ++second; });
+  EXPECT_EQ(sim.handler(EventKind::kReplay), &b);
+  sim.schedule_event_in(5, EventKind::kReplay, -1);
+  sim.run_until();
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 1);
 }
 
 TEST(Rng, DeterministicForSeed) {

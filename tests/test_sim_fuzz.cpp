@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <queue>
 #include <string>
@@ -14,6 +15,7 @@
 #include "sim/calendar_queue.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
+#include "support/test_handler.hpp"
 #include "topo/generators.hpp"
 #include "traffic/patterns.hpp"
 
@@ -53,7 +55,7 @@ TEST_P(CalendarQueueFuzz, MatchesReferenceOrder) {
   TimePs now = 0;
 
   auto push = [&](TimePs t) {
-    q.push(t, EventKind::kCallback, /*ch=*/0, /*a=*/0, /*p=*/nullptr);
+    q.push(t, EventKind::kChunkSent, /*ch=*/0, /*a=*/0, /*p=*/nullptr);
     ref.push(t);
   };
   auto pop = [&] {
@@ -142,7 +144,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CalendarQueueFuzz,
 TEST(CalendarQueue, EqualTimestampBurstPopsInPushOrder) {
   CalendarQueue q;
   for (std::int32_t i = 0; i < 1000; ++i) {
-    q.push(ns(std::int64_t{100}), EventKind::kCallback, i, 0, nullptr);
+    q.push(ns(std::int64_t{100}), EventKind::kChunkSent, i, 0, nullptr);
   }
   for (std::int32_t i = 0; i < 1000; ++i) {
     const Event e = q.pop();
@@ -163,7 +165,7 @@ TEST(CalendarQueue, MoreDistinctDelaysThanLanesPopInOrder) {
   std::vector<std::pair<TimePs, std::uint64_t>> expected;
   std::uint64_t seq = 0;
   auto push = [&](TimePs t) {
-    q.push(t, EventKind::kCallback, 0, 0, nullptr);
+    q.push(t, EventKind::kChunkSent, 0, 0, nullptr);
     expected.emplace_back(t, seq++);
   };
   for (int i = 0; i < kDelays; ++i) push(100 + 1000 * ((i * 29) % kDelays));
@@ -189,10 +191,10 @@ TEST(CalendarQueue, MoreDistinctDelaysThanLanesPopInOrder) {
 TEST(CalendarQueue, TracksPeakSize) {
   CalendarQueue q;
   for (int i = 0; i < 64; ++i) {
-    q.push(static_cast<TimePs>(i), EventKind::kCallback, 0, 0, nullptr);
+    q.push(static_cast<TimePs>(i), EventKind::kChunkSent, 0, 0, nullptr);
   }
   for (int i = 0; i < 40; ++i) q.pop();
-  q.push(1000, EventKind::kCallback, 0, 0, nullptr);
+  q.push(1000, EventKind::kChunkSent, 0, 0, nullptr);
   EXPECT_EQ(q.size(), 25u);
   EXPECT_EQ(q.peak_size(), 64u);
 }
@@ -272,25 +274,26 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CheckedTrafficFuzz,
 
 TEST(SimulatorFuzz, NestedSchedulingKeepsCausality) {
   // Events schedule further events at random offsets; time must never go
-  // backwards and every scheduled event must fire exactly once.
+  // backwards and every scheduled event must fire exactly once.  Each
+  // event carries its nesting depth in `a`.
   Simulator sim;
   Rng rng(99);
   int fired = 0;
   int scheduled = 1;
   TimePs last = -1;
-  std::function<void(int)> spawn = [&](int depth) {
+  TestHandler spawn(sim, EventKind::kGenTick, [&](const Event& e) {
     EXPECT_GE(sim.now(), last);
     last = sim.now();
     ++fired;
-    if (depth >= 6) return;
+    if (e.a >= 6) return;
     const int kids = static_cast<int>(rng.next_below(3));
     for (int i = 0; i < kids; ++i) {
       ++scheduled;
-      sim.schedule_in(static_cast<TimePs>(rng.next_below(1000)),
-                      [&spawn, depth] { spawn(depth + 1); });
+      sim.schedule_event_in(static_cast<TimePs>(rng.next_below(1000)),
+                            EventKind::kGenTick, -1, e.a + 1);
     }
-  };
-  sim.schedule_in(0, [&spawn] { spawn(0); });
+  });
+  sim.schedule_event_in(0, EventKind::kGenTick, -1, 0);
   sim.run_until();
   EXPECT_EQ(fired, scheduled);
 }
@@ -298,19 +301,24 @@ TEST(SimulatorFuzz, NestedSchedulingKeepsCausality) {
 TEST(SimulatorFuzz, RunUntilChunksEquivalentToOneShot) {
   // Driving the same workload in many small run_until slices must produce
   // the same event count and final clock as a single call.
-  auto build = [](Simulator& sim, int* counter) {
+  auto build = [](Simulator& sim) {
     for (int i = 0; i < 500; ++i) {
-      sim.schedule_at(i * 997, [counter] { ++*counter; });
+      sim.schedule_event_at(i * 997, EventKind::kGenTick, -1);
     }
+  };
+  auto count = [](int* counter) {
+    return [counter](const Event&) { ++*counter; };
   };
   Simulator a;
   int ca = 0;
-  build(a, &ca);
+  TestHandler ha(a, EventKind::kGenTick, count(&ca));
+  build(a);
   a.run_until(ms(1));
 
   Simulator b;
   int cb = 0;
-  build(b, &cb);
+  TestHandler hb(b, EventKind::kGenTick, count(&cb));
+  build(b);
   for (TimePs t = 10000; t <= ms(1); t += 10000) b.run_until(t);
   EXPECT_EQ(ca, cb);
   EXPECT_EQ(a.now(), b.now());

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "core/route_builder.hpp"
 #include "harness/testbed.hpp"
@@ -50,8 +51,19 @@ TEST(MessageTrace, TextRoundTrip) {
 }
 
 TEST(MessageTrace, ReadRejectsGarbage) {
-  std::istringstream is("12 not-a-host 3 64\n");
-  EXPECT_THROW(MessageTrace::read(is), std::runtime_error);
+  // Non-numbers, negative hosts and trailing tokens; the error names the
+  // line.
+  for (const char* text : {"12 not-a-host 3 64\n", "0 -1 1 512\n",
+                           "0 1 -2 512\n", "0 1 2 512 junk\n",
+                           "0 1 2 512junk\n"}) {
+    std::istringstream is(std::string("0 0 1 64\n") + text);
+    try {
+      (void)MessageTrace::read(is);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "MessageTrace: malformed line 2") << text;
+    }
+  }
 }
 
 TEST(MessageTrace, FileRoundTrip) {
@@ -192,6 +204,37 @@ TEST(TraceReplay, SkipsDegenerateRecords) {
   EXPECT_EQ(replay.messages_replayed(), 1u);
   EXPECT_EQ(net.packets_delivered(), 1u);
   EXPECT_THROW(replay.start(), std::logic_error);
+}
+
+TEST(TraceReplay, RejectsRecordsTheNetworkCannotCarry) {
+  // Hosts outside [0, num_hosts()) and payloads above kMaxPayloadBytes are
+  // refused up front, naming the record, instead of reaching inject().
+  Topology topo = make_mesh_2d(1, 2, 1);
+  UpDown ud(topo, 0);
+  RouteSet routes = build_updown_routes(topo, SimpleRoutes(topo, ud));
+  Simulator sim;
+  MyrinetParams params;
+  Network net(sim, topo, routes, params, PathPolicy::kSingle);
+  const TraceRecord bad[] = {{10, -1, 1, 512},
+                             {10, 0, 2, 512},
+                             {10, 2, 0, 512},
+                             {10, 0, 1, kMaxPayloadBytes + 1}};
+  for (const TraceRecord& r : bad) {
+    MessageTrace trace;
+    trace.add({0, 0, 1, 512});
+    trace.add(r);
+    try {
+      TraceReplayer replay(sim, net, trace);
+      ADD_FAILURE() << "accepted " << r.src << "->" << r.dst << " "
+                    << r.payload_bytes << " B";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("record 1"), std::string::npos)
+          << e.what();
+    }
+  }
+  MessageTrace at_limit;
+  at_limit.add({0, 1, 0, kMaxPayloadBytes});
+  EXPECT_NO_THROW(TraceReplayer(sim, net, at_limit));
 }
 
 }  // namespace

@@ -261,6 +261,13 @@ TEST(Generator, RejectsBadConfig) {
                  std::invalid_argument)
         << load;
   }
+  // A larger payload would overflow a packet's int wire length.
+  TrafficConfig cfg;
+  cfg.payload_bytes = kMaxPayloadBytes + 1;
+  EXPECT_THROW(TrafficGenerator(rig.sim, rig.net, pat, cfg),
+               std::invalid_argument);
+  cfg.payload_bytes = kMaxPayloadBytes;
+  EXPECT_NO_THROW(TrafficGenerator(rig.sim, rig.net, pat, cfg));
 }
 
 TEST(Generator, BitReversalFixedPointsGenerateNothing) {

@@ -33,6 +33,7 @@
 #include "harness/runner.hpp"
 #include "harness/sweep.hpp"
 #include "harness/testbed.hpp"
+#include "net/packet.hpp"
 #include "sim/rng.hpp"
 #include "topo/generators.hpp"
 #include "topo/io.hpp"
@@ -65,7 +66,8 @@ using namespace itb;
                "  --sweep LO:HI:N  geometric load sweep of N points, 1 to\n"
                "                   10000, instead of one point\n"
                "  --find-saturation  ladder search for the saturation point\n"
-               "  --payload N      message payload bytes, >= 1 (default 512)\n"
+               "  --payload N      message payload bytes, 1 to 16777216\n"
+               "                   (default 512)\n"
                "  --warmup-us N    warm-up time (default 150)\n"
                "  --measure-us N   measurement window (default 400)\n"
                "  --seed N         RNG seed (default 42)\n"
@@ -309,8 +311,8 @@ int main(int argc, char** argv) {
       else if (arg == "--sweep") sweep = parse_sweep(need_value(i), argv[0]);
       else if (arg == "--find-saturation") find_sat = true;
       else if (arg == "--payload")
-        cfg.payload_bytes =
-            static_cast<int>(parse_int_in(need_value(i), 1, INT_MAX));
+        cfg.payload_bytes = static_cast<int>(
+            parse_int_in(need_value(i), 1, kMaxPayloadBytes));
       else if (arg == "--warmup-us")
         cfg.warmup = us(parse_int_in(need_value(i), 0, kMaxUs));
       else if (arg == "--measure-us")

@@ -83,6 +83,18 @@ void BM_SimpleRoutesTorus(benchmark::State& state) {
 }
 BENCHMARK(BM_SimpleRoutesTorus);
 
+// A dense low-diameter graph (degree 30, 65536 pairs): the candidate walk
+// and the refine passes dominate, as on the larger HyperX workloads.
+void BM_SimpleRoutesHyperX16(benchmark::State& state) {
+  const Topology topo = make_hyperx({16, 16}, 1);
+  const UpDown ud(topo, select_updown_root(topo));
+  for (auto _ : state) {
+    SimpleRoutes sr(topo, ud);
+    benchmark::DoNotOptimize(sr.channel_weights().size());
+  }
+}
+BENCHMARK(BM_SimpleRoutesHyperX16)->Unit(benchmark::kMillisecond);
+
 void BM_ItbRoutesTorus(benchmark::State& state) {
   const Topology topo = make_torus_2d(8, 8, 8);
   const UpDown ud(topo, 0);

@@ -18,18 +18,33 @@ std::size_t idx(std::int64_t v) { return static_cast<std::size_t>(v); }
 /// All-pairs BFS distance matrix (row-major, row = source switch), staged
 /// once per table build so the per-pair enumeration reuses rows instead of
 /// re-running a BFS per pair — the difference between minutes and seconds
-/// on dense low-diameter graphs.  Distances are canonical values, so any
-/// jobs value yields the same matrix.
-std::vector<int> all_pairs_distances(const Topology& topo, int jobs) {
-  const int n = topo.num_switches();
-  std::vector<std::vector<int>> rows = parallel_map<std::vector<int>>(
-      n, jobs,
-      [&](int s) { return topo.switch_distances_from(static_cast<SwitchId>(s)); });
-  std::vector<int> flat(idx(n) * idx(n));
-  for (int s = 0; s < n; ++s) {
-    std::copy(rows[idx(s)].begin(), rows[idx(s)].end(),
-              flat.begin() + idx(s) * idx(n));
-  }
+/// on dense low-diameter graphs.  Each BFS runs over the flat adjacency
+/// and writes its row in place, with one queue per block of rows.
+/// Distances are canonical values, so any jobs value yields the same
+/// matrix.
+std::vector<int> all_pairs_distances(const SwitchAdjacency& adj, int jobs) {
+  const int n = static_cast<int>(adj.off.size()) - 1;
+  std::vector<int> flat(idx(n) * idx(n), -1);
+  const int chunk =
+      std::max(1, jobs <= 1 ? n : (n + jobs * 4 - 1) / (jobs * 4));
+  parallel_for_n((n + chunk - 1) / chunk, jobs, [&](int b) {
+    std::vector<SwitchId> q;
+    q.reserve(idx(n));
+    for (int s = b * chunk; s < std::min(n, (b + 1) * chunk); ++s) {
+      int* dist = flat.data() + idx(s) * idx(n);
+      q.assign(1, static_cast<SwitchId>(s));
+      dist[idx(s)] = 0;
+      for (std::size_t head = 0; head < q.size(); ++head) {
+        const SwitchId u = q[head];
+        for (const SwitchAdjacency::Edge& e : adj.of(u)) {
+          if (dist[idx(e.sw)] == -1) {
+            dist[idx(e.sw)] = dist[idx(u)] + 1;
+            q.push_back(e.sw);
+          }
+        }
+      }
+    }
+  });
   return flat;
 }
 
@@ -48,17 +63,12 @@ struct StageScratch {
   PrunedDag dag;
 };
 
-/// Output port of `p.sw[i]` for cable `p.cable[i]`.
-PortId out_port(const Topology& topo, const SwitchPath& p, std::size_t i) {
-  const Cable& cb = topo.cable(p.cable[i]);
-  return cb.a.sw == p.sw[i] ? cb.a.port : cb.b.port;
-}
-
 void path_ports(const Topology& topo, const SwitchPath& p,
                 std::vector<PortId>& out) {
   out.clear();
   for (std::size_t i = 0; i < p.cable.size(); ++i) {
-    out.push_back(out_port(topo, p, i));
+    const Cable& cb = topo.cable(p.cable[i]);
+    out.push_back(cb.a.sw == p.sw[i] ? cb.a.port : cb.b.port);
   }
 }
 
@@ -83,10 +93,15 @@ void stage_updown_row(const Topology& topo, const SimpleRoutes& sr,
                       SwitchId s, FactorizedBlockStager& st,
                       StageScratch& sc) {
   for (SwitchId d = 0; d < topo.num_switches(); ++d) {
-    const SwitchPath& p = sr.route(s, d);
-    path_ports(topo, p, sc.ports);
-    const std::uint32_t rid =
-        stage_ported_route(st, sc.ports.data(), p.hops(), nullptr, 0, 0, sc);
+    // Channel 2c leaves cable c at its a end, 2c + 1 at its b end.
+    sc.ports.clear();
+    for (const ChannelId ch : sr.route_channels(s, d)) {
+      const Cable& cb = topo.cable(ch / 2);
+      sc.ports.push_back(ch % 2 == 0 ? cb.a.port : cb.b.port);
+    }
+    const std::uint32_t rid = stage_ported_route(
+        st, sc.ports.data(), static_cast<int>(sc.ports.size()), nullptr, 0, 0,
+        sc);
     st.commit_pair(&rid, 1);
   }
 }
@@ -240,8 +255,8 @@ RouteSet build_updown_routes(const Topology& topo, const SimpleRoutes& sr,
 
 RouteSet build_itb_routes(const Topology& topo, const UpDown& ud,
                           ItbBuildOptions opts, int jobs) {
-  const std::vector<int> all_dist = all_pairs_distances(topo, jobs);
   const SwitchAdjacency adj(topo);
+  const std::vector<int> all_dist = all_pairs_distances(adj, jobs);
   const std::vector<std::uint32_t> host_count = hosts_per_switch(topo);
   const auto n = idx(topo.num_switches());
   return build_factorized(

@@ -62,8 +62,16 @@ SimpleRoutes::SimpleRoutes(const Topology& topo, const UpDown& ud,
   }
 
   // Greedy placement, then refinement: re-place each route with its own
-  // charge removed.
+  // charge removed.  A pair with one candidate is a no-op in a refine pass
+  // (it takes back and re-charges the same channels), so the refine passes
+  // walk only the pairs with a choice, in the same order.
   place_all(order, false);
+  if (opts.refine_passes == 0) return;
+  std::erase_if(order, [this](std::uint32_t k) {
+    const Block& b = block_of(k);
+    const std::size_t local = k % block_pairs_;
+    return b.pair_first[local + 1] - b.pair_first[local] == 1;
+  });
   for (int pass = 0; pass < opts.refine_passes; ++pass) place_all(order, true);
 }
 
@@ -138,7 +146,7 @@ void SimpleRoutes::enumerate(const UpDown& ud, int max_candidates,
 }
 
 SwitchPath SimpleRoutes::route(SwitchId s, SwitchId d) const {
-  const std::span<const ChannelId> hops = chosen_channels(key(s, d));
+  const std::span<const ChannelId> hops = route_channels(s, d);
   SwitchPath p;
   p.sw.reserve(hops.size() + 1);
   p.cable.reserve(hops.size());

@@ -15,7 +15,12 @@
 // the path, then total weight, then candidate index) and charge one unit of
 // weight to each directed channel it crosses.  `refine_passes` additional
 // passes re-place every route after removing its own charge, which lets
-// early (greedy) decisions be revisited.
+// early (greedy) decisions be revisited; they skip the pairs with a single
+// candidate, for which re-placing changes nothing.
+//
+// Enumeration is per source: one product-graph BFS fills the source's
+// predecessor DAG (UpDown::Scratch), and every destination's candidates
+// are a depth-first walk back over it.
 //
 // Storage is a flat candidate arena: pair -> its candidates -> each
 // candidate's directed channels, in two offset arrays and one channel
@@ -68,6 +73,14 @@ class SimpleRoutes {
   /// Selected path for the ordered pair (s, d); s == d yields the trivial
   /// single-switch path.  Rebuilt from the arena on every call.
   [[nodiscard]] SwitchPath route(SwitchId s, SwitchId d) const;
+
+  /// The directed channels of the selected path for (s, d), in path order,
+  /// read straight from the arena (empty for s == d).  Channel 2c leaves
+  /// cable c at its a end, 2c + 1 at its b end.
+  [[nodiscard]] std::span<const ChannelId> route_channels(SwitchId s,
+                                                          SwitchId d) const {
+    return chosen_channels(key(s, d));
+  }
 
   /// Final directed-channel weights (route count per channel), exposed for
   /// tests and the path-statistics bench.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 namespace itb {
@@ -62,6 +63,9 @@ UpDown::UpDown(const Topology& topo, SwitchId root)
       up_end_[idx(c)] = a < b ? a : b;
     }
   }
+  // A predecessor entry holds a link index in 15 bits (Scratch::pred).
+  static_assert(sizeof(PortId) <= sizeof(std::uint16_t) &&
+                std::is_signed_v<PortId>);
   link_first_.reserve(idx(topo.num_switches()) + 1);
   link_first_.push_back(0);
   for (SwitchId s = 0; s < topo.num_switches(); ++s) {
@@ -84,7 +88,7 @@ bool UpDown::legal(const SwitchPath& path) const {
   return true;
 }
 
-void UpDown::state_distances_from(SwitchId s, Scratch& sc) const {
+void UpDown::bfs_states(SwitchId s, Scratch& sc) const {
   // State encoding: 2*switch + phase; phase 0 = no down cable taken yet,
   // phase 1 = at least one down cable taken (up cables now forbidden).
   // Each state is pushed at most once, so a plain vector with a read
@@ -112,9 +116,36 @@ void UpDown::state_distances_from(SwitchId s, Scratch& sc) const {
   }
 }
 
+void UpDown::state_distances_from(SwitchId s, Scratch& sc) const {
+  bfs_states(s, sc);
+  // Predecessor lists: the moves into each state from a state one step
+  // closer to the source.  (u,0) --up--> (v,0); (u,0) or (u,1) --down-->
+  // (v,1).  The walk's visiting order is the entry order below.
+  const std::vector<int>& dist = sc.dist;
+  const auto n = idx(topo_->num_switches());
+  sc.pred_off.assign(2 * n + 1, 0);
+  sc.pred.clear();
+  for (std::size_t t = 0; t < 2 * n; ++t) {
+    const int want = dist[t] - 1;
+    if (want >= 0) {
+      const std::span<const Link> lv = links(static_cast<SwitchId>(t / 2));
+      const bool phase1 = t % 2 == 1;
+      for (std::size_t i = 0; i < lv.size(); ++i) {
+        const Link& l = lv[i];
+        if (l.up_in == phase1) continue;  // phase 0 enters up, 1 down
+        const auto code = static_cast<std::uint16_t>(i << 1);
+        const std::size_t u = 2 * idx(l.peer);
+        if (dist[u] == want) sc.pred.push_back(code);
+        if (phase1 && dist[u + 1] == want) sc.pred.push_back(code | 1);
+      }
+    }
+    sc.pred_off[t + 1] = static_cast<std::uint32_t>(sc.pred.size());
+  }
+}
+
 std::vector<int> UpDown::state_distances_from(SwitchId s) const {
   Scratch sc;
-  state_distances_from(s, sc);
+  bfs_states(s, sc);
   return std::move(sc.dist);
 }
 

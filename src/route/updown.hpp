@@ -77,20 +77,34 @@ class UpDown {
   /// Caller-owned buffers for the walks below.  One scratch serves every
   /// destination of a source, and every source of a worker: buffers are
   /// overwritten, never shrunk, so a warm scratch allocates nothing.
+  ///
+  /// `pred` is the per-source predecessor DAG of the product graph, in CSR
+  /// form: state t's list is pred[pred_off[t], pred_off[t + 1]).  It holds
+  /// exactly the moves into t that lie on a shortest legal path from the
+  /// source, in the order the walk takes them: t's switch-to-switch links
+  /// in port order, and per link the predecessor in phase 0 before the one
+  /// in phase 1.  An entry is (link index at t's switch) << 1 | the
+  /// predecessor's phase, 2 bytes, since a link index fits a PortId.
   struct Scratch {
-    std::vector<int> dist;               // 2*switch + phase (see below)
-    std::vector<std::int32_t> queue;     // BFS states, each pushed once
-    std::vector<SwitchId> rev_switches;  // current path, destination first
+    std::vector<int> dist;                // 2*switch + phase (see below)
+    std::vector<std::int32_t> queue;      // BFS states, each pushed once
+    std::vector<std::uint32_t> pred_off;  // 2*switch + phase, + 1 -> pred
+    std::vector<std::uint16_t> pred;
+    std::vector<SwitchId> rev_switches;   // current path, destination first
     std::vector<CableId> rev_cables;
   };
 
   /// Fills `sc.dist` with the product-graph distances from `s` (see
-  /// state_distances_from).
+  /// state_distances_from) and `sc.pred` with the predecessor DAG of
+  /// every state: one BFS and one linear pass per source, shared by every
+  /// destination's walk.
   void state_distances_from(SwitchId s, Scratch& sc) const;
 
-  /// The walk behind shortest_legal_paths, with `sc.dist` already filled
-  /// from `s` by state_distances_from(s, sc) (for s != d).  Calls
-  /// visit(rev_switches, rev_cables) once per path in the same order,
+  /// The walk behind shortest_legal_paths, with `sc` already filled from
+  /// `s` by state_distances_from(s, sc) (for s != d).  It walks back from
+  /// d over the predecessor lists, depth first, so it touches only moves
+  /// that lie on a shortest legal path.  Calls visit(rev_switches,
+  /// rev_cables) once per path in the same order as shortest_legal_paths,
   /// with the path reversed: rev_switches runs d..s and rev_cables[i] joins
   /// rev_switches[i + 1] to rev_switches[i].  The spans are only valid
   /// during the call.  Returns the number of paths visited.
@@ -120,6 +134,8 @@ class UpDown {
     const auto i = static_cast<std::size_t>(s);
     return {link_.data() + link_first_[i], link_.data() + link_first_[i + 1]};
   }
+  /// The product-graph BFS alone: fills `sc.dist` and `sc.queue`.
+  void bfs_states(SwitchId s, Scratch& sc) const;
 
   const Topology* topo_;
   SwitchId root_;
@@ -149,36 +165,27 @@ int UpDown::visit_shortest_legal_paths(SwitchId s, SwitchId d, int max_paths,
   if (da < 0 && db < 0) return 0;
   const int best = (da < 0) ? db : (db < 0 ? da : std::min(da, db));
 
-  // Depth-first backward walk over the BFS predecessor DAG, appending to
-  // the reversed path in `sc` (paths are at most a few tens of hops).
+  // Depth-first backward walk over the predecessor DAG, appending to the
+  // reversed path in `sc` (paths are at most a few tens of hops).
   int found = 0;
   // rec(v, phase): dist[(v,phase)] steps remain back to (s, 0).
   auto rec = [&](auto&& self, SwitchId v, int phase) -> void {
-    if (found >= max_paths) return;
-    const int dv = at(2 * v + phase);
-    if (dv == 0) {
+    const auto t = static_cast<std::size_t>(2 * v + phase);
+    if (dist[t] == 0) {
       assert(v == s && phase == 0);
       ++found;
       visit(std::span<const SwitchId>(sc.rev_switches),
             std::span<const CableId>(sc.rev_cables));
       return;
     }
-    for (const Link& l : links(v)) {
+    const std::span<const Link> lv = links(v);
+    for (std::uint32_t i = sc.pred_off[t]; i < sc.pred_off[t + 1]; ++i) {
       if (found >= max_paths) return;
-      const SwitchId u = l.peer;
-      const bool traversal_up = l.up_in;  // direction of u -> v
+      const std::uint16_t code = sc.pred[i];
+      const Link& l = lv[code >> 1];
       sc.rev_cables.push_back(l.cable);
-      sc.rev_switches.push_back(u);
-      if (phase == 0) {
-        // (u,0) --up--> (v,0)
-        if (traversal_up && at(2 * u) == dv - 1) self(self, u, 0);
-      } else {
-        // (u,0) --down--> (v,1) or (u,1) --down--> (v,1)
-        if (!traversal_up) {
-          if (at(2 * u) == dv - 1) self(self, u, 0);
-          if (found < max_paths && at(2 * u + 1) == dv - 1) self(self, u, 1);
-        }
-      }
+      sc.rev_switches.push_back(l.peer);
+      self(self, l.peer, code & 1);
       sc.rev_cables.pop_back();
       sc.rev_switches.pop_back();
     }
@@ -187,7 +194,7 @@ int UpDown::visit_shortest_legal_paths(SwitchId s, SwitchId d, int max_paths,
   // A path's final phase is determined by its contents (pure-up paths end
   // in phase 0, everything else in phase 1), so the two start phases emit
   // disjoint path sets.
-  for (int phase = 0; phase < 2; ++phase) {
+  for (int phase = 0; phase < 2 && found < max_paths; ++phase) {
     if (at(2 * d + phase) == best) rec(rec, d, phase);
   }
   return found;

@@ -38,15 +38,31 @@ Histogram::Histogram(double bucket_width, std::size_t num_buckets)
   assert(bucket_width > 0.0 && num_buckets > 0);
 }
 
+double Histogram::tail_edge(std::size_t j) const {
+  return width_ * static_cast<double>(buckets_.size()) *
+         std::pow(kTailGrowth, static_cast<double>(j));
+}
+
 void Histogram::add(double x) {
   ++total_;
   if (x < 0) x = 0;
-  const auto idx = static_cast<std::size_t>(x / width_);
-  if (idx >= buckets_.size()) {
-    ++overflow_;
-  } else {
-    ++buckets_[idx];
+  const double top = tail_edge(0);
+  if (x < top) {
+    const auto idx = static_cast<std::size_t>(x / width_);
+    ++buckets_[idx < buckets_.size() ? idx : buckets_.size() - 1];
+    return;
   }
+  ++overflow_;
+  // The logarithm picks the bucket; the edges, computed exactly as
+  // quantile() reports them, correct its rounding.
+  const double est = std::log(x / top) / std::log(kTailGrowth);
+  std::size_t j = est < static_cast<double>(kMaxTail - 1)
+                      ? static_cast<std::size_t>(est)
+                      : kMaxTail - 1;
+  while (j > 0 && tail_edge(j) > x) --j;
+  while (j + 1 < kMaxTail && tail_edge(j + 1) <= x) ++j;
+  if (j >= tail_.size()) tail_.resize(j + 1, 0);
+  ++tail_[j];
 }
 
 double Histogram::quantile(double q) const {
@@ -59,7 +75,11 @@ double Histogram::quantile(double q) const {
     seen += buckets_[i];
     if (seen > target) return width_ * static_cast<double>(i + 1);
   }
-  return width_ * static_cast<double>(buckets_.size());
+  for (std::size_t j = 0; j < tail_.size(); ++j) {
+    seen += tail_[j];
+    if (seen > target) return tail_edge(j + 1);
+  }
+  return tail_edge(tail_.size());
 }
 
 }  // namespace itb

@@ -31,20 +31,28 @@ class RunningStats {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Fixed-width linear histogram with overflow bucket; supports approximate
-/// quantiles.  Used for latency distributions (bucket width in ns chosen by
-/// the collector).
+/// Fixed-width linear histogram with a geometric tail; supports
+/// approximate quantiles.  Used for latency distributions (bucket width in
+/// ns chosen by the collector).
 class Histogram {
  public:
-  /// `bucket_width` > 0; values >= bucket_width*num_buckets land in the
-  /// overflow bucket (counted, and quantiles saturate at the top edge).
+  /// `bucket_width` > 0.  Values below top = bucket_width*num_buckets land
+  /// in the linear buckets.  Values at or past top land in the tail, whose
+  /// bucket j spans [top*g^j, top*g^(j+1)) with g = kTailGrowth, so a
+  /// quantile in the tail is reported at most 1% above the true value.
+  /// The tail grows on demand up to kMaxTail buckets (top*1e18); anything
+  /// past that is counted in its last bucket.
   Histogram(double bucket_width, std::size_t num_buckets);
+
+  static constexpr double kTailGrowth = 1.01;
+  static constexpr std::size_t kMaxTail = 4200;
 
   void add(double x);
   /// Zero every bucket in place (no reallocation — reset_window and
   /// workspace reuse call this once per measurement window).
   void clear() {
     buckets_.assign(buckets_.size(), 0);
+    tail_.clear();
     overflow_ = 0;
     total_ = 0;
   }
@@ -52,13 +60,18 @@ class Histogram {
   /// q in [0,1]; returns the upper edge of the bucket containing the
   /// q-quantile.  Requires count() > 0.
   [[nodiscard]] double quantile(double q) const;
+  /// Samples past the linear range (held in the tail).
   [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
   [[nodiscard]] const std::vector<std::uint64_t>& buckets() const { return buckets_; }
   [[nodiscard]] double bucket_width() const { return width_; }
 
  private:
+  /// Lower edge of tail bucket j.
+  [[nodiscard]] double tail_edge(std::size_t j) const;
+
   double width_;
   std::vector<std::uint64_t> buckets_;
+  std::vector<std::uint64_t> tail_;
   std::uint64_t overflow_ = 0;
   std::uint64_t total_ = 0;
 };

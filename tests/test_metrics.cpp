@@ -39,6 +39,21 @@ TEST(Collector, LatencyAndFlitAccounting) {
   EXPECT_EQ(m.avg_itbs_per_message(), 0.0);
 }
 
+TEST(Collector, TailQuantileNotBelowMean) {
+  // A message of 2^20 flits takes well over the histogram's 1 ms linear
+  // range; p99 must still cover it rather than stop at 1 ms.
+  Rig rig;
+  Network net(rig.sim, rig.topo, rig.routes, rig.params, PathPolicy::kSingle);
+  MetricsCollector m(rig.topo.num_switches());
+  m.attach(net);
+  net.inject(0, 2, 1 << 20);
+  rig.sim.run_until(ms(100));
+  ASSERT_EQ(m.delivered(), 1u);
+  EXPECT_GT(m.avg_latency_ns(), 1e6);
+  EXPECT_GE(m.p99_latency_ns(), m.avg_latency_ns());
+  EXPECT_LE(m.p99_latency_ns(), m.net_latency().max() * 1.01);
+}
+
 TEST(Collector, AcceptedTrafficComputation) {
   Rig rig;
   Network net(rig.sim, rig.topo, rig.routes, rig.params, PathPolicy::kSingle);

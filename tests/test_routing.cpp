@@ -175,6 +175,8 @@ TEST(SimpleRoutesParallel, JobsInvariantAndGolden) {
     SwitchId root;
     std::uint64_t golden_minmax;
     std::uint64_t golden_minsum;
+    int max_candidates = 16;
+    int refine_passes = 2;
   };
   std::vector<Case> cases;
   cases.push_back({"torus8x8", make_torus_2d(8, 8, 1), 0,
@@ -183,6 +185,13 @@ TEST(SimpleRoutesParallel, JobsInvariantAndGolden) {
                    0x274eac297680a144ull, 0xefade384691d7e43ull});
   cases.push_back({"hyperx16x16", make_hyperx({16, 16}, 1), kAutoRoot,
                    0x9271763c0244c86eull, 0x7995914eef120d3full});
+  cases.push_back({"dragonfly4x4x2", make_dragonfly(4, 4, 2), kAutoRoot,
+                   0x32b25c573f5f335eull, 0x41c037287c60a67cull});
+  // Two candidates and three refine passes: the cap truncates most
+  // pairs' candidate lists, and refinement re-places every pair.
+  cases.push_back({"hyperx16x16 truncated", make_hyperx({16, 16}, 1),
+                   kAutoRoot, 0x5268a01c3441c848ull, 0x0c72cd84277cb11bull,
+                   /*max_candidates=*/2, /*refine_passes=*/3});
   for (const Case& c : cases) {
     const UpDown ud(c.topo, c.root == kAutoRoot ? select_updown_root(c.topo)
                                                 : c.root);
@@ -193,10 +202,13 @@ TEST(SimpleRoutesParallel, JobsInvariantAndGolden) {
                    (obj == BalanceObjective::kMinMax ? " minmax" : " minsum"));
       SimpleRoutesOptions o;
       o.objective = obj;
+      o.max_candidates = c.max_candidates;
+      o.refine_passes = c.refine_passes;
       const SimpleRoutes serial(c.topo, ud, o, 1);
-      EXPECT_EQ(simple_routes_digest(serial, n),
-                obj == BalanceObjective::kMinMax ? c.golden_minmax
-                                                 : c.golden_minsum);
+      const std::uint64_t digest = simple_routes_digest(serial, n);
+      EXPECT_EQ(digest, obj == BalanceObjective::kMinMax ? c.golden_minmax
+                                                         : c.golden_minsum)
+          << "digest 0x" << std::hex << digest;
       for (const int jobs : {2, 4}) {
         const SimpleRoutes par(c.topo, ud, o, jobs);
         EXPECT_EQ(par.channel_weights(), serial.channel_weights())

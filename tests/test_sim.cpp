@@ -402,6 +402,25 @@ TEST(Histogram, OverflowCounted) {
   EXPECT_EQ(h.count(), 2u);
 }
 
+TEST(Histogram, TailQuantilesWithinOnePercent) {
+  // The collector's shape: 100 ns buckets up to 1 ms, then the tail.
+  Histogram h(100.0, 10000);
+  for (int i = 0; i < 50; ++i) h.add(5e6);  // 5 ms
+  for (int i = 0; i < 50; ++i) h.add(2e9);  // 2 s
+  EXPECT_EQ(h.overflow(), 100u);
+  const double lo = h.quantile(0.25);
+  const double hi = h.quantile(0.99);
+  EXPECT_GE(lo, 5e6);
+  EXPECT_LE(lo, 5e6 * 1.01);
+  EXPECT_GE(hi, 2e9);
+  EXPECT_LE(hi, 2e9 * 1.01);
+  // The linear range is untouched by the tail.
+  h.clear();
+  h.add(250.0);
+  EXPECT_EQ(h.quantile(0.5), 300.0);
+  EXPECT_EQ(h.overflow(), 0u);
+}
+
 TEST(Arena, RewoundBlocksArePoisonedUnderAsan) {
 #ifndef ITB_ARENA_ASAN
   GTEST_SKIP() << "needs an AddressSanitizer build";

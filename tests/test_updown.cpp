@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <set>
 
@@ -195,6 +196,43 @@ TEST(UpDown, MaxPathsCapRespected) {
   const auto p = ud.shortest_legal_paths(0, 36, 3);
   EXPECT_LE(p.size(), 3u);
   EXPECT_FALSE(p.empty());
+}
+
+// Pins the candidate walk itself: every pair's capped path list, in
+// order, on dense graphs where the cap truncates and a state has several
+// legal predecessors.
+TEST(UpDown, ShortestLegalPathsGolden) {
+  struct Case {
+    const char* name;
+    Topology topo;
+    std::uint64_t golden;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"hyperx8x8", make_hyperx({8, 8}, 1), 0x0e5489a22534013full});
+  cases.push_back({"express8x8", make_torus_2d_express(8, 8, 1),
+                   0x7185e9bef1818572ull});
+  for (const Case& c : cases) {
+    const UpDown ud(c.topo, select_updown_root(c.topo));
+    std::uint64_t h = 1469598103934665603ull;  // FNV-1a
+    const auto mix = [&h](std::int64_t v) {
+      for (int b = 0; b < 8; ++b) {
+        h ^= static_cast<std::uint64_t>(v >> (8 * b)) & 0xffu;
+        h *= 1099511628211ull;
+      }
+    };
+    for (SwitchId s = 0; s < c.topo.num_switches(); ++s) {
+      for (SwitchId d = 0; d < c.topo.num_switches(); ++d) {
+        const auto paths = ud.shortest_legal_paths(s, d, 10);
+        mix(static_cast<std::int64_t>(paths.size()));
+        for (const SwitchPath& p : paths) {
+          mix(p.hops());
+          for (const SwitchId w : p.sw) mix(w);
+          for (const CableId cb : p.cable) mix(cb);
+        }
+      }
+    }
+    EXPECT_EQ(h, c.golden) << c.name << " digest 0x" << std::hex << h;
+  }
 }
 
 TEST(UpDown, TorusMinimalLegalFractionMatchesPaper) {

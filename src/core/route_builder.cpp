@@ -63,12 +63,17 @@ struct StageScratch {
   PrunedDag dag;
 };
 
+/// Output port of `p.sw[i]` for cable `p.cable[i]`.
+PortId out_port(const Topology& topo, const SwitchPath& p, std::size_t i) {
+  const Cable& cb = topo.cable(p.cable[i]);
+  return cb.a.sw == p.sw[i] ? cb.a.port : cb.b.port;
+}
+
 void path_ports(const Topology& topo, const SwitchPath& p,
                 std::vector<PortId>& out) {
   out.clear();
   for (std::size_t i = 0; i < p.cable.size(); ++i) {
-    const Cable& cb = topo.cable(p.cable[i]);
-    out.push_back(cb.a.sw == p.sw[i] ? cb.a.port : cb.b.port);
+    out.push_back(out_port(topo, p, i));
   }
 }
 

@@ -125,6 +125,11 @@ void UpDown::state_distances_from(SwitchId s, Scratch& sc) const {
   const auto n = idx(topo_->num_switches());
   sc.pred_off.assign(2 * n + 1, 0);
   sc.pred.clear();
+  // A state has at most one entry per up link and two per down link into
+  // it, so the lists never outgrow 2 * link_.size().  Reserving that once
+  // per scratch keeps the list from growing in steps inside a pool
+  // worker's heap, where the freed steps stayed resident.
+  sc.pred.reserve(2 * link_.size());
   for (std::size_t t = 0; t < 2 * n; ++t) {
     const int want = dist[t] - 1;
     if (want >= 0) {

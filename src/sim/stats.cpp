@@ -34,31 +34,34 @@ void RunningStats::merge(const RunningStats& other) {
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 Histogram::Histogram(double bucket_width, std::size_t num_buckets)
-    : width_(bucket_width), buckets_(num_buckets, 0) {
+    : width_(bucket_width),
+      top_(bucket_width * static_cast<double>(num_buckets)),
+      buckets_(num_buckets, 0) {
   assert(bucket_width > 0.0 && num_buckets > 0);
 }
 
 double Histogram::tail_edge(std::size_t j) const {
-  return width_ * static_cast<double>(buckets_.size()) *
-         std::pow(kTailGrowth, static_cast<double>(j));
+  return top_ * std::pow(kTailGrowth, static_cast<double>(j));
 }
 
 void Histogram::add(double x) {
   ++total_;
   if (x < 0) x = 0;
-  const double top = tail_edge(0);
-  if (x < top) {
-    const auto idx = static_cast<std::size_t>(x / width_);
-    ++buckets_[idx < buckets_.size() ? idx : buckets_.size() - 1];
+  const auto idx = static_cast<std::size_t>(x / width_);
+  if (idx < buckets_.size()) {
+    ++buckets_[idx];
     return;
   }
   ++overflow_;
-  // The logarithm picks the bucket; the edges, computed exactly as
+  // The logarithm picks the tail bucket; the edges, computed exactly as
   // quantile() reports them, correct its rounding.
-  const double est = std::log(x / top) / std::log(kTailGrowth);
-  std::size_t j = est < static_cast<double>(kMaxTail - 1)
-                      ? static_cast<std::size_t>(est)
-                      : kMaxTail - 1;
+  const double est = std::log(x / top_) / std::log(kTailGrowth);
+  std::size_t j = 0;
+  if (est >= static_cast<double>(kMaxTail - 1)) {
+    j = kMaxTail - 1;
+  } else if (est > 0) {
+    j = static_cast<std::size_t>(est);
+  }
   while (j > 0 && tail_edge(j) > x) --j;
   while (j + 1 < kMaxTail && tail_edge(j + 1) <= x) ++j;
   if (j >= tail_.size()) tail_.resize(j + 1, 0);

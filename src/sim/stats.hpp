@@ -70,6 +70,7 @@ class Histogram {
   [[nodiscard]] double tail_edge(std::size_t j) const;
 
   double width_;
+  double top_;  // width_ * buckets_.size(): where the tail starts
   std::vector<std::uint64_t> buckets_;
   std::vector<std::uint64_t> tail_;
   std::uint64_t overflow_ = 0;

@@ -34,28 +34,26 @@ void RunningStats::merge(const RunningStats& other) {
 double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 Histogram::Histogram(double bucket_width, std::size_t num_buckets)
-    : width_(bucket_width),
-      top_(bucket_width * static_cast<double>(num_buckets)),
-      buckets_(num_buckets, 0) {
+    : width_(bucket_width), linear_(num_buckets), counts_(num_buckets, 0) {
   assert(bucket_width > 0.0 && num_buckets > 0);
 }
 
 double Histogram::tail_edge(std::size_t j) const {
-  return top_ * std::pow(kTailGrowth, static_cast<double>(j));
+  return width_ * static_cast<double>(linear_) *
+         std::pow(kTailGrowth, static_cast<double>(j));
 }
 
 void Histogram::add(double x) {
   ++total_;
   if (x < 0) x = 0;
   const auto idx = static_cast<std::size_t>(x / width_);
-  if (idx < buckets_.size()) {
-    ++buckets_[idx];
+  if (idx < linear_) {
+    ++counts_[idx];
     return;
   }
-  ++overflow_;
   // The logarithm picks the tail bucket; the edges, computed exactly as
   // quantile() reports them, correct its rounding.
-  const double est = std::log(x / top_) / std::log(kTailGrowth);
+  const double est = std::log(x / tail_edge(0)) / std::log(kTailGrowth);
   std::size_t j = 0;
   if (est >= static_cast<double>(kMaxTail - 1)) {
     j = kMaxTail - 1;
@@ -64,8 +62,14 @@ void Histogram::add(double x) {
   }
   while (j > 0 && tail_edge(j) > x) --j;
   while (j + 1 < kMaxTail && tail_edge(j + 1) <= x) ++j;
-  if (j >= tail_.size()) tail_.resize(j + 1, 0);
-  ++tail_[j];
+  if (linear_ + j >= counts_.size()) counts_.resize(linear_ + j + 1, 0);
+  ++counts_[linear_ + j];
+}
+
+std::uint64_t Histogram::overflow() const {
+  std::uint64_t n = 0;
+  for (std::size_t i = linear_; i < counts_.size(); ++i) n += counts_[i];
+  return n;
 }
 
 double Histogram::quantile(double q) const {
@@ -74,15 +78,14 @@ double Histogram::quantile(double q) const {
   if (q > 1) q = 1;
   const auto target = static_cast<std::uint64_t>(q * static_cast<double>(total_ - 1));
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    seen += buckets_[i];
-    if (seen > target) return width_ * static_cast<double>(i + 1);
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    seen += counts_[i];
+    if (seen > target) {
+      return i < linear_ ? width_ * static_cast<double>(i + 1)
+                         : tail_edge(i - linear_ + 1);
+    }
   }
-  for (std::size_t j = 0; j < tail_.size(); ++j) {
-    seen += tail_[j];
-    if (seen > target) return tail_edge(j + 1);
-  }
-  return tail_edge(tail_.size());
+  return tail_edge(counts_.size() - linear_);
 }
 
 }  // namespace itb

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 namespace itb {
@@ -51,9 +52,7 @@ class Histogram {
   /// Zero every bucket in place (no reallocation — reset_window and
   /// workspace reuse call this once per measurement window).
   void clear() {
-    buckets_.assign(buckets_.size(), 0);
-    tail_.clear();
-    overflow_ = 0;
+    counts_.assign(linear_, 0);
     total_ = 0;
   }
   [[nodiscard]] std::uint64_t count() const { return total_; }
@@ -61,8 +60,11 @@ class Histogram {
   /// q-quantile.  Requires count() > 0.
   [[nodiscard]] double quantile(double q) const;
   /// Samples past the linear range (held in the tail).
-  [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& buckets() const { return buckets_; }
+  [[nodiscard]] std::uint64_t overflow() const;
+  /// The linear buckets.
+  [[nodiscard]] std::span<const std::uint64_t> buckets() const {
+    return {counts_.data(), linear_};
+  }
   [[nodiscard]] double bucket_width() const { return width_; }
 
  private:
@@ -70,10 +72,8 @@ class Histogram {
   [[nodiscard]] double tail_edge(std::size_t j) const;
 
   double width_;
-  double top_;  // width_ * buckets_.size(): where the tail starts
-  std::vector<std::uint64_t> buckets_;
-  std::vector<std::uint64_t> tail_;
-  std::uint64_t overflow_ = 0;
+  std::size_t linear_;                  // linear bucket count
+  std::vector<std::uint64_t> counts_;   // linear buckets, then the tail
   std::uint64_t total_ = 0;
 };
 

@@ -14,6 +14,7 @@
 //  - Scale: a bench-ladder table passes the route-legality verifier.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
 #include <span>
 #include <string>
@@ -428,6 +429,51 @@ TEST(RouteStoreDedup, DenseGraphSharesSegmentsAndRoundTrips) {
   EXPECT_EQ(again.segments_shared(), built.segments_shared());
   EXPECT_EQ(again.table_bytes(), built.table_bytes());
   EXPECT_TRUE(materialize_all(again) == table);
+}
+
+// --- golden --------------------------------------------------------------
+
+/// FNV-1a 64 over the seven raw arrays, in accessor order, as one running
+/// hash: any change to ids, record layout or pool contents moves it.
+std::string raw_arrays_digest(const RouteSet& rs) {
+  const RouteStore& st = rs.store();
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto fold = [&h](auto span) {
+    const auto* p = reinterpret_cast<const unsigned char*>(span.data());
+    for (std::size_t i = 0; i < span.size_bytes(); ++i) {
+      h ^= p[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  fold(st.port_pool());
+  fold(st.walks());
+  fold(st.route_walks());
+  fold(st.core_routes());
+  fold(st.alt_routes());
+  fold(st.altlists());
+  fold(st.pair_altlist());
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+TEST(RouteStoreGolden, RawArraysDigest) {
+  // Pins the store bytes across refactors of the interning and merge.
+  const Testbed torus(make_torus_2d(8, 8, 8));
+  EXPECT_EQ(raw_arrays_digest(torus.routes(RoutingScheme::kUpDown)),
+            "63d96334957f10ec");
+  EXPECT_EQ(raw_arrays_digest(torus.routes(RoutingScheme::kItbSp)),
+            "8efcfe3642681641");
+  const Testbed cplant(make_cplant());
+  EXPECT_EQ(raw_arrays_digest(cplant.routes(RoutingScheme::kItbSp)),
+            "6fbf17005226e4d5");
+  const Testbed hyperx(make_hyperx({16, 16}, 8), kAutoRoot);
+  EXPECT_EQ(raw_arrays_digest(hyperx.routes(RoutingScheme::kMinimal)),
+            "f9b00ffb5b18606a");
+  const Testbed dragonfly(make_dragonfly(8, 8, 4), kAutoRoot);
+  EXPECT_EQ(raw_arrays_digest(dragonfly.routes(RoutingScheme::kItbSp)),
+            "2c19be2686199c20");
 }
 
 // --- scale ---------------------------------------------------------------

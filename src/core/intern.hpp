@@ -1,72 +1,92 @@
-// Sequence interning primitives shared by the route-store builders.
+// Sequence interning for the route store.
 //
-// The factorized store dedups three kinds of variable-length sequences
-// (leg port walks, per-route walk-id lists, per-pair alternative lists).
-// Interning them through std::unordered_map<std::string, id> — the PR 6
-// approach — allocates a key per *lookup*, which dominated the flat build
-// (BENCH_pr8: flat 40.2 ms vs nested 26.4 ms on the 512-host torus).
+// The factorized store dedups three kinds of variable-length sequences:
+// leg port walks, per-route walk-id lists and per-pair alternative lists.
+// Each lives in a SpanPool — one flat item array plus one SpanRec per
+// distinct sequence — and SpanInterner is the one place that hashes,
+// compares and appends them, for the row-local staging pools and the
+// global merge alike.
 //
-// HashInterner is the allocation-free replacement: an open-addressed
-// hash -> id probe table that owns no keys at all.  The caller keeps the
-// canonical sequences in its own pools, hands in a 64-bit hash, and
-// supplies two callbacks: `eq(id)` compares the candidate against the
-// already-interned sequence `id`, and `append()` materializes the new
-// sequence and returns its id.  One interner therefore serves any pool
-// layout, both for the row-local staging tables and the global merge.
+// SpanInterner is an open-addressed hash -> id probe table that owns no
+// keys: candidates are compared against the pool they were interned into,
+// so a lookup allocates nothing (keying a std::unordered_map by the
+// sequence bytes allocated a key per lookup and dominated the build).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace itb {
 
-/// FNV-1a over a byte span.  `seed` chains hashes (fold a trailing tag
-/// into a sequence hash by re-invoking with the previous result).
-[[nodiscard]] inline std::uint64_t hash_bytes(
-    const void* data, std::size_t n,
-    std::uint64_t seed = 1469598103934665603ULL) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
+/// One interned sequence: `count` items of the owning pool from `first`,
+/// plus a 16-bit tag that is part of the sequence's identity (routes carry
+/// their alternative tag here; walks and alternative lists use 0).
+struct SpanRec {
+  std::uint32_t first = 0;
+  std::uint16_t count = 0;
+  std::uint16_t tag = 0;
+};
+
+/// Distinct sequences of T, stored back to back in `items`; sequence `id`
+/// is recs[id].
+template <typename T>
+struct SpanPool {
+  std::vector<T> items;
+  std::vector<SpanRec> recs;
+
+  [[nodiscard]] std::size_t size() const { return recs.size(); }
+  [[nodiscard]] std::span<const T> operator[](std::size_t id) const {
+    const SpanRec r = recs[id];
+    return {items.data() + r.first, r.count};
   }
-  return h;
-}
+  void clear() {
+    items.clear();
+    recs.clear();
+  }
+};
 
-class HashInterner {
+class SpanInterner {
  public:
-  HashInterner() = default;
-
   /// Drops all entries but keeps the slot storage (row staging reuses one
-  /// interner across sources).
+  /// interner across blocks).
   void clear() {
     for (Slot& s : slots_) s.id = kEmpty;
     count_ = 0;
   }
 
-  [[nodiscard]] std::size_t size() const { return count_; }
-
-  /// Returns the id of the sequence with hash `hash` for which `eq(id)`
-  /// holds; when absent, calls `append()` and records the returned id.
-  template <typename Eq, typename Append>
-  std::uint32_t intern(std::uint64_t hash, Eq&& eq, Append&& append) {
+  /// Id of (`seq`, `tag`) in `pool`, appending it when absent.  A pool
+  /// must only ever be interned through one interner.
+  template <typename T>
+  std::uint32_t intern(SpanPool<T>& pool, std::span<const T> seq,
+                       std::uint16_t tag = 0) {
+    if (seq.size() > 0xffff) {
+      throw std::length_error("interned sequence exceeds 65535 items");
+    }
+    // One multiply folds the tag in; tag 0 leaves the sequence hash as is.
+    const std::uint64_t hash = fnv1a(seq.data(), seq.size_bytes()) ^
+                               (tag * 0x9e3779b97f4a7c15ULL);
     if (slots_.empty()) grow();
     const std::size_t mask = slots_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(hash) & mask;
-    while (true) {
+    for (std::size_t i = static_cast<std::size_t>(hash) & mask;;
+         i = (i + 1) & mask) {
       Slot& s = slots_[i];
       if (s.id == kEmpty) {
-        const std::uint32_t id = append();
-        s.hash = hash;
-        s.id = id;
-        ++count_;
-        if (count_ * 10 >= slots_.size() * 7) grow();
+        const auto id = static_cast<std::uint32_t>(pool.recs.size());
+        pool.recs.push_back({static_cast<std::uint32_t>(pool.items.size()),
+                             static_cast<std::uint16_t>(seq.size()), tag});
+        pool.items.insert(pool.items.end(), seq.begin(), seq.end());
+        s = Slot{hash, id};
+        if (++count_ * 10 >= slots_.size() * 7) grow();
         return id;
       }
-      if (s.hash == hash && eq(s.id)) return s.id;
-      i = (i + 1) & mask;
+      if (s.hash == hash && pool.recs[s.id].tag == tag &&
+          std::ranges::equal(pool[s.id], seq)) {
+        return s.id;
+      }
     }
   }
 
@@ -76,6 +96,16 @@ class HashInterner {
     std::uint64_t hash = 0;
     std::uint32_t id = kEmpty;
   };
+
+  static std::uint64_t fnv1a(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    std::uint64_t h = 1469598103934665603ULL;
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ULL;
+    }
+    return h;
+  }
 
   void grow() {
     std::vector<Slot> old = std::move(slots_);

@@ -212,8 +212,8 @@ RouteSet build_factorized(const Topology& topo, RoutingAlgorithm algo,
   } else {
     // Chunked fan-out: a few blocks per worker keeps per-task overhead
     // bounded while the ordered serial merge stays O(distinct shapes).
-    // NOTE: callers on pool worker threads must pass jobs == 1
-    // (pooled_for must not nest; see sim/pool.hpp).
+    // On a pool worker the blocks run inline, in order (nested pooled_for
+    // calls do; see sim/pool.hpp), so any jobs value is safe there.
     const int chunk = std::max(1, (n + jobs * 4 - 1) / (jobs * 4));
     const int num_blocks = (n + chunk - 1) / chunk;
     std::vector<FactorizedBlock> blocks = parallel_map<FactorizedBlock>(

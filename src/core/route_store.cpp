@@ -1,17 +1,13 @@
 #include "core/route_store.hpp"
 
-#include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 namespace itb {
 
 namespace {
 
 std::size_t uz(std::int64_t v) { return static_cast<std::size_t>(v); }
-
-bool bytes_equal(const void* a, const void* b, std::size_t n) {
-  return n == 0 || std::memcmp(a, b, n) == 0;
-}
 
 std::uint64_t vec_bytes(const auto& v) {
   return static_cast<std::uint64_t>(v.size()) * sizeof(v[0]);
@@ -32,22 +28,22 @@ RouteView RouteStore::compose(std::uint32_t pair_index,
                                        static_cast<std::uint32_t>(num_switches_));
   const auto d = static_cast<SwitchId>(pair_index %
                                        static_cast<std::uint32_t>(num_switches_));
-  const RouteRec rr = core_routes_[alt_routes_[slot]];
+  const SpanRec rr = routes_.recs[alts_.items[slot]];
   v.src_switch = s;
   v.dst_switch = d;
-  v.legs.pool_ = port_pool_.data();
-  v.legs.count_ = rr.leg_count;
+  v.legs.pool_ = walks_.items.data();
+  v.legs.count_ = rr.count;
   const auto P = uz(ports_per_switch_);
   SwitchId cur = s;
   int total = 0;
-  for (std::uint32_t li = 0; li < rr.leg_count; ++li) {
-    const WalkRec w = walks_[route_walks_[rr.first_walk + li]];
+  for (std::uint32_t li = 0; li < rr.count; ++li) {
+    const SpanRec w = walks_.recs[routes_.items[rr.first + li]];
     LegRec& rec = v.legs.recs_[li];
-    rec.port_off = w.port_off;
-    rec.port_count = static_cast<std::uint16_t>(w.port_count);
-    rec.switch_hops = static_cast<std::uint16_t>(w.port_count);
-    total += static_cast<int>(w.port_count);
-    if (li + 1 == rr.leg_count) {
+    rec.port_off = w.first;
+    rec.port_count = w.count;
+    rec.switch_hops = w.count;
+    total += w.count;
+    if (li + 1 == rr.count) {
       rec.tail = kNoPort;
       rec.end_host = kNoHost;
     } else {
@@ -55,8 +51,8 @@ RouteView RouteStore::compose(std::uint32_t pair_index,
       // The reference builder's compile_route (tests/support/
       // route_reference.cpp) applies the same mix; keep the two in
       // lockstep — the RouteStoreDifferential tests pin them.
-      const PortId* ports = port_pool_.data() + w.port_off;
-      for (std::uint32_t h = 0; h < w.port_count; ++h) {
+      const PortId* ports = walks_.items.data() + w.first;
+      for (std::uint32_t h = 0; h < w.count; ++h) {
         cur = next_switch_[uz(cur) * P + uz(ports[h])];
       }
       const std::uint32_t h0 = sw_host_off_[uz(cur)];
@@ -64,7 +60,7 @@ RouteView RouteStore::compose(std::uint32_t pair_index,
       const std::uint64_t mix =
           static_cast<std::uint64_t>(s) * 1315423911ULL +
           static_cast<std::uint64_t>(d) * 2654435761ULL +
-          static_cast<std::uint64_t>(rr.alt_tag) * 40503ULL +
+          static_cast<std::uint64_t>(rr.tag) * 40503ULL +
           static_cast<std::uint64_t>(li) * 97ULL + itb_host_salt_;
       const HostId host = sw_hosts_[h0 + static_cast<std::uint32_t>(mix % nh)];
       rec.end_host = host;
@@ -82,7 +78,7 @@ Route RouteStore::materialize(std::uint32_t pair_index,
   out.src_switch = v.src_switch;
   out.dst_switch = v.dst_switch;
   out.total_switch_hops = v.total_switch_hops;
-  out.alt_tag = core_routes_[alt_routes_[slot]].alt_tag;
+  out.alt_tag = routes_.recs[alts_.items[slot]].tag;
   out.legs.reserve(v.legs.size());
   for (const LegView leg : v.legs) {
     RouteLeg l;
@@ -116,12 +112,9 @@ Route materialize_route(const RouteView& v) {
 // Factorized staging
 
 void FactorizedBlock::clear() {
-  walk_bytes.clear();
   walks.clear();
-  route_walks.clear();
   routes.clear();
-  alt_routes.clear();
-  altlists.clear();
+  alts.clear();
   pair_alt.clear();
   route_instances = 0;
   leg_instances = 0;
@@ -137,23 +130,7 @@ void FactorizedBlockStager::begin_block(FactorizedBlock* out) {
 
 std::uint32_t FactorizedBlockStager::stage_walk(const PortId* ports,
                                                 std::size_t n) {
-  const std::uint64_t h = hash_bytes(ports, n * sizeof(PortId));
-  return walk_tab_.intern(
-      h,
-      [&](std::uint32_t id) {
-        const WalkRec& w = out_->walks[id];
-        return w.port_count == n &&
-               bytes_equal(out_->walk_bytes.data() + w.port_off, ports,
-                           n * sizeof(PortId));
-      },
-      [&] {
-        const auto id = static_cast<std::uint32_t>(out_->walks.size());
-        out_->walks.push_back(
-            WalkRec{static_cast<std::uint32_t>(out_->walk_bytes.size()),
-                    static_cast<std::uint32_t>(n)});
-        out_->walk_bytes.insert(out_->walk_bytes.end(), ports, ports + n);
-        return id;
-      });
+  return walk_tab_.intern(out_->walks, std::span<const PortId>(ports, n));
 }
 
 std::uint32_t FactorizedBlockStager::stage_route(
@@ -161,51 +138,17 @@ std::uint32_t FactorizedBlockStager::stage_route(
   if (n_legs > static_cast<std::size_t>(kMaxRouteLegs)) {
     throw std::length_error("route exceeds kMaxRouteLegs legs");
   }
-  std::uint64_t h = hash_bytes(walk_ids, n_legs * sizeof(std::uint32_t));
-  h = hash_bytes(&alt_tag, sizeof(alt_tag), h);
   return route_tab_.intern(
-      h,
-      [&](std::uint32_t id) {
-        const RouteRec& rr = out_->routes[id];
-        return rr.leg_count == n_legs && rr.alt_tag == alt_tag &&
-               bytes_equal(out_->route_walks.data() + rr.first_walk, walk_ids,
-                           n_legs * sizeof(std::uint32_t));
-      },
-      [&] {
-        const auto id = static_cast<std::uint32_t>(out_->routes.size());
-        out_->routes.push_back(
-            RouteRec{static_cast<std::uint32_t>(out_->route_walks.size()),
-                     static_cast<std::uint16_t>(n_legs), alt_tag});
-        out_->route_walks.insert(out_->route_walks.end(), walk_ids,
-                                 walk_ids + n_legs);
-        return id;
-      });
+      out_->routes, std::span<const std::uint32_t>(walk_ids, n_legs), alt_tag);
 }
 
 void FactorizedBlockStager::commit_pair(const std::uint32_t* route_ids,
                                         std::size_t n) {
-  const std::uint64_t h = hash_bytes(route_ids, n * sizeof(std::uint32_t));
-  const std::uint32_t id = alt_tab_.intern(
-      h,
-      [&](std::uint32_t cand) {
-        const AltListRec& a = out_->altlists[cand];
-        return a.count == n &&
-               bytes_equal(out_->alt_routes.data() + a.first, route_ids,
-                           n * sizeof(std::uint32_t));
-      },
-      [&] {
-        const auto id2 = static_cast<std::uint32_t>(out_->altlists.size());
-        out_->altlists.push_back(
-            AltListRec{static_cast<std::uint32_t>(out_->alt_routes.size()),
-                       static_cast<std::uint32_t>(n)});
-        out_->alt_routes.insert(out_->alt_routes.end(), route_ids,
-                                route_ids + n);
-        return id2;
-      });
-  out_->pair_alt.push_back(id);
+  out_->pair_alt.push_back(alt_tab_.intern(
+      out_->alts, std::span<const std::uint32_t>(route_ids, n)));
   out_->route_instances += n;
   for (std::size_t i = 0; i < n; ++i) {
-    out_->leg_instances += out_->routes[route_ids[i]].leg_count;
+    out_->leg_instances += out_->routes.recs[route_ids[i]].count;
   }
 }
 
@@ -244,91 +187,38 @@ FactorizedStoreBuilder::FactorizedStoreBuilder(const Topology& topo,
   store_.pair_alt_.reserve(uz(S) * uz(S));
 }
 
+namespace {
+
+/// Interns every sequence of a block-local pool into the global pool, in
+/// local-id order, recording local -> global ids in `remap`.  Items are
+/// ids into the previous pool and go through its remap `ids` first; walk
+/// items are ports, interned as they are.
+template <typename T>
+void merge_pool(const SpanPool<T>& local, SpanPool<T>& global,
+                SpanInterner& tab, std::span<const std::uint32_t> ids,
+                std::vector<std::uint32_t>& remap,
+                std::vector<std::uint32_t>& scratch) {
+  remap.resize(local.size());
+  for (std::size_t lid = 0; lid < local.size(); ++lid) {
+    std::span<const T> seq = local[lid];
+    if constexpr (std::is_same_v<T, std::uint32_t>) {
+      scratch.clear();
+      for (const std::uint32_t x : seq) scratch.push_back(ids[x]);
+      seq = scratch;
+    }
+    remap[lid] = tab.intern(global, seq, local.recs[lid].tag);
+  }
+}
+
+}  // namespace
+
 void FactorizedStoreBuilder::append_block(const FactorizedBlock& block) {
-  // Walks.
-  walk_remap_.resize(block.walks.size());
-  for (std::size_t lid = 0; lid < block.walks.size(); ++lid) {
-    const WalkRec w = block.walks[lid];
-    const PortId* p = block.walk_bytes.data() + w.port_off;
-    const std::uint64_t h = hash_bytes(p, w.port_count * sizeof(PortId));
-    walk_remap_[lid] = walk_tab_.intern(
-        h,
-        [&](std::uint32_t id) {
-          const WalkRec& g = store_.walks_[id];
-          return g.port_count == w.port_count &&
-                 bytes_equal(store_.port_pool_.data() + g.port_off, p,
-                             w.port_count * sizeof(PortId));
-        },
-        [&] {
-          const auto id = static_cast<std::uint32_t>(store_.walks_.size());
-          store_.walks_.push_back(
-              WalkRec{static_cast<std::uint32_t>(store_.port_pool_.size()),
-                      w.port_count});
-          store_.port_pool_.insert(store_.port_pool_.end(), p,
-                                   p + w.port_count);
-          return id;
-        });
-  }
-  // Routes (walk ids remapped into global id space first).
-  route_remap_.resize(block.routes.size());
-  for (std::size_t lid = 0; lid < block.routes.size(); ++lid) {
-    const RouteRec rr = block.routes[lid];
-    scratch_ids_.assign(rr.leg_count, 0);
-    for (std::uint32_t i = 0; i < rr.leg_count; ++i) {
-      scratch_ids_[i] = walk_remap_[block.route_walks[rr.first_walk + i]];
-    }
-    std::uint64_t h =
-        hash_bytes(scratch_ids_.data(), scratch_ids_.size() * sizeof(std::uint32_t));
-    h = hash_bytes(&rr.alt_tag, sizeof(rr.alt_tag), h);
-    route_remap_[lid] = route_tab_.intern(
-        h,
-        [&](std::uint32_t id) {
-          const RouteRec& g = store_.core_routes_[id];
-          return g.leg_count == rr.leg_count && g.alt_tag == rr.alt_tag &&
-                 bytes_equal(store_.route_walks_.data() + g.first_walk,
-                             scratch_ids_.data(),
-                             scratch_ids_.size() * sizeof(std::uint32_t));
-        },
-        [&] {
-          const auto id =
-              static_cast<std::uint32_t>(store_.core_routes_.size());
-          store_.core_routes_.push_back(
-              RouteRec{static_cast<std::uint32_t>(store_.route_walks_.size()),
-                       rr.leg_count, rr.alt_tag});
-          store_.route_walks_.insert(store_.route_walks_.end(),
-                                     scratch_ids_.begin(), scratch_ids_.end());
-          return id;
-        });
-  }
-  // Alternative lists.
-  alt_remap_.resize(block.altlists.size());
-  for (std::size_t lid = 0; lid < block.altlists.size(); ++lid) {
-    const AltListRec a = block.altlists[lid];
-    scratch_ids_.assign(a.count, 0);
-    for (std::uint32_t i = 0; i < a.count; ++i) {
-      scratch_ids_[i] = route_remap_[block.alt_routes[a.first + i]];
-    }
-    const std::uint64_t h =
-        hash_bytes(scratch_ids_.data(), scratch_ids_.size() * sizeof(std::uint32_t));
-    alt_remap_[lid] = alt_tab_.intern(
-        h,
-        [&](std::uint32_t id) {
-          const AltListRec& g = store_.altlists_[id];
-          return g.count == a.count &&
-                 bytes_equal(store_.alt_routes_.data() + g.first,
-                             scratch_ids_.data(),
-                             scratch_ids_.size() * sizeof(std::uint32_t));
-        },
-        [&] {
-          const auto id = static_cast<std::uint32_t>(store_.altlists_.size());
-          store_.altlists_.push_back(AltListRec{
-              static_cast<std::uint32_t>(store_.alt_routes_.size()), a.count});
-          store_.alt_routes_.insert(store_.alt_routes_.end(),
-                                    scratch_ids_.begin(), scratch_ids_.end());
-          return id;
-        });
-  }
-  // Pair index.
+  merge_pool(block.walks, store_.walks_, walk_tab_, {}, walk_remap_,
+             scratch_ids_);
+  merge_pool(block.routes, store_.routes_, route_tab_, walk_remap_,
+             route_remap_, scratch_ids_);
+  merge_pool(block.alts, store_.alts_, alt_tab_, route_remap_, alt_remap_,
+             scratch_ids_);
   for (const std::uint32_t lid : block.pair_alt) {
     store_.pair_alt_.push_back(alt_remap_[lid]);
   }
@@ -352,18 +242,16 @@ RouteStore FactorizedStoreBuilder::finish() {
     }
     store_.pair_alt_ = std::move(by_src);
   }
-  store_.port_pool_.shrink_to_fit();
-  store_.walks_.shrink_to_fit();
-  store_.route_walks_.shrink_to_fit();
-  store_.core_routes_.shrink_to_fit();
-  store_.alt_routes_.shrink_to_fit();
-  store_.altlists_.shrink_to_fit();
+  store_.core_bytes_ = vec_bytes(store_.pair_alt_);
+  const auto seal = [this](auto& pool) {
+    pool.items.shrink_to_fit();
+    pool.recs.shrink_to_fit();
+    store_.core_bytes_ += vec_bytes(pool.items) + vec_bytes(pool.recs);
+  };
+  seal(store_.walks_);
+  seal(store_.routes_);
+  seal(store_.alts_);
   store_.segments_shared_ = leg_instances_ - store_.walks_.size();
-  store_.core_bytes_ =
-      vec_bytes(store_.port_pool_) + vec_bytes(store_.walks_) +
-      vec_bytes(store_.route_walks_) + vec_bytes(store_.core_routes_) +
-      vec_bytes(store_.alt_routes_) + vec_bytes(store_.altlists_) +
-      vec_bytes(store_.pair_alt_);
   store_.table_bytes_ =
       store_.core_bytes_ + vec_bytes(store_.next_switch_) +
       vec_bytes(store_.sw_host_off_) + vec_bytes(store_.sw_hosts_) +

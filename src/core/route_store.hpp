@@ -2,16 +2,15 @@
 //
 // The one store behind RouteSet.  The stored unit is the ordered switch
 // pair; everything below it is interned so that no absolute switch or host
-// id survives into route identity.  Arrays:
+// id survives into route identity.  Three SpanPools (core/intern.hpp) and
+// the pair index:
 //
-//   port_pool_    [PortId ...]     dedup'd leg port walks (switch output
-//                                  ports only — no ITB eject ports)
-//   walks_        [WalkRec ...]    walk id -> pool span
-//   route_walks_  [u32 ...]        per distinct route: its walk ids
-//   core_routes_  [RouteRec ...]   route id -> walk span + alt tag
-//   alt_routes_   [u32 ...]        per distinct alternative list: route ids
-//   altlists_     [AltListRec ...] altlist id -> alt_routes_ span
-//   pair_alt_     [u32 ...]        (src,dst) switch pair -> altlist id
+//   walks_     PortId items: dedup'd leg port walks (switch output ports
+//              only — no ITB eject ports)
+//   routes_    u32 items: per distinct route its walk ids; the SpanRec tag
+//              is the route's alt tag
+//   alts_      u32 items: per distinct alternative list its route ids
+//   pair_alt_  [u32 ...] (src,dst) switch pair -> alts_ id
 //
 // On regular topologies the same port walks, routes and alternative lists
 // recur across thousands of pairs (a Dragonfly's l-g-l pattern has a few
@@ -230,42 +229,17 @@ class AltsView {
 };
 
 // ---------------------------------------------------------------------------
-// Store records
-
-/// One interned leg port walk (switch output ports only).
-struct WalkRec {
-  std::uint32_t port_off = 0;
-  std::uint32_t port_count = 0;
-};
-
-/// One distinct route shape.  `alt_tag` is the compile-time
-/// alternative index baked into the ITB host-choice mix; it is part of
-/// route identity so two pairs sharing a walk but compiled at different
-/// alternative positions stay distinct.
-struct RouteRec {
-  std::uint32_t first_walk = 0;  // into route_walks_
-  std::uint16_t leg_count = 0;
-  std::uint16_t alt_tag = 0;
-};
-
-/// One distinct alternative list.
-struct AltListRec {
-  std::uint32_t first = 0;  // into alt_routes_
-  std::uint32_t count = 0;
-};
-
-// ---------------------------------------------------------------------------
 // Store
 
 class RouteStore {
  public:
   [[nodiscard]] AltsView pair(std::size_t pair_index) const {
-    const AltListRec& a = altlists_[pair_alt_[pair_index]];
+    const SpanRec& a = alts_.recs[pair_alt_[pair_index]];
     return {this, static_cast<std::uint32_t>(pair_index), a.first, a.count};
   }
 
   /// Compose the view for alternative slot `slot` (an index into
-  /// alt_routes_) of `pair_index`.
+  /// alts_.items) of `pair_index`.
   [[nodiscard]] RouteView compose(std::uint32_t pair_index,
                                   std::uint32_t slot) const;
 
@@ -295,27 +269,25 @@ class RouteStore {
 
   // Distinct-shape counts.
   [[nodiscard]] std::size_t distinct_walks() const { return walks_.size(); }
-  [[nodiscard]] std::size_t distinct_routes() const {
-    return core_routes_.size();
-  }
-  [[nodiscard]] std::size_t distinct_altlists() const {
-    return altlists_.size();
-  }
+  [[nodiscard]] std::size_t distinct_routes() const { return routes_.size(); }
+  [[nodiscard]] std::size_t distinct_altlists() const { return alts_.size(); }
 
   // Raw arrays, exposed for byte-identity tests and debugging.
-  [[nodiscard]] std::span<const PortId> port_pool() const { return port_pool_; }
-  [[nodiscard]] std::span<const WalkRec> walks() const { return walks_; }
-  [[nodiscard]] std::span<const std::uint32_t> route_walks() const {
-    return route_walks_;
+  [[nodiscard]] std::span<const PortId> port_pool() const {
+    return walks_.items;
   }
-  [[nodiscard]] std::span<const RouteRec> core_routes() const {
-    return core_routes_;
+  [[nodiscard]] std::span<const SpanRec> walks() const { return walks_.recs; }
+  [[nodiscard]] std::span<const std::uint32_t> route_walks() const {
+    return routes_.items;
+  }
+  [[nodiscard]] std::span<const SpanRec> core_routes() const {
+    return routes_.recs;
   }
   [[nodiscard]] std::span<const std::uint32_t> alt_routes() const {
-    return alt_routes_;
+    return alts_.items;
   }
-  [[nodiscard]] std::span<const AltListRec> altlists() const {
-    return altlists_;
+  [[nodiscard]] std::span<const SpanRec> altlists() const {
+    return alts_.recs;
   }
   [[nodiscard]] std::span<const std::uint32_t> pair_altlist() const {
     return pair_alt_;
@@ -327,12 +299,9 @@ class RouteStore {
   int num_switches_ = 0;
 
   // Route core.
-  std::vector<PortId> port_pool_;
-  std::vector<WalkRec> walks_;
-  std::vector<std::uint32_t> route_walks_;
-  std::vector<RouteRec> core_routes_;
-  std::vector<std::uint32_t> alt_routes_;
-  std::vector<AltListRec> altlists_;
+  SpanPool<PortId> walks_;
+  SpanPool<std::uint32_t> routes_;
+  SpanPool<std::uint32_t> alts_;
   std::vector<std::uint32_t> pair_alt_;
   // Composition tables (derived from the topology at build time).
   int ports_per_switch_ = 0;
@@ -362,12 +331,9 @@ inline RouteView AltsView::operator[](std::size_t i) const {
 /// function of the pair stream, independent of how sources were blocked
 /// across workers.
 struct FactorizedBlock {
-  std::vector<PortId> walk_bytes;
-  std::vector<WalkRec> walks;
-  std::vector<std::uint32_t> route_walks;
-  std::vector<RouteRec> routes;
-  std::vector<std::uint32_t> alt_routes;
-  std::vector<AltListRec> altlists;
+  SpanPool<PortId> walks;
+  SpanPool<std::uint32_t> routes;
+  SpanPool<std::uint32_t> alts;
   std::vector<std::uint32_t> pair_alt;
   std::uint64_t route_instances = 0;
   std::uint64_t leg_instances = 0;
@@ -392,14 +358,14 @@ class FactorizedBlockStager {
 
   /// Leg count of a staged route (prefer_fewest_itbs ordering).
   [[nodiscard]] std::uint16_t route_leg_count(std::uint32_t rid) const {
-    return out_->routes[rid].leg_count;
+    return out_->routes.recs[rid].count;
   }
 
  private:
   FactorizedBlock* out_ = nullptr;
-  HashInterner walk_tab_;
-  HashInterner route_tab_;
-  HashInterner alt_tab_;
+  SpanInterner walk_tab_;
+  SpanInterner route_tab_;
+  SpanInterner alt_tab_;
 };
 
 /// Serial merge of staged blocks into the global factorized store.
@@ -422,9 +388,9 @@ class FactorizedStoreBuilder {
  private:
   const Topology* topo_;
   RouteStore store_;
-  HashInterner walk_tab_;
-  HashInterner route_tab_;
-  HashInterner alt_tab_;
+  SpanInterner walk_tab_;
+  SpanInterner route_tab_;
+  SpanInterner alt_tab_;
   std::vector<std::uint32_t> walk_remap_;
   std::vector<std::uint32_t> route_remap_;
   std::vector<std::uint32_t> alt_remap_;

@@ -119,8 +119,8 @@ namespace {
                "  --fast       smoke-speed windows (also ITB_BENCH_FAST=1)\n"
                "  --full       full-length windows (the default)\n"
                "  --csv FILE   append every measured point as CSV\n"
-               "  --jobs N     worker threads for the parallel drivers\n"
-               "               (also ITB_BENCH_JOBS; default: hardware "
+               "  --jobs N     worker threads for the parallel drivers, 1 to\n"
+               "               1024 (also ITB_BENCH_JOBS; default: hardware "
                "concurrency)\n";
   std::exit(2);
 }
@@ -146,7 +146,7 @@ BenchOptions parse_bench_args(int argc, char** argv) {
       if (i + 1 >= argc) bench_usage(argv0, "--jobs needs a count");
       char* end = nullptr;
       const long v = std::strtol(argv[++i], &end, 10);
-      if (end == argv[i] || *end != '\0' || v < 1) {
+      if (end == argv[i] || *end != '\0' || v < 1 || v > kMaxJobs) {
         bench_usage(argv0, std::string("bad --jobs value '") + argv[i] + "'");
       }
       opts.jobs = static_cast<int>(v);

@@ -1,12 +1,9 @@
 #include "harness/runner.hpp"
 
 #include <chrono>
-#include <mutex>
 #include <optional>
-#include <set>
 #include <stdexcept>
 
-#include "check/route_verify.hpp"
 #include "check/watchdog.hpp"
 #include "harness/result_fields.hpp"
 #include "metrics/collector.hpp"
@@ -17,38 +14,6 @@
 #include "traffic/generator.hpp"
 
 namespace itb {
-
-namespace {
-
-/// Checked mode verifies the whole routing table before a point runs.
-/// Tables are immutable once built and shared across points, so a table
-/// that verified clean is remembered — by its generation id, not its
-/// address: a freed RouteSet's address can be reused by a later table,
-/// which would then be falsely skipped, while generation ids are assigned
-/// monotonically and never recycled.  Safe under the parallel drivers; a
-/// dirty table is re-verified — and re-reported — every time.
-void verify_routes_checked(const Testbed& tb, RoutingScheme scheme,
-                           const RouteSet& routes, Network& net) {
-  static std::mutex mu;
-  static std::set<std::uint64_t> clean;
-  const std::uint64_t generation = tb.table_generation(scheme);
-  {
-    const std::lock_guard<std::mutex> lock(mu);
-    if (clean.count(generation) != 0) return;
-  }
-  const RouteVerifyReport rep = verify_route_set(tb.topo(), tb.updown(),
-                                                 routes);
-  if (rep.ok()) {
-    const std::lock_guard<std::mutex> lock(mu);
-    clean.insert(generation);
-    return;
-  }
-  for (const InvariantViolation& v : rep.violations) {
-    net.invariants().record(v.kind, v.time, v.id, v.detail);
-  }
-}
-
-}  // namespace
 
 RunResult run_point(const Testbed& tb, RoutingScheme scheme,
                     const DestinationPattern& pattern, const RunConfig& cfg) {
@@ -88,7 +53,11 @@ RunResult run_point_in(SimWorkspace& ws, const Testbed& tb,
 
   std::optional<DeadlockWatchdog> watchdog;
   if (cfg.checked) {
-    verify_routes_checked(tb, scheme, routes, net);
+    // The whole table is verified once per Testbed; every checked point
+    // reports what was found.
+    for (const InvariantViolation& v : tb.route_violations(scheme)) {
+      net.invariants().record(v.kind, v.time, v.id, v.detail);
+    }
     watchdog.emplace(sim, net);
   }
 

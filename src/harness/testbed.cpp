@@ -1,16 +1,10 @@
 #include "harness/testbed.hpp"
 
-#include <atomic>
-
+#include "check/route_verify.hpp"
 #include "core/route_builder.hpp"
 #include "route/topo_minimal.hpp"
 
 namespace itb {
-
-namespace {
-/// Source of table generation ids; 0 is reserved for "not built yet".
-std::atomic<std::uint64_t> g_table_generation{0};
-}  // namespace
 
 const char* to_string(RoutingScheme s) {
   switch (s) {
@@ -44,58 +38,55 @@ Testbed::Testbed(Topology topo, SwitchId root)
 Testbed::Testbed(Testbed&& other) noexcept
     : topo_(std::move(other.topo_)),
       updown_(std::move(other.updown_)),
-      updown_routes_(std::move(other.updown_routes_)),
-      itb_routes_(std::move(other.itb_routes_)),
-      minimal_routes_(std::move(other.minimal_routes_)),
-      updown_gen_(other.updown_gen_),
-      itb_gen_(other.itb_gen_),
-      minimal_gen_(other.minimal_gen_) {}
+      updown_table_(std::move(other.updown_table_)),
+      itb_table_(std::move(other.itb_table_)),
+      minimal_table_(std::move(other.minimal_table_)) {}
 
 Testbed& Testbed::operator=(Testbed&& other) noexcept {
   if (this != &other) {
     topo_ = std::move(other.topo_);
     updown_ = std::move(other.updown_);
-    updown_routes_ = std::move(other.updown_routes_);
-    itb_routes_ = std::move(other.itb_routes_);
-    minimal_routes_ = std::move(other.minimal_routes_);
-    updown_gen_ = other.updown_gen_;
-    itb_gen_ = other.itb_gen_;
-    minimal_gen_ = other.minimal_gen_;
+    updown_table_ = std::move(other.updown_table_);
+    itb_table_ = std::move(other.itb_table_);
+    minimal_table_ = std::move(other.minimal_table_);
   }
   return *this;
 }
 
-const RouteSet& Testbed::routes_with_jobs(RoutingScheme s, int jobs) const {
-  std::lock_guard<std::mutex> lock(build_mu_);
+Testbed::Table& Testbed::table_locked(RoutingScheme s, int jobs) const {
   if (s == RoutingScheme::kUpDown) {
-    if (!updown_routes_) {
+    if (!updown_table_.routes) {
       const SimpleRoutes sr(*topo_, *updown_, {}, jobs);
-      updown_routes_.emplace(build_updown_routes(*topo_, sr, jobs));
-      updown_gen_ = ++g_table_generation;
+      updown_table_.routes.emplace(build_updown_routes(*topo_, sr, jobs));
     }
-    return *updown_routes_;
+    return updown_table_;
   }
   if (s == RoutingScheme::kMinimal) {
-    if (!minimal_routes_) {
+    if (!minimal_table_.routes) {
       // Throws on generic topologies: MIN needs a structured shape.
-      minimal_routes_.emplace(build_minimal_routes(*topo_, jobs));
-      minimal_gen_ = ++g_table_generation;
+      minimal_table_.routes.emplace(build_minimal_routes(*topo_, jobs));
     }
-    return *minimal_routes_;
+    return minimal_table_;
   }
-  if (!itb_routes_) {
-    itb_routes_.emplace(build_itb_routes(*topo_, *updown_, {}, jobs));
-    itb_gen_ = ++g_table_generation;
+  if (!itb_table_.routes) {
+    itb_table_.routes.emplace(build_itb_routes(*topo_, *updown_, {}, jobs));
   }
-  return *itb_routes_;
+  return itb_table_;
 }
 
-std::uint64_t Testbed::table_generation(RoutingScheme s) const {
-  (void)routes(s);  // ensure the table (and its id) exists
+const RouteSet& Testbed::routes_with_jobs(RoutingScheme s, int jobs) const {
   std::lock_guard<std::mutex> lock(build_mu_);
-  if (s == RoutingScheme::kUpDown) return updown_gen_;
-  if (s == RoutingScheme::kMinimal) return minimal_gen_;
-  return itb_gen_;
+  return *table_locked(s, jobs).routes;
+}
+
+const std::vector<InvariantViolation>& Testbed::route_violations(
+    RoutingScheme s) const {
+  std::lock_guard<std::mutex> lock(build_mu_);
+  Table& t = table_locked(s, default_jobs());
+  if (!t.violations) {
+    t.violations = verify_route_set(*topo_, *updown_, *t.routes).violations;
+  }
+  return *t.violations;
 }
 
 void Testbed::warm_all(int jobs) const {

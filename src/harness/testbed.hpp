@@ -6,14 +6,17 @@
 // Once built, a table is never modified and the returned reference stays
 // valid for the Testbed's lifetime, so workers share it without locking.
 // Call warm() before fanning out to pre-build tables off the hot path.
+// The Testbed is the one cache of a network's tables: checked runs ask it
+// for a table's verifier findings, which are computed once per table and
+// kept beside it.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
+#include <vector>
 
+#include "check/invariants.hpp"
 #include "core/path_policy.hpp"
 #include "core/route_set.hpp"
 #include "route/simple_routes.hpp"
@@ -81,26 +84,29 @@ class Testbed {
   /// ITB table, and — on structured topologies only — the MIN table.
   void warm_all(int jobs = 1) const;
 
-  /// Process-unique, monotonically assigned id of the table `routes(s)`
-  /// returns (building it if needed).  Unlike the table's address, a
-  /// generation id is never reused, so caches of per-table facts (e.g. the
-  /// checked-mode "verified clean" set) stay valid after a Testbed dies
-  /// and a later table lands at the same address.
-  [[nodiscard]] std::uint64_t table_generation(RoutingScheme s) const;
+  /// What verify_route_set finds wrong with `routes(s)` (empty when the
+  /// table is legal).  The table is built if needed and verified once;
+  /// checked runs record the list on every point.
+  [[nodiscard]] const std::vector<InvariantViolation>& route_violations(
+      RoutingScheme s) const;
 
  private:
+  struct Table {
+    std::optional<RouteSet> routes;
+    std::optional<std::vector<InvariantViolation>> violations;
+  };
+
   [[nodiscard]] const RouteSet& routes_with_jobs(RoutingScheme s,
                                                  int jobs) const;
+  /// Builds the table on first use; the caller holds build_mu_.
+  [[nodiscard]] Table& table_locked(RoutingScheme s, int jobs) const;
 
   std::unique_ptr<Topology> topo_;
   std::unique_ptr<UpDown> updown_;
   mutable std::mutex build_mu_;
-  mutable std::optional<RouteSet> updown_routes_;
-  mutable std::optional<RouteSet> itb_routes_;
-  mutable std::optional<RouteSet> minimal_routes_;
-  mutable std::uint64_t updown_gen_ = 0;  // assigned when the table is built
-  mutable std::uint64_t itb_gen_ = 0;
-  mutable std::uint64_t minimal_gen_ = 0;
+  mutable Table updown_table_;
+  mutable Table itb_table_;  // shared by all ITB schemes
+  mutable Table minimal_table_;
 };
 
 }  // namespace itb

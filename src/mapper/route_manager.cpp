@@ -1,13 +1,12 @@
 #include "mapper/route_manager.hpp"
 
-#include "core/route_builder.hpp"
-
 namespace itb {
 
 RouteManager::RouteManager(const ProbeInterface& probe,
                            std::uint64_t origin_signature)
     : probe_(&probe), origin_signature_(origin_signature) {
   map_ = std::make_unique<NetworkMap>(map_network(probe, origin_signature_));
+  tb_.emplace(map_->topo);
 }
 
 MapDiff RouteManager::refresh() {
@@ -15,35 +14,11 @@ MapDiff RouteManager::refresh() {
       map_network(*probe_, origin_signature_));
   MapDiff diff = diff_maps(*map_, *next);
   map_ = std::move(next);
-  if (!diff.empty()) invalidate();
+  if (!diff.empty()) {
+    tb_.emplace(map_->topo);
+    ++rebuilds_;
+  }
   return diff;
-}
-
-void RouteManager::invalidate() {
-  updown_.reset();
-  updown_routes_.reset();
-  itb_routes_.reset();
-  ++rebuilds_;
-}
-
-const UpDown& RouteManager::updown() {
-  if (!updown_) updown_ = std::make_unique<UpDown>(map_->topo, 0);
-  return *updown_;
-}
-
-const RouteSet& RouteManager::updown_routes() {
-  if (!updown_routes_) {
-    const SimpleRoutes sr(map_->topo, updown());
-    updown_routes_.emplace(build_updown_routes(map_->topo, sr));
-  }
-  return *updown_routes_;
-}
-
-const RouteSet& RouteManager::itb_routes() {
-  if (!itb_routes_) {
-    itb_routes_.emplace(build_itb_routes(map_->topo, updown()));
-  }
-  return *itb_routes_;
 }
 
 }  // namespace itb

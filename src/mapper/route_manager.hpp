@@ -1,19 +1,20 @@
 // Control-plane glue: keep routing tables in sync with the discovered
 // topology.
 //
-// A RouteManager owns the current NetworkMap and lazily rebuilt routing
-// tables.  `refresh()` re-runs the mapper and, when anything changed,
-// invalidates the tables — the Myrinet workflow where every NIC rebuilds
-// routes after the mapper announces a new map.  Hosts are addressed by
-// signature so callers survive renumbering across remaps.
+// A RouteManager owns the current NetworkMap and a Testbed over its
+// topology, whose routing tables are built lazily.  `refresh()` re-runs the
+// mapper and, when anything changed, replaces the Testbed — the Myrinet
+// workflow where every NIC rebuilds routes after the mapper announces a
+// new map.  Hosts are addressed by signature so callers survive
+// renumbering across remaps.
 #pragma once
 
 #include <memory>
 #include <optional>
 
 #include "core/route_set.hpp"
+#include "harness/testbed.hpp"
 #include "mapper/mapper.hpp"
-#include "route/simple_routes.hpp"
 #include "route/updown.hpp"
 
 namespace itb {
@@ -33,9 +34,13 @@ class RouteManager {
   [[nodiscard]] int rebuilds() const { return rebuilds_; }
 
   /// Routing tables over the *discovered* topology (discovery ids).
-  [[nodiscard]] const RouteSet& updown_routes();
-  [[nodiscard]] const RouteSet& itb_routes();
-  [[nodiscard]] const UpDown& updown();
+  [[nodiscard]] const RouteSet& updown_routes() {
+    return tb_->routes(RoutingScheme::kUpDown);
+  }
+  [[nodiscard]] const RouteSet& itb_routes() {
+    return tb_->routes(RoutingScheme::kItbSp);
+  }
+  [[nodiscard]] const UpDown& updown() { return tb_->updown(); }
 
   /// Stable addressing across remaps.
   [[nodiscard]] std::optional<HostId> host_by_signature(
@@ -44,14 +49,10 @@ class RouteManager {
   }
 
  private:
-  void invalidate();
-
   const ProbeInterface* probe_;
   std::uint64_t origin_signature_;
   std::unique_ptr<NetworkMap> map_;
-  std::unique_ptr<UpDown> updown_;
-  std::optional<RouteSet> updown_routes_;
-  std::optional<RouteSet> itb_routes_;
+  std::optional<Testbed> tb_;  // over a copy of map_->topo, root switch 0
   int rebuilds_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "sim/pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <map>
@@ -12,10 +13,12 @@ int default_jobs() {
   if (const char* env = std::getenv("ITB_BENCH_JOBS")) {
     char* end = nullptr;
     const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return static_cast<int>(v);
+    if (end != env && *end == '\0' && v >= 1 && v <= kMaxJobs) {
+      return static_cast<int>(v);
+    }
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? static_cast<int>(hw) : 1;
+  return hw > 0 ? static_cast<int>(std::min<unsigned>(hw, kMaxJobs)) : 1;
 }
 
 ThreadPool::ThreadPool(int threads) {

@@ -23,9 +23,13 @@
 
 namespace itb {
 
-/// How many workers to use by default: ITB_BENCH_JOBS when set to a
-/// positive integer, otherwise std::thread::hardware_concurrency()
-/// (never less than 1).
+/// Most workers any driver accepts: each is a thread with its own
+/// simulation workspace, and builders size their blocks as jobs * 4.
+inline constexpr int kMaxJobs = 1024;
+
+/// How many workers to use by default: ITB_BENCH_JOBS when set to an
+/// integer in [1, kMaxJobs], otherwise std::thread::hardware_concurrency()
+/// capped at kMaxJobs (never less than 1).
 [[nodiscard]] int default_jobs();
 
 /// A small fixed-size worker pool.  Jobs are run in submission order by

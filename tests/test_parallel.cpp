@@ -98,6 +98,17 @@ TEST(ParallelPool, DefaultJobsHonoursEnvironment) {
   EXPECT_GE(default_jobs(), 1);  // falls back to hardware concurrency
   ::unsetenv("ITB_BENCH_JOBS");
   EXPECT_GE(default_jobs(), 1);
+  const int fallback = default_jobs();
+  EXPECT_LE(fallback, kMaxJobs);
+  ::setenv("ITB_BENCH_JOBS", "1024", 1);
+  EXPECT_EQ(default_jobs(), 1024);
+  // Out of [1, kMaxJobs]: ignored, not truncated to int or obeyed.  Only
+  // parsed here — no pool is started.
+  for (const char* bad : {"1025", "99999999999", "0"}) {
+    ::setenv("ITB_BENCH_JOBS", bad, 1);
+    EXPECT_EQ(default_jobs(), fallback) << bad;
+  }
+  ::unsetenv("ITB_BENCH_JOBS");
 }
 
 TEST(ParallelPool, NestedParallelForRunsInlineWithoutDeadlock) {

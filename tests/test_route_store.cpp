@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -375,38 +376,38 @@ TEST(RouteStoreDedup, SharedSegmentsReconstructByteIdentical) {
   EXPECT_LT(store.distinct_routes(), store.num_routes());
 
   const std::span<const PortId> ports = store.port_pool();
-  const std::span<const WalkRec> walks = store.walks();
+  const std::span<const SpanRec> walks = store.walks();
   const std::span<const std::uint32_t> route_walks = store.route_walks();
-  const std::span<const RouteRec> core_routes = store.core_routes();
+  const std::span<const SpanRec> core_routes = store.core_routes();
   const std::span<const std::uint32_t> alt_routes = store.alt_routes();
-  const std::span<const AltListRec> altlists = store.altlists();
+  const std::span<const SpanRec> altlists = store.altlists();
   const std::span<const std::uint32_t> pair_altlist = store.pair_altlist();
 
   const int n = built.num_switches();
   for (SwitchId s = 0; s < n; ++s) {
     for (SwitchId d = 0; d < n; ++d) {
       const std::size_t key = pair_key(n, s, d);
-      const AltListRec& al = altlists[pair_altlist[key]];
+      const SpanRec& al = altlists[pair_altlist[key]];
       const std::vector<Route>& alts = want[key];
       ASSERT_EQ(al.count, alts.size());
       for (std::size_t i = 0; i < alts.size(); ++i) {
-        const RouteRec& rr = core_routes[alt_routes[al.first + i]];
+        const SpanRec& rr = core_routes[alt_routes[al.first + i]];
         const Route& w = alts[i];
-        ASSERT_EQ(rr.leg_count, w.legs.size());
+        ASSERT_EQ(rr.count, w.legs.size());
         // Default build options keep DFS order, so the baked alternative
         // tag is the slot index.
-        EXPECT_EQ(rr.alt_tag, i);
-        EXPECT_EQ(rr.alt_tag, w.alt_tag);
+        EXPECT_EQ(rr.tag, i);
+        EXPECT_EQ(rr.tag, w.alt_tag);
         for (std::size_t li = 0; li < w.legs.size(); ++li) {
-          const WalkRec& wk = walks[route_walks[rr.first_walk + li]];
+          const SpanRec& wk = walks[route_walks[rr.first + li]];
           const RouteLeg& wl = w.legs[li];
           // Interned walks hold switch output ports only; intermediate
           // legs of a Route carry one extra trailing eject port.
           const bool final_leg = li + 1 == w.legs.size();
-          ASSERT_EQ(wk.port_count, wl.ports.size() - (final_leg ? 0 : 1));
-          ASSERT_EQ(wk.port_count, static_cast<std::size_t>(wl.switch_hops));
-          for (std::size_t p = 0; p < wk.port_count; ++p) {
-            ASSERT_EQ(ports[wk.port_off + p], wl.ports[p])
+          ASSERT_EQ(wk.count, wl.ports.size() - (final_leg ? 0 : 1));
+          ASSERT_EQ(wk.count, static_cast<std::size_t>(wl.switch_hops));
+          for (std::size_t p = 0; p < wk.count; ++p) {
+            ASSERT_EQ(ports[wk.first + p], wl.ports[p])
                 << s << "->" << d << " alt " << i << " leg " << li;
           }
         }
@@ -474,6 +475,29 @@ TEST(RouteStoreGolden, RawArraysDigest) {
   const Testbed dragonfly(make_dragonfly(8, 8, 4), kAutoRoot);
   EXPECT_EQ(raw_arrays_digest(dragonfly.routes(RoutingScheme::kItbSp)),
             "2c19be2686199c20");
+}
+
+TEST(RouteStoreGolden, InternerKeysOnTagAndRejectsOverlongSequences) {
+  SpanPool<std::uint32_t> pool;
+  SpanInterner tab;
+  const std::vector<std::uint32_t> seq{1, 2, 3};
+  const std::span<const std::uint32_t> s(seq);
+  EXPECT_EQ(tab.intern(pool, s), 0u);
+  EXPECT_EQ(tab.intern(pool, s, 7), 1u);  // same items, other tag
+  EXPECT_EQ(tab.intern(pool, s), 0u);
+  EXPECT_EQ(pool.items.size(), 6u);
+  const std::vector<std::uint32_t> longest(65535, 4);
+  EXPECT_EQ(pool[tab.intern(pool, std::span<const std::uint32_t>(longest))]
+                .size(),
+            65535u);
+  // A SpanRec counts items in 16 bits; a longer leg walk would otherwise
+  // be truncated in the store and in every composed view.
+  FactorizedBlock block;
+  FactorizedBlockStager stager;
+  stager.begin_block(&block);
+  const std::vector<PortId> walk(65536, 1);
+  EXPECT_THROW((void)stager.stage_walk(walk.data(), walk.size()),
+               std::length_error);
 }
 
 // --- scale ---------------------------------------------------------------

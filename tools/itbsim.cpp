@@ -123,8 +123,6 @@ constexpr long long kMaxTraceCapacity = 1LL << 24;
 /// Most points in one --sweep and most --replications: each is a full
 /// simulation whose result is held in memory until the end.
 constexpr long long kMaxRuns = 10000;
-/// Most --jobs: each is a thread with its own simulation workspace.
-constexpr long long kMaxJobs = 1024;
 /// Offered loads (--load, --sweep) are positive and finite.
 constexpr double kMinLoad = std::numeric_limits<double>::min();
 constexpr double kMaxLoad = std::numeric_limits<double>::max();

@@ -119,8 +119,8 @@ namespace {
                "  --fast       smoke-speed windows (also ITB_BENCH_FAST=1)\n"
                "  --full       full-length windows (the default)\n"
                "  --csv FILE   append every measured point as CSV\n"
-               "  --jobs N     worker threads for the parallel drivers, 1 to\n"
-               "               1024 (also ITB_BENCH_JOBS; default: hardware "
+               "  --jobs N     worker threads for parallel runs, 1 to 1024\n"
+               "               (also ITB_BENCH_JOBS; default: hardware "
                "concurrency)\n";
   std::exit(2);
 }

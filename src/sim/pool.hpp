@@ -23,8 +23,8 @@
 
 namespace itb {
 
-/// Most workers any driver accepts: each is a thread with its own
-/// simulation workspace, and builders size their blocks as jobs * 4.
+/// Most workers a run may ask for: each is a thread with its own
+/// simulation workspace, and table builds size their blocks as jobs * 4.
 inline constexpr int kMaxJobs = 1024;
 
 /// How many workers to use by default: ITB_BENCH_JOBS when set to an

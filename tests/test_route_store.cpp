@@ -477,6 +477,66 @@ TEST(RouteStoreGolden, RawArraysDigest) {
             "2c19be2686199c20");
 }
 
+/// FNV-1a 64 over every composed view, (s, d) in order and every
+/// alternative: hop totals, leg counts, every leg's ports (the synthesized
+/// eject port included), in-transit host and hop count, then the
+/// materialized switch walk and alt tag.  The raw arrays cannot see the
+/// in-transit hosts, which are composed at lookup.
+std::string composed_views_digest(const RouteSet& rs) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto fold = [&h](std::int64_t v) {
+    auto u = static_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i, u >>= 8) {
+      h ^= u & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  };
+  const int n = rs.num_switches();
+  for (SwitchId s = 0; s < n; ++s) {
+    for (SwitchId d = 0; d < n; ++d) {
+      const AltsView alts = rs.alternatives(s, d);
+      for (std::size_t a = 0; a < alts.size(); ++a) {
+        const RouteView v = alts[a];
+        fold(v.total_switch_hops);
+        fold(static_cast<std::int64_t>(v.legs.size()));
+        for (const LegView leg : v.legs) {
+          fold(static_cast<std::int64_t>(leg.ports.size()));
+          for (const PortId p : leg.ports) fold(p);
+          fold(leg.end_host);
+          fold(leg.switch_hops);
+        }
+        const Route r = rs.materialize(s, d, static_cast<int>(a));
+        fold(static_cast<std::int64_t>(r.switches.size()));
+        for (const SwitchId sw : r.switches) fold(sw);
+        fold(r.alt_tag);
+      }
+    }
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+TEST(RouteStoreGolden, ComposedViewsDigest) {
+  // Pins every composed route — including the in-transit hosts that the
+  // lookup derives from the host mix — on the tables of RawArraysDigest.
+  const Testbed torus(make_torus_2d(8, 8, 8));
+  EXPECT_EQ(composed_views_digest(torus.routes(RoutingScheme::kUpDown)),
+            "655c02b5f89fc0f7");
+  EXPECT_EQ(composed_views_digest(torus.routes(RoutingScheme::kItbSp)),
+            "7edf47008ee6288b");
+  const Testbed cplant(make_cplant());
+  EXPECT_EQ(composed_views_digest(cplant.routes(RoutingScheme::kItbSp)),
+            "8b0863f8152cfeac");
+  const Testbed hyperx(make_hyperx({16, 16}, 8), kAutoRoot);
+  EXPECT_EQ(composed_views_digest(hyperx.routes(RoutingScheme::kMinimal)),
+            "898c10bb8ad7a0a5");
+  const Testbed dragonfly(make_dragonfly(8, 8, 4), kAutoRoot);
+  EXPECT_EQ(composed_views_digest(dragonfly.routes(RoutingScheme::kItbSp)),
+            "f8696ec810a65e6e");
+}
+
 TEST(RouteStoreGolden, InternerKeysOnTagAndRejectsOverlongSequences) {
   SpanPool<std::uint32_t> pool;
   SpanInterner tab;

@@ -17,10 +17,21 @@ int log2_exact(int v) {
   while ((1 << b) < v) ++b;
   return b;
 }
+
+/// Uniform draws pick among the other hosts, so there must be one.
+void require_two_hosts(const std::string& pattern, int num_hosts) {
+  if (num_hosts >= 2) return;
+  throw std::invalid_argument(
+      pattern + ": topology has " + (num_hosts == 1 ? "one host" : "no hosts") +
+      "; a uniform destination needs at least two");
+}
 }  // namespace
 
+UniformPattern::UniformPattern(int num_hosts) : num_hosts_(num_hosts) {
+  require_two_hosts("UniformPattern", num_hosts);
+}
+
 HostId UniformPattern::pick(HostId src, Rng& rng) const {
-  assert(num_hosts_ >= 2);
   // Draw from the other N-1 hosts without rejection.
   const auto r = static_cast<HostId>(
       rng.next_below(static_cast<std::uint64_t>(num_hosts_ - 1)));
@@ -48,6 +59,7 @@ HostId BitReversalPattern::pick(HostId src, Rng& /*rng*/) const {
 
 HotspotPattern::HotspotPattern(int num_hosts, HostId hotspot, double fraction)
     : num_hosts_(num_hosts), hotspot_(hotspot), fraction_(fraction) {
+  require_two_hosts("HotspotPattern", num_hosts);
   if (hotspot < 0 || hotspot >= num_hosts) {
     throw std::invalid_argument("HotspotPattern: hotspot out of range");
   }

@@ -26,10 +26,11 @@ class DestinationPattern {
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
-/// Uniform: any host but the source, equiprobable.
+/// Uniform: any host but the source, equiprobable.  Needs at least two
+/// hosts; throws std::invalid_argument otherwise.
 class UniformPattern final : public DestinationPattern {
  public:
-  explicit UniformPattern(int num_hosts) : num_hosts_(num_hosts) {}
+  explicit UniformPattern(int num_hosts);
   [[nodiscard]] HostId pick(HostId src, Rng& rng) const override;
   [[nodiscard]] std::string name() const override { return "uniform"; }
 
@@ -53,7 +54,7 @@ class BitReversalPattern final : public DestinationPattern {
 
 /// Hotspot: with probability `fraction`, the destination is the hotspot
 /// host; otherwise uniform.  The hotspot itself, and traffic that would be
-/// self-addressed, use the uniform fallback.
+/// self-addressed, use the uniform fallback, so it needs two hosts too.
 class HotspotPattern final : public DestinationPattern {
  public:
   HotspotPattern(int num_hosts, HostId hotspot, double fraction);

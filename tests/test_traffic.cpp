@@ -96,6 +96,15 @@ TEST(Hotspot, HotspotHostSendsUniform) {
   }
 }
 
+TEST(UniformPattern, RejectsFewerThanTwoHosts) {
+  // With one host the only candidate is the source itself; the draw over
+  // the other hosts would name a host past the end.
+  EXPECT_THROW(UniformPattern(0), std::invalid_argument);
+  EXPECT_THROW(UniformPattern(1), std::invalid_argument);
+  EXPECT_THROW(HotspotPattern(0, 0, 0.1), std::invalid_argument);
+  EXPECT_THROW(HotspotPattern(1, 0, 0.1), std::invalid_argument);
+}
+
 TEST(Hotspot, Validation) {
   EXPECT_THROW(HotspotPattern(8, 9, 0.1), std::invalid_argument);
   EXPECT_THROW(HotspotPattern(8, -1, 0.1), std::invalid_argument);

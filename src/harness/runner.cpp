@@ -82,8 +82,7 @@ RunResult run_point_in(SimWorkspace& ws, const Testbed& tb,
     // by their own timestamps and pins the clock to each boundary, so
     // the sliced run is event-for-event identical to the single
     // run_until below — sampling never perturbs the simulation.
-    sampler.begin(sim.now(), cfg.sample_link_util, sim, net, metrics,
-                  cfg.sample_itb_pool);
+    sampler.begin(sim.now(), sim, net, metrics);
     for (TimePs b = cfg.warmup; window_end - b > cfg.sample_period;) {
       b += cfg.sample_period;
       sim.run_until(b);

@@ -68,13 +68,10 @@ struct RunConfig {
   /// Simulated-time width of one time-series window; 0 disables sampling.
   /// The measurement window is sliced at these boundaries (identical event
   /// sequence — run_until executes events by their own timestamps).
-  TimePs sample_period = 0;
-  /// Also capture per-channel busy fractions in each window's sample.
-  bool sample_link_util = false;
-  /// Also capture per-host ITB-pool occupancy fractions in each window's
-  /// sample — the congestion heatmap's second axis (see
+  /// Each window's sample also holds per-channel busy fractions and
+  /// per-host ITB-pool occupancy (the congestion heatmap's two axes; see
   /// write_heatmap_csv in obs/samplers.hpp).
-  bool sample_itb_pool = false;
+  TimePs sample_period = 0;
 };
 
 struct RunResult {

@@ -9,12 +9,10 @@
 
 namespace itb {
 
-void TimeSeriesSampler::begin(TimePs now, bool link_util, const Simulator& sim,
+void TimeSeriesSampler::begin(TimePs now, const Simulator& sim,
                               const Network& net,
-                              const MetricsCollector& metrics, bool itb_pool) {
+                              const MetricsCollector& metrics) {
   samples_.clear();
-  link_util_ = link_util;
-  itb_pool_ = itb_pool;
   last_t_ = now;
   last_delivered_ = metrics.delivered();
   last_flits_ = metrics.delivered_flits();
@@ -22,7 +20,7 @@ void TimeSeriesSampler::begin(TimePs now, bool link_util, const Simulator& sim,
   last_latency_count_ = metrics.net_latency().count();
   last_events_ = sim.events_executed();
   const int channels = net.topology().num_channels();
-  prev_busy_.assign(static_cast<std::size_t>(link_util_ ? channels : 0), 0);
+  prev_busy_.assign(static_cast<std::size_t>(channels), 0);
   for (std::size_t ch = 0; ch < prev_busy_.size(); ++ch) {
     prev_busy_[ch] = net.channel_busy_time(static_cast<ChannelId>(ch));
   }
@@ -64,22 +62,20 @@ void TimeSeriesSampler::sample(TimePs now, const Simulator& sim,
                               static_cast<double>(pool_capacity)
                         : 0.0;
 
-  if (itb_pool_) {
-    const auto hosts = static_cast<std::size_t>(net.topology().num_hosts());
-    const std::int64_t per_host = net.params().itb_pool_bytes;
-    s.itb_pool.resize(hosts);
-    for (std::size_t h = 0; h < hosts; ++h) {
-      s.itb_pool[h] =
-          per_host > 0
-              ? static_cast<float>(
-                    static_cast<double>(net.itb_pool_used(
-                        static_cast<HostId>(h))) /
-                    static_cast<double>(per_host))
-              : 0.0f;
-    }
+  const auto hosts = static_cast<std::size_t>(net.topology().num_hosts());
+  const std::int64_t per_host = net.params().itb_pool_bytes;
+  s.itb_pool.resize(hosts);
+  for (std::size_t h = 0; h < hosts; ++h) {
+    s.itb_pool[h] =
+        per_host > 0
+            ? static_cast<float>(
+                  static_cast<double>(net.itb_pool_used(
+                      static_cast<HostId>(h))) /
+                  static_cast<double>(per_host))
+            : 0.0f;
   }
 
-  if (link_util_ && now > last_t_) {
+  if (now > last_t_) {
     s.link_util.resize(prev_busy_.size());
     for (std::size_t ch = 0; ch < prev_busy_.size(); ++ch) {
       const TimePs busy = net.channel_busy_time(static_cast<ChannelId>(ch));

@@ -44,11 +44,10 @@ struct TimeSeriesSample {
   /// MyrinetParams::itb_pool_bytes).
   double itb_pool_frac = 0.0;
   /// Per-channel busy fraction over this window (indexed by ChannelId);
-  /// empty unless link sampling was requested.
+  /// empty for a zero-width window.
   std::vector<float> link_util;
   /// Per-host ITB-pool occupancy (fraction of itb_pool_bytes) at the
-  /// window's end (indexed by HostId); empty unless heatmap sampling was
-  /// requested.
+  /// window's end (indexed by HostId).
   std::vector<float> itb_pool;
 };
 
@@ -58,11 +57,10 @@ class TimeSeriesSampler {
  public:
   /// Arm the sampler at simulated time `now` (the start of the measurement
   /// window, after MetricsCollector::reset_window and
-  /// Network::reset_channel_stats).  `link_util` additionally records
-  /// per-channel busy fractions each window.
-  void begin(TimePs now, bool link_util, const Simulator& sim,
-             const Network& net, const MetricsCollector& metrics,
-             bool itb_pool = false);
+  /// Network::reset_channel_stats).  Every window records per-channel busy
+  /// fractions and per-host ITB-pool occupancy.
+  void begin(TimePs now, const Simulator& sim, const Network& net,
+             const MetricsCollector& metrics);
 
   /// Close the current window at simulated time `now` and append a sample.
   void sample(TimePs now, const Simulator& sim, const Network& net,
@@ -84,8 +82,6 @@ class TimeSeriesSampler {
   double last_latency_sum_ = 0.0;
   std::uint64_t last_latency_count_ = 0;
   std::uint64_t last_events_ = 0;
-  bool link_util_ = false;
-  bool itb_pool_ = false;
 };
 
 /// Append `samples` to a CSV file (header written when the file is empty),
@@ -98,8 +94,7 @@ void append_samples_csv(const std::string& path, const std::string& experiment,
 /// Write the congestion heatmap: one long-format CSV row per (metric, id,
 /// window) — `link_util` keyed by ChannelId and `itb_pool` keyed by HostId —
 /// sized for the dragonfly16-class beds (rows scale as windows x (channels
-/// + hosts), not switches^2).  Windows lacking a metric (sampling off) emit
-/// no rows.  Overwrites `path`.
+/// + hosts), not switches^2).  Overwrites `path`.
 void write_heatmap_csv(const std::string& path,
                        const std::vector<TimeSeriesSample>& samples);
 

@@ -29,7 +29,6 @@ RunConfig sampled_config() {
   cfg.measure = us(80);
   cfg.sample_period = cfg.measure / 16;
   cfg.collect_link_util = true;
-  cfg.sample_link_util = true;
   return cfg;
 }
 
@@ -43,7 +42,6 @@ TEST(ObsSamplers, SamplingDoesNotPerturbTheSimulation) {
   RunConfig cfg = sampled_config();
   const RunResult sampled = sampled_point(tb, cfg);
   cfg.sample_period = 0;
-  cfg.sample_link_util = false;
   const RunResult plain = sampled_point(tb, cfg);
 
   EXPECT_GT(sampled.delivered, 0u);
@@ -167,8 +165,7 @@ TEST(ObsSamplers, CsvEmission) {
 
 TEST(ObsSamplers, HeatmapRowsReaggregateToWindowedSamples) {
   Testbed tb(make_torus_2d(4, 4, 4));
-  RunConfig cfg = sampled_config();
-  cfg.sample_itb_pool = true;
+  const RunConfig cfg = sampled_config();
   const RunResult r = sampled_point(tb, cfg);
   ASSERT_FALSE(r.samples.empty());
   const auto channels = static_cast<std::size_t>(tb.topo().num_channels());
@@ -182,14 +179,6 @@ TEST(ObsSamplers, HeatmapRowsReaggregateToWindowedSamples) {
     for (const float f : s.itb_pool) pool += f;
     EXPECT_NEAR(pool / static_cast<double>(hosts), s.itb_pool_frac, 1e-6);
   }
-
-  // Pool sampling is an observer: the rest of the run is unchanged.
-  RunConfig plain_cfg = cfg;
-  plain_cfg.sample_itb_pool = false;
-  RunResult plain = sampled_point(tb, plain_cfg);
-  RunResult with_pool = r;
-  for (TimeSeriesSample& s : with_pool.samples) s.itb_pool.clear();
-  EXPECT_TRUE(same_simulated_metrics(with_pool, plain));
 
   const std::string path = ::testing::TempDir() + "itb_heatmap_test.csv";
   write_heatmap_csv(path, r.samples);

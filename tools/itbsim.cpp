@@ -434,8 +434,6 @@ int main(int argc, char** argv) {
         cfg.sample_period =
             sample_us > 0 ? us(sample_us) : cfg.measure / 20;
         if (cfg.sample_period <= 0) cfg.sample_period = cfg.measure;
-        cfg.sample_link_util = true;
-        cfg.sample_itb_pool = !heatmap_path.empty();
       }
       const RunResult r = run_point(tb, *scheme, *pattern, cfg);
       std::vector<SweepPoint> one{{load, r}};

@@ -80,12 +80,11 @@ Cell measure(const std::string& name, const Testbed& tb, RoutingScheme scheme,
     const RouteSet again = build();
     if (again.build_ms() < c.build_ms) c.build_ms = again.build_ms();
   }
-  const RouteStore& store = rs.store();
-  c.table_bytes = store.table_bytes();
-  c.core_bytes = store.core_bytes();
-  c.route_instances = store.num_routes();
-  c.distinct_walks = store.distinct_walks();
-  c.distinct_routes = store.distinct_routes();
+  c.table_bytes = rs.table_bytes();
+  c.core_bytes = rs.core_bytes();
+  c.route_instances = rs.num_routes();
+  c.distinct_walks = rs.distinct_walks();
+  c.distinct_routes = rs.distinct_routes();
   c.compose_ns_avg = compose_ns_avg(rs, c.switches);
   return c;
 }

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "core/path_policy.hpp"
-#include "core/route_set.hpp"
+#include "core/route_store.hpp"
 #include "sim/rng.hpp"
 #include "topo/topology.hpp"
 #include "traffic/patterns.hpp"

@@ -11,7 +11,7 @@
 #pragma once
 
 #include "core/route.hpp"
-#include "core/route_set.hpp"
+#include "core/route_store.hpp"
 #include "net/params.hpp"
 #include "sim/time.hpp"
 #include "topo/topology.hpp"

@@ -174,10 +174,10 @@ RouteVerifyReport verify_route_set(const Topology& topo, const UpDown& ud,
                             std::to_string(d));
           continue;
         }
-        // Cross-check the store's own reconstruction (explicit tier: the
-        // stored switch walk; factorized tier: the composition tables)
-        // against the topology re-trace above.
-        const Route full = materialize_route(r);
+        // Cross-check the table's own reconstruction of the switch walk
+        // (from its composition tables) against the topology re-trace
+        // above.
+        const Route full = routes.materialize(s, d, alt);
         if (!std::equal(path.sw.begin(), path.sw.end(),
                         full.switches.begin(), full.switches.end())) {
           ctx.fail(alt, "materialized switch sequence disagrees with port walk");

@@ -29,7 +29,7 @@
 #include <cstdint>
 
 #include "check/invariants.hpp"
-#include "core/route_set.hpp"
+#include "core/route_store.hpp"
 #include "route/updown.hpp"
 #include "topo/topology.hpp"
 

@@ -55,7 +55,7 @@ struct Route {
   int total_switch_hops = 0;
 
   /// Compile-time alternative index that seeds the in-transit host mix
-  /// (RouteStore composes the host from it).  Part of the route's identity:
+  /// (RouteSet composes the host from it).  Part of the route's identity:
   /// the factorized store keeps it, so a Route round-trips exactly.
   std::uint16_t alt_tag = 0;
 

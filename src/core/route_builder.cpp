@@ -1,7 +1,6 @@
 #include "core/route_builder.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <span>
 #include <stdexcept>
 
@@ -173,12 +172,6 @@ void stage_itb_dest_row(const Topology& topo, const UpDown& ud,
       sc.route_ids.push_back(stage_ported_route(
           st, sc.ports.data(), legal.front().hops(), nullptr, 0, 0, sc));
     }
-    if (opts.prefer_fewest_itbs) {
-      std::stable_sort(sc.route_ids.begin(), sc.route_ids.end(),
-                       [&](std::uint32_t a, std::uint32_t b) {
-                         return st.route_leg_count(a) < st.route_leg_count(b);
-                       });
-    }
     st.commit_pair(sc.route_ids.data(), sc.route_ids.size());
   }
 }
@@ -192,11 +185,10 @@ void stage_itb_dest_row(const Topology& topo, const UpDown& ud,
 /// the store is bit-identical for every jobs value.
 template <typename StageRow>
 RouteSet build_factorized(const Topology& topo, RoutingAlgorithm algo,
-                          std::uint64_t itb_host_salt, int jobs,
-                          bool pair_transposed, StageRow&& stage_row) {
-  const auto t0 = std::chrono::steady_clock::now();
+                          int jobs, bool pair_transposed,
+                          StageRow&& stage_row) {
   const int n = topo.num_switches();
-  FactorizedStoreBuilder b(topo, itb_host_salt);
+  FactorizedStoreBuilder b(topo);
   b.set_pair_transposed(pair_transposed);
   if (jobs <= 1) {
     // Serial: one block, one stager, one scratch — cleared (capacity
@@ -232,11 +224,7 @@ RouteSet build_factorized(const Topology& topo, RoutingAlgorithm algo,
       blk = FactorizedBlock{};  // free staging as soon as it is merged
     }
   }
-  RouteSet rs(n, algo, b.finish());
-  rs.set_build_ms(std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count());
-  return rs;
+  return b.finish(algo);
 }
 
 std::vector<std::uint32_t> hosts_per_switch(const Topology& topo) {
@@ -252,7 +240,7 @@ std::vector<std::uint32_t> hosts_per_switch(const Topology& topo) {
 RouteSet build_updown_routes(const Topology& topo, const SimpleRoutes& sr,
                              int jobs) {
   return build_factorized(
-      topo, RoutingAlgorithm::kUpDown, 0, jobs, /*pair_transposed=*/false,
+      topo, RoutingAlgorithm::kUpDown, jobs, /*pair_transposed=*/false,
       [&](FactorizedBlockStager& st, StageScratch& sc, SwitchId s) {
         stage_updown_row(topo, sr, s, st, sc);
       });
@@ -265,8 +253,7 @@ RouteSet build_itb_routes(const Topology& topo, const UpDown& ud,
   const std::vector<std::uint32_t> host_count = hosts_per_switch(topo);
   const auto n = idx(topo.num_switches());
   return build_factorized(
-      topo, RoutingAlgorithm::kItb, opts.itb_host_salt, jobs,
-      /*pair_transposed=*/true,
+      topo, RoutingAlgorithm::kItb, jobs, /*pair_transposed=*/true,
       [&](FactorizedBlockStager& st, StageScratch& sc, SwitchId d) {
         // Row d of the matrix = distances from d = distances to d
         // (undirected); the pruned DAG is rebuilt in place per destination.
@@ -279,7 +266,7 @@ RouteSet build_itb_routes(const Topology& topo, const UpDown& ud,
 RouteSet build_minimal_routes(const Topology& topo, int jobs) {
   const StructuredMinimal sm(topo);
   return build_factorized(
-      topo, RoutingAlgorithm::kMinimal, 0, jobs, /*pair_transposed=*/false,
+      topo, RoutingAlgorithm::kMinimal, jobs, /*pair_transposed=*/false,
       [&](FactorizedBlockStager& st, StageScratch& sc, SwitchId s) {
         stage_minimal_row(topo, sm, s, st, sc);
       });

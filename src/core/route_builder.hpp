@@ -9,9 +9,7 @@
 // tests/support/, which compiles owning Routes the slow, obvious way.
 #pragma once
 
-#include <cstdint>
-
-#include "core/route_set.hpp"
+#include "core/route_store.hpp"
 #include "route/simple_routes.hpp"
 #include "route/updown.hpp"
 #include "topo/topology.hpp"
@@ -21,14 +19,6 @@ namespace itb {
 struct ItbBuildOptions {
   /// Paper: at most 10 alternative routes per source-destination pair.
   int max_alternatives = 10;
-  /// Salt for spreading in-transit host choices across a switch's hosts.
-  std::uint64_t itb_host_salt = 0;
-  /// Order alternatives by ascending in-transit count, so ITB-SP (which
-  /// always uses alternative 0) takes a legal minimal path whenever one
-  /// exists.  false keeps the enumeration (DFS) order, which matches the
-  /// paper's measured 0.43 in-transit buffers per ITB-SP message more
-  /// closely (fewest-first yields ~0.23); see EXPERIMENTS.md.
-  bool prefer_fewest_itbs = false;
 };
 
 /// UP/DOWN baseline: one simple_routes-selected legal path per pair,
@@ -40,9 +30,11 @@ struct ItbBuildOptions {
 
 /// ITB table: up to `max_alternatives` *minimal* paths per pair, each split
 /// into legal legs with in-transit hosts at the violating switches.
-/// Alternatives are ordered by ascending in-transit count (stable within a
-/// count), so alternative 0 — the one ITB-SP always uses — is a legal
-/// minimal path whenever one exists.  A minimal path whose required split
+/// Alternatives keep the enumeration order: a depth-first walk of the
+/// minimal-step DAG whose direction order is rotated per pair, so
+/// alternative 0 — the one ITB-SP always uses — spreads across directions
+/// network-wide and may itself need in-transit hosts (the paper measures
+/// 0.43 of them per ITB-SP message).  A minimal path whose required split
 /// switch has no attached host is discarded; if every candidate is
 /// discarded the pair falls back to one shortest legal (up*/down*) route so
 /// connectivity is never lost.  `jobs` as in build_updown_routes.

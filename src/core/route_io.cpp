@@ -6,15 +6,14 @@
 
 namespace itb {
 
-std::string format_route(const Topology& topo, const RouteView& r) {
-  (void)topo;
+std::string format_route(const Route& r) {
   std::ostringstream os;
   os << "s" << r.src_switch << "->s" << r.dst_switch
      << " hops=" << r.total_switch_hops << " itbs=" << r.num_itbs()
      << " legs=[";
   for (std::size_t li = 0; li < r.legs.size(); ++li) {
     if (li > 0) os << " | ";
-    const LegView leg = r.legs[li];
+    const RouteLeg& leg = r.legs[li];
     for (std::size_t pi = 0; pi < leg.ports.size(); ++pi) {
       if (pi > 0) os << ",";
       os << "p" << leg.ports[pi];
@@ -23,23 +22,24 @@ std::string format_route(const Topology& topo, const RouteView& r) {
     if (leg.end_host != kNoHost) os << " @h" << leg.end_host;
   }
   os << "] via ";
-  // The view no longer carries the switch walk; inflate it from the store.
-  const Route full = materialize_route(r);
-  for (std::size_t i = 0; i < full.switches.size(); ++i) {
+  for (std::size_t i = 0; i < r.switches.size(); ++i) {
     if (i > 0) os << "-";
-    os << full.switches[i];
+    os << r.switches[i];
   }
   return os.str();
 }
 
 void dump_routes(std::ostream& os, const Topology& topo, const RouteSet& rs,
                  int min_itbs) {
+  (void)topo;
   for (SwitchId s = 0; s < rs.num_switches(); ++s) {
     for (SwitchId d = 0; d < rs.num_switches(); ++d) {
       const AltsView alts = rs.alternatives(s, d);
       if (alts.empty() || alts.front().num_itbs() < min_itbs) continue;
       for (std::size_t a = 0; a < alts.size(); ++a) {
-        os << "alt" << a << " " << format_route(topo, alts[a]) << "\n";
+        os << "alt" << a << " "
+           << format_route(rs.materialize(s, d, static_cast<int>(a)))
+           << "\n";
       }
     }
   }

@@ -10,14 +10,13 @@
 #include <string>
 
 #include "core/route.hpp"
-#include "core/route_set.hpp"
+#include "core/route_store.hpp"
 #include "topo/topology.hpp"
 
 namespace itb {
 
 /// "s3->s2 hops=2 itbs=1 legs=[p1,p4 @h9 | p2] via 3-4-2"
-[[nodiscard]] std::string format_route(const Topology& topo,
-                                       const RouteView& r);
+[[nodiscard]] std::string format_route(const Route& r);
 
 /// Dump every pair's alternatives (optionally only pairs whose first
 /// alternative uses at least `min_itbs` in-transit hosts, to keep torus

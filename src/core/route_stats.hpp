@@ -2,7 +2,7 @@
 // percentage of minimal paths, average distance, and in-transit counts.
 #pragma once
 
-#include "core/route_set.hpp"
+#include "core/route_store.hpp"
 #include "topo/topology.hpp"
 
 namespace itb {

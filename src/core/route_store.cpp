@@ -18,16 +18,9 @@ std::uint64_t vec_bytes(const auto& v) {
 // ---------------------------------------------------------------------------
 // Composition
 
-RouteView RouteStore::compose(std::uint32_t pair_index,
-                              std::uint32_t slot) const {
+RouteView RouteSet::compose(SwitchId s, SwitchId d,
+                            std::uint32_t slot) const {
   RouteView v;
-  v.store = this;
-  v.pair_index = pair_index;
-  v.slot = slot;
-  const auto s = static_cast<SwitchId>(pair_index /
-                                       static_cast<std::uint32_t>(num_switches_));
-  const auto d = static_cast<SwitchId>(pair_index %
-                                       static_cast<std::uint32_t>(num_switches_));
   const SpanRec rr = routes_.recs[alts_.items[slot]];
   v.src_switch = s;
   v.dst_switch = d;
@@ -61,7 +54,7 @@ RouteView RouteStore::compose(std::uint32_t pair_index,
           static_cast<std::uint64_t>(s) * 1315423911ULL +
           static_cast<std::uint64_t>(d) * 2654435761ULL +
           static_cast<std::uint64_t>(rr.tag) * 40503ULL +
-          static_cast<std::uint64_t>(li) * 97ULL + itb_host_salt_;
+          static_cast<std::uint64_t>(li) * 97ULL;
       const HostId host = sw_hosts_[h0 + static_cast<std::uint32_t>(mix % nh)];
       rec.end_host = host;
       rec.tail = host_port_[uz(host)];
@@ -71,10 +64,11 @@ RouteView RouteStore::compose(std::uint32_t pair_index,
   return v;
 }
 
-Route RouteStore::materialize(std::uint32_t pair_index,
-                              std::uint32_t slot) const {
+Route RouteSet::materialize(SwitchId s, SwitchId d, int alt) const {
+  const std::uint32_t slot = alts_.recs[pair_alt_[key(s, d)]].first +
+                             static_cast<std::uint32_t>(alt);
+  const RouteView v = compose(s, d, slot);
   Route out;
-  const RouteView v = compose(pair_index, slot);
   out.src_switch = v.src_switch;
   out.dst_switch = v.dst_switch;
   out.total_switch_hops = v.total_switch_hops;
@@ -99,13 +93,6 @@ Route RouteStore::materialize(std::uint32_t pair_index,
     }
   }
   return out;
-}
-
-Route materialize_route(const RouteView& v) {
-  if (v.store == nullptr) {
-    throw std::logic_error("materialize_route: view has no owning store");
-  }
-  return v.store->materialize(v.pair_index, v.slot);
 }
 
 // ---------------------------------------------------------------------------
@@ -155,36 +142,34 @@ void FactorizedBlockStager::commit_pair(const std::uint32_t* route_ids,
 // ---------------------------------------------------------------------------
 // Factorized merge
 
-FactorizedStoreBuilder::FactorizedStoreBuilder(const Topology& topo,
-                                               std::uint64_t itb_host_salt)
-    : topo_(&topo) {
+FactorizedStoreBuilder::FactorizedStoreBuilder(const Topology& topo)
+    : topo_(&topo), t0_(std::chrono::steady_clock::now()) {
   const int S = topo.num_switches();
   const int P = topo.ports_per_switch();
-  store_.num_switches_ = S;
-  store_.ports_per_switch_ = P;
-  store_.itb_host_salt_ = itb_host_salt;
-  store_.next_switch_.assign(uz(S) * uz(P), kNoSwitch);
+  set_.num_switches_ = S;
+  set_.ports_per_switch_ = P;
+  set_.next_switch_.assign(uz(S) * uz(P), kNoSwitch);
   for (SwitchId s = 0; s < S; ++s) {
     for (PortId p = 0; p < P; ++p) {
       const PortPeer& pp = topo.peer(s, p);
       if (pp.kind == PeerKind::kSwitch) {
-        store_.next_switch_[uz(s) * uz(P) + uz(p)] = pp.sw;
+        set_.next_switch_[uz(s) * uz(P) + uz(p)] = pp.sw;
       }
     }
   }
-  store_.sw_host_off_.assign(uz(S) + 1, 0);
+  set_.sw_host_off_.assign(uz(S) + 1, 0);
   for (SwitchId s = 0; s < S; ++s) {
     const auto hosts = topo.hosts_of_switch(s);
-    store_.sw_host_off_[uz(s) + 1] =
-        store_.sw_host_off_[uz(s)] + static_cast<std::uint32_t>(hosts.size());
-    store_.sw_hosts_.insert(store_.sw_hosts_.end(), hosts.begin(),
+    set_.sw_host_off_[uz(s) + 1] =
+        set_.sw_host_off_[uz(s)] + static_cast<std::uint32_t>(hosts.size());
+    set_.sw_hosts_.insert(set_.sw_hosts_.end(), hosts.begin(),
                             hosts.end());
   }
-  store_.host_port_.reserve(uz(topo.num_hosts()));
+  set_.host_port_.reserve(uz(topo.num_hosts()));
   for (HostId hst = 0; hst < topo.num_hosts(); ++hst) {
-    store_.host_port_.push_back(topo.host(hst).port);
+    set_.host_port_.push_back(topo.host(hst).port);
   }
-  store_.pair_alt_.reserve(uz(S) * uz(S));
+  set_.pair_alt_.reserve(uz(S) * uz(S));
 }
 
 namespace {
@@ -213,22 +198,22 @@ void merge_pool(const SpanPool<T>& local, SpanPool<T>& global,
 }  // namespace
 
 void FactorizedStoreBuilder::append_block(const FactorizedBlock& block) {
-  merge_pool(block.walks, store_.walks_, walk_tab_, {}, walk_remap_,
+  merge_pool(block.walks, set_.walks_, walk_tab_, {}, walk_remap_,
              scratch_ids_);
-  merge_pool(block.routes, store_.routes_, route_tab_, walk_remap_,
+  merge_pool(block.routes, set_.routes_, route_tab_, walk_remap_,
              route_remap_, scratch_ids_);
-  merge_pool(block.alts, store_.alts_, alt_tab_, route_remap_, alt_remap_,
+  merge_pool(block.alts, set_.alts_, alt_tab_, route_remap_, alt_remap_,
              scratch_ids_);
   for (const std::uint32_t lid : block.pair_alt) {
-    store_.pair_alt_.push_back(alt_remap_[lid]);
+    set_.pair_alt_.push_back(alt_remap_[lid]);
   }
-  store_.num_route_instances_ += block.route_instances;
+  set_.num_route_instances_ += block.route_instances;
   leg_instances_ += block.leg_instances;
 }
 
-RouteStore FactorizedStoreBuilder::finish() {
+RouteSet FactorizedStoreBuilder::finish(RoutingAlgorithm algo) {
   const std::size_t want = uz(topo_->num_switches()) * uz(topo_->num_switches());
-  if (store_.pair_alt_.size() != want) {
+  if (set_.pair_alt_.size() != want) {
     throw std::logic_error("FactorizedStoreBuilder: pair stream incomplete");
   }
   if (pair_transposed_) {
@@ -237,26 +222,30 @@ RouteStore FactorizedStoreBuilder::finish() {
     std::vector<std::uint32_t> by_src(want);
     for (std::size_t d = 0; d < n; ++d) {
       for (std::size_t s = 0; s < n; ++s) {
-        by_src[s * n + d] = store_.pair_alt_[d * n + s];
+        by_src[s * n + d] = set_.pair_alt_[d * n + s];
       }
     }
-    store_.pair_alt_ = std::move(by_src);
+    set_.pair_alt_ = std::move(by_src);
   }
-  store_.core_bytes_ = vec_bytes(store_.pair_alt_);
+  set_.core_bytes_ = vec_bytes(set_.pair_alt_);
   const auto seal = [this](auto& pool) {
     pool.items.shrink_to_fit();
     pool.recs.shrink_to_fit();
-    store_.core_bytes_ += vec_bytes(pool.items) + vec_bytes(pool.recs);
+    set_.core_bytes_ += vec_bytes(pool.items) + vec_bytes(pool.recs);
   };
-  seal(store_.walks_);
-  seal(store_.routes_);
-  seal(store_.alts_);
-  store_.segments_shared_ = leg_instances_ - store_.walks_.size();
-  store_.table_bytes_ =
-      store_.core_bytes_ + vec_bytes(store_.next_switch_) +
-      vec_bytes(store_.sw_host_off_) + vec_bytes(store_.sw_hosts_) +
-      vec_bytes(store_.host_port_);
-  return std::move(store_);
+  seal(set_.walks_);
+  seal(set_.routes_);
+  seal(set_.alts_);
+  set_.segments_shared_ = leg_instances_ - set_.walks_.size();
+  set_.table_bytes_ =
+      set_.core_bytes_ + vec_bytes(set_.next_switch_) +
+      vec_bytes(set_.sw_host_off_) + vec_bytes(set_.sw_hosts_) +
+      vec_bytes(set_.host_port_);
+  set_.algo_ = algo;
+  set_.build_ms_ = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - t0_)
+                       .count();
+  return std::move(set_);
 }
 
 }  // namespace itb

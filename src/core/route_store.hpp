@@ -1,7 +1,12 @@
-// Switch-pair factorized route store.
+// Routing tables at switch-pair granularity: the factorized RouteSet.
 //
-// The one store behind RouteSet.  The stored unit is the ordered switch
-// pair; everything below it is interned so that no absolute switch or host
+// Myrinet NICs hold per-destination route lists; because every host on a
+// switch shares the same switch-level paths, the table is stored per
+// ordered (source switch, destination switch) pair and the delivery port is
+// appended per packet.  The paper caps alternatives at 10 per pair to keep
+// NIC look-up cheap; the same cap is the default (core/route_builder.hpp).
+//
+// Everything below the pair is interned so that no absolute switch or host
 // id survives into route identity.  Three SpanPools (core/intern.hpp) and
 // the pair index:
 //
@@ -21,16 +26,19 @@
 // Lookup *composes* a self-contained RouteView on the fly: end switches
 // are rederived by walking a (switch, port) -> switch table, the ITB
 // in-transit host is recomputed as a deterministic function of
-// (src, dst, alt tag, leg, itb_host_salt), and the eject port is
-// synthesized from the host attachment table.  Composition is a handful of
-// indexed loads per leg (single-leg routes — every UP/DOWN and MIN route,
-// and most ITB alternatives — walk nothing).
+// (src, dst, alt tag, leg), and the eject port is synthesized from the
+// host attachment table.  Composition is a handful of indexed loads per
+// leg (single-leg routes — every UP/DOWN and MIN route, and most ITB
+// alternatives — walk nothing).  `materialize(s, d, alt)` inflates one
+// alternative into an owning Route for tests and IO.
 //
-// Views are trivially copyable and self-contained (a Packet stores one by
-// value); thanks to the inline leg records the per-hop data path
-// `route.legs[i].ports[h]` is two indexed loads.
+// A RouteSet is immutable once built.  Views are trivially copyable and
+// carry no locator back to it (a Packet stores one by value); thanks to
+// the inline leg records the per-hop data path `route.legs[i].ports[h]` is
+// two indexed loads.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -157,30 +165,25 @@ class LegRange {
   [[nodiscard]] iterator end() const { return {this, count_}; }
 
  private:
-  friend class RouteStore;
+  friend class RouteSet;
   const PortId* pool_ = nullptr;
   std::uint32_t count_ = 0;
   LegRec recs_[kMaxRouteLegs];
 };
 
-class RouteStore;
+class RouteSet;
 
 /// Non-owning composed view of one route; member names mirror Route so
 /// call sites (`r.total_switch_hops`, `r.legs[i].ports[h]`) read the same
 /// against either representation.  Trivially copyable; Packet stores one
-/// by value.  The full switch walk is no longer carried — consumers that
-/// need it materialize (materialize_route) or track the current switch
-/// while walking the port bytes through the topology.
+/// by value.  The full switch walk is not carried — consumers that need it
+/// use RouteSet::materialize or track the current switch while walking the
+/// port bytes through the topology.
 struct RouteView {
   SwitchId src_switch = kNoSwitch;
   SwitchId dst_switch = kNoSwitch;
   int total_switch_hops = 0;
   LegRange legs;
-
-  // Origin locator (store + pair/slot), used by materialize_route.
-  const RouteStore* store = nullptr;
-  std::uint32_t pair_index = 0;
-  std::uint32_t slot = 0;
 
   [[nodiscard]] int num_itbs() const {
     return static_cast<int>(legs.size()) - 1;
@@ -192,9 +195,9 @@ struct RouteView {
 class AltsView {
  public:
   AltsView() = default;
-  AltsView(const RouteStore* store, std::uint32_t pair, std::uint32_t first,
+  AltsView(const RouteSet* set, SwitchId s, SwitchId d, std::uint32_t first,
            std::uint32_t count)
-      : store_(store), pair_(pair), first_(first), count_(count) {}
+      : set_(set), s_(s), d_(d), first_(first), count_(count) {}
 
   [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
@@ -222,36 +225,38 @@ class AltsView {
   [[nodiscard]] iterator end() const { return {this, count_}; }
 
  private:
-  const RouteStore* store_ = nullptr;
-  std::uint32_t pair_ = 0;
+  const RouteSet* set_ = nullptr;
+  SwitchId s_ = kNoSwitch;
+  SwitchId d_ = kNoSwitch;
   std::uint32_t first_ = 0;
   std::uint32_t count_ = 0;
 };
 
 // ---------------------------------------------------------------------------
-// Store
+// Table
 
-class RouteStore {
+class RouteSet {
  public:
-  [[nodiscard]] AltsView pair(std::size_t pair_index) const {
-    const SpanRec& a = alts_.recs[pair_alt_[pair_index]];
-    return {this, static_cast<std::uint32_t>(pair_index), a.first, a.count};
+  [[nodiscard]] RoutingAlgorithm algorithm() const { return algo_; }
+  [[nodiscard]] int num_switches() const { return num_switches_; }
+
+  [[nodiscard]] AltsView alternatives(SwitchId s, SwitchId d) const {
+    const SpanRec& a = alts_.recs[pair_alt_[key(s, d)]];
+    return {this, s, d, a.first, a.count};
   }
 
-  /// Compose the view for alternative slot `slot` (an index into
-  /// alts_.items) of `pair_index`.
-  [[nodiscard]] RouteView compose(std::uint32_t pair_index,
-                                  std::uint32_t slot) const;
+  [[nodiscard]] RouteView view(SwitchId s, SwitchId d, int alt) const {
+    return alternatives(s, d)[static_cast<std::size_t>(alt)];
+  }
 
-  /// Owning Route for the same locator: the composed legs plus the alt tag,
-  /// with the switch walk rederived from the composition table.
-  [[nodiscard]] Route materialize(std::uint32_t pair_index,
-                                  std::uint32_t slot) const;
+  /// Owning copy of one alternative (tests / IO): the composed legs plus
+  /// the alt tag, with the switch walk rederived from the composition
+  /// table.
+  [[nodiscard]] Route materialize(SwitchId s, SwitchId d, int alt) const;
 
   [[nodiscard]] std::size_t num_pairs() const { return pair_alt_.size(); }
   /// Route *instances* (sum of per-pair alternative counts).
   [[nodiscard]] std::size_t num_routes() const { return num_route_instances_; }
-  [[nodiscard]] int num_switches() const { return num_switches_; }
 
   /// Bytes held by all arrays — the route core plus the composition
   /// tables; excludes the fixed-size object header.
@@ -263,9 +268,8 @@ class RouteStore {
   [[nodiscard]] std::uint64_t segments_shared() const {
     return segments_shared_;
   }
-  /// Wall-clock build time, stamped by the route builders.
+  /// Wall-clock time from FactorizedStoreBuilder construction to finish().
   [[nodiscard]] double build_ms() const { return build_ms_; }
-  void set_build_ms(double ms) { build_ms_ = ms; }
 
   // Distinct-shape counts.
   [[nodiscard]] std::size_t distinct_walks() const { return walks_.size(); }
@@ -294,8 +298,22 @@ class RouteStore {
   }
 
  private:
+  friend class AltsView;
   friend class FactorizedStoreBuilder;
 
+  RouteSet() = default;  // built only by FactorizedStoreBuilder
+
+  [[nodiscard]] std::size_t key(SwitchId s, SwitchId d) const {
+    return static_cast<std::size_t>(s) *
+               static_cast<std::size_t>(num_switches_) +
+           static_cast<std::size_t>(d);
+  }
+  /// Compose the view for alternative slot `slot` (an index into
+  /// alts_.items) of pair (s, d).
+  [[nodiscard]] RouteView compose(SwitchId s, SwitchId d,
+                                  std::uint32_t slot) const;
+
+  RoutingAlgorithm algo_ = RoutingAlgorithm::kUpDown;
   int num_switches_ = 0;
 
   // Route core.
@@ -305,7 +323,6 @@ class RouteStore {
   std::vector<std::uint32_t> pair_alt_;
   // Composition tables (derived from the topology at build time).
   int ports_per_switch_ = 0;
-  std::uint64_t itb_host_salt_ = 0;
   std::vector<SwitchId> next_switch_;   // [switch * P + port] -> peer switch
   std::vector<std::uint32_t> sw_host_off_;  // CSR offsets into sw_hosts_
   std::vector<HostId> sw_hosts_;            // hosts per switch, port order
@@ -319,7 +336,7 @@ class RouteStore {
 };
 
 inline RouteView AltsView::operator[](std::size_t i) const {
-  return store_->compose(pair_, first_ + static_cast<std::uint32_t>(i));
+  return set_->compose(s_, d_, first_ + static_cast<std::uint32_t>(i));
 }
 
 // ---------------------------------------------------------------------------
@@ -356,11 +373,6 @@ class FactorizedBlockStager {
   /// order within the block), interning the list itself.
   void commit_pair(const std::uint32_t* route_ids, std::size_t n);
 
-  /// Leg count of a staged route (prefer_fewest_itbs ordering).
-  [[nodiscard]] std::uint16_t route_leg_count(std::uint32_t rid) const {
-    return out_->routes.recs[rid].count;
-  }
-
  private:
   FactorizedBlock* out_ = nullptr;
   SpanInterner walk_tab_;
@@ -373,7 +385,7 @@ class FactorizedBlockStager {
 /// source switch exactly once.
 class FactorizedStoreBuilder {
  public:
-  FactorizedStoreBuilder(const Topology& topo, std::uint64_t itb_host_salt);
+  explicit FactorizedStoreBuilder(const Topology& topo);
 
   /// Declares that pairs will be committed destination-major — stream
   /// position d * S + s instead of s * S + d.  finish() transposes the
@@ -383,11 +395,12 @@ class FactorizedStoreBuilder {
   void set_pair_transposed(bool v) { pair_transposed_ = v; }
 
   void append_block(const FactorizedBlock& block);
-  [[nodiscard]] RouteStore finish();
+  [[nodiscard]] RouteSet finish(RoutingAlgorithm algo);
 
  private:
   const Topology* topo_;
-  RouteStore store_;
+  std::chrono::steady_clock::time_point t0_;
+  RouteSet set_;
   SpanInterner walk_tab_;
   SpanInterner route_tab_;
   SpanInterner alt_tab_;
@@ -398,8 +411,5 @@ class FactorizedStoreBuilder {
   std::uint64_t leg_instances_ = 0;
   bool pair_transposed_ = false;
 };
-
-/// Materialize an owning Route from a view (adapter for tests and IO).
-[[nodiscard]] Route materialize_route(const RouteView& v);
 
 }  // namespace itb

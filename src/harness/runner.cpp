@@ -152,8 +152,8 @@ RunResult run_point_in(SimWorkspace& ws, const Testbed& tb,
   r.route_table_bytes = routes.table_bytes();
   r.route_build_ms = routes.build_ms();
   r.route_segments_shared = routes.segments_shared();
-  r.route_core_pairs = routes.store().num_pairs();
-  r.route_core_bytes = routes.store().core_bytes();
+  r.route_core_pairs = routes.num_pairs();
+  r.route_core_bytes = routes.core_bytes();
   r.workspace_reuses = ws.reuses();
   r.arena_bytes_peak = net.arena_bytes_peak();
   r.heap_allocs_steady_state = net.heap_allocs_this_run();

@@ -18,7 +18,7 @@
 
 #include "check/invariants.hpp"
 #include "core/path_policy.hpp"
-#include "core/route_set.hpp"
+#include "core/route_store.hpp"
 #include "route/simple_routes.hpp"
 #include "route/updown.hpp"
 #include "sim/pool.hpp"

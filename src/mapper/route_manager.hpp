@@ -12,7 +12,7 @@
 #include <memory>
 #include <optional>
 
-#include "core/route_set.hpp"
+#include "core/route_store.hpp"
 #include "harness/testbed.hpp"
 #include "mapper/mapper.hpp"
 #include "route/updown.hpp"

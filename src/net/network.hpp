@@ -38,7 +38,7 @@
 
 #include "check/invariants.hpp"
 #include "core/path_policy.hpp"
-#include "core/route_set.hpp"
+#include "core/route_store.hpp"
 #include "net/packet.hpp"
 #include "net/params.hpp"
 #include "obs/trace.hpp"

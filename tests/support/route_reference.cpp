@@ -55,8 +55,7 @@ bool composes_to(const RouteView& v, const Route& want) {
 }  // namespace
 
 Route compile_route(const Topology& topo, const SwitchPath& path,
-                    const std::vector<int>& split_points, int alt_index,
-                    std::uint64_t itb_host_salt) {
+                    const std::vector<int>& split_points, int alt_index) {
   Route r;
   r.src_switch = path.src();
   r.dst_switch = path.dst();
@@ -77,7 +76,7 @@ Route compile_route(const Topology& topo, const SwitchPath& path,
     }
     if (seg_i + 1 < segments.size()) {
       // In-transit host on the segment's last switch, spread over that
-      // switch's hosts by the mix RouteStore::compose recomputes.
+      // switch's hosts by the mix RouteSet::compose recomputes.
       const auto hosts = topo.hosts_of_switch(seg.dst());
       if (hosts.empty()) {
         throw std::invalid_argument(
@@ -87,7 +86,7 @@ Route compile_route(const Topology& topo, const SwitchPath& path,
           static_cast<std::uint64_t>(path.src()) * 1315423911ULL +
           static_cast<std::uint64_t>(path.dst()) * 2654435761ULL +
           static_cast<std::uint64_t>(alt_index) * 40503ULL +
-          static_cast<std::uint64_t>(seg_i) * 97ULL + itb_host_salt;
+          static_cast<std::uint64_t>(seg_i) * 97ULL;
       const HostId h = hosts[mix % hosts.size()];
       leg.end_host = h;
       leg.ports.push_back(topo.host(h).port);
@@ -104,7 +103,7 @@ RouteTable reference_updown_table(const Topology& topo,
   for (SwitchId s = 0; s < n; ++s) {
     for (SwitchId d = 0; d < n; ++d) {
       table[pair_key(n, s, d)].push_back(
-          compile_route(topo, sr.route(s, d), {}, 0, 0));
+          compile_route(topo, sr.route(s, d), {}, 0));
     }
   }
   return table;
@@ -125,9 +124,8 @@ std::vector<Route> reference_itb_pair(const Topology& topo, const UpDown& ud,
           return topo.hosts_of_switch(p.sw[idx(sp)]).empty();
         });
     if (!feasible) continue;
-    alts.push_back(compile_route(topo, p, splits,
-                                 static_cast<int>(alts.size()),
-                                 opts.itb_host_salt));
+    alts.push_back(
+        compile_route(topo, p, splits, static_cast<int>(alts.size())));
   }
   if (alts.empty()) {
     // No usable minimal path: fall back to a shortest legal route.
@@ -135,13 +133,7 @@ std::vector<Route> reference_itb_pair(const Topology& topo, const UpDown& ud,
     if (legal.empty()) {
       throw std::runtime_error("reference_itb_pair: pair unreachable");
     }
-    alts.push_back(compile_route(topo, legal.front(), {}, 0, 0));
-  }
-  if (opts.prefer_fewest_itbs) {
-    std::stable_sort(alts.begin(), alts.end(),
-                     [](const Route& a, const Route& b) {
-                       return a.num_itbs() < b.num_itbs();
-                     });
+    alts.push_back(compile_route(topo, legal.front(), {}, 0));
   }
   return alts;
 }
@@ -167,7 +159,7 @@ RouteTable reference_minimal_table(const Topology& topo) {
   for (SwitchId s = 0; s < n; ++s) {
     for (SwitchId d = 0; d < n; ++d) {
       table[pair_key(n, s, d)].push_back(
-          compile_route(topo, sm.path(s, d), {}, 0, 0));
+          compile_route(topo, sm.path(s, d), {}, 0));
     }
   }
   return table;
@@ -178,8 +170,9 @@ RouteTable materialize_all(const RouteSet& rs) {
   RouteTable table(idx(n) * idx(n));
   for (SwitchId s = 0; s < n; ++s) {
     for (SwitchId d = 0; d < n; ++d) {
-      for (const RouteView v : rs.alternatives(s, d)) {
-        table[pair_key(n, s, d)].push_back(materialize_route(v));
+      const auto alts = static_cast<int>(rs.alternatives(s, d).size());
+      for (int a = 0; a < alts; ++a) {
+        table[pair_key(n, s, d)].push_back(rs.materialize(s, d, a));
       }
     }
   }
@@ -187,12 +180,12 @@ RouteTable materialize_all(const RouteSet& rs) {
 }
 
 RouteSet factorize(const Topology& topo, RoutingAlgorithm algo,
-                   std::uint64_t itb_host_salt, const RouteTable& table) {
+                   const RouteTable& table) {
   const int n = topo.num_switches();
   if (table.size() != idx(n) * idx(n)) {
     throw std::invalid_argument("factorize: table must hold S * S pairs");
   }
-  FactorizedStoreBuilder builder(topo, itb_host_salt);
+  FactorizedStoreBuilder builder(topo);
   FactorizedBlock block;
   FactorizedBlockStager stager;
   std::vector<std::uint32_t> walk_ids;
@@ -235,7 +228,7 @@ RouteSet factorize(const Topology& topo, RoutingAlgorithm algo,
     }
     builder.append_block(block);
   }
-  RouteSet rs(n, algo, builder.finish());
+  RouteSet rs = builder.finish(algo);
   for (SwitchId s = 0; s < n; ++s) {
     for (SwitchId d = 0; d < n; ++d) {
       const std::vector<Route>& alts = table[pair_key(n, s, d)];

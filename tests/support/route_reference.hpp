@@ -9,7 +9,7 @@
 // ==, which covers legs, hosts, switch walk and tag.
 //
 // `compile_route` applies the same in-transit host mix as
-// RouteStore::compose; the two must stay in lockstep (pinned by the
+// RouteSet::compose; the two must stay in lockstep (pinned by the
 // RouteStoreDifferential tests).
 //
 // `factorize` turns a hand-built or deliberately corrupted Route table into
@@ -23,7 +23,7 @@
 
 #include "core/route.hpp"
 #include "core/route_builder.hpp"
-#include "core/route_set.hpp"
+#include "core/route_store.hpp"
 #include "route/simple_routes.hpp"
 #include "route/switch_path.hpp"
 #include "route/updown.hpp"
@@ -42,11 +42,11 @@ using RouteTable = std::vector<std::vector<Route>>;
 
 /// Lowers a switch-level path (plus split points for ITB legs) into a Route
 /// with concrete ports and in-transit host choices.  `alt_index` becomes
-/// the route's alt tag and, with the salt, spreads in-transit hosts so that
-/// different alternatives use different hosts of the same switch.
+/// the route's alt tag and spreads in-transit hosts so that different
+/// alternatives use different hosts of the same switch.
 [[nodiscard]] Route compile_route(const Topology& topo, const SwitchPath& path,
                                   const std::vector<int>& split_points,
-                                  int alt_index, std::uint64_t itb_host_salt);
+                                  int alt_index);
 
 /// What build_updown_routes installs: the simple_routes path of every pair.
 [[nodiscard]] RouteTable reference_updown_table(const Topology& topo,
@@ -78,7 +78,6 @@ using RouteTable = std::vector<std::vector<Route>>;
 /// composition mix would not choose).
 /// Final-leg walks are not checked, so corrupt walks stay representable.
 [[nodiscard]] RouteSet factorize(const Topology& topo, RoutingAlgorithm algo,
-                                 std::uint64_t itb_host_salt,
                                  const RouteTable& table);
 
 }  // namespace itb

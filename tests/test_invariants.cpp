@@ -102,7 +102,7 @@ RouteSet cyclic_antipodal_routes(const Topology& t) {
     r.legs.push_back(leg);
     staged[pair_key(4, s, d)].push_back(r);
   }
-  return factorize(t, RoutingAlgorithm::kUpDown, 0, staged);
+  return factorize(t, RoutingAlgorithm::kUpDown, staged);
 }
 
 /// Every host of ring4() sends one packet to the antipodal host.  2048-byte

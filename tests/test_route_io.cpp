@@ -22,7 +22,7 @@ TEST(RouteIo, FormatRouteShowsLegsAndItbs) {
   for (SwitchId s = 0; s < 5; ++s) t.attach_hosts(s, 2);
   UpDown ud(t, 0);
   RouteSet rs = build_itb_routes(t, ud);
-  const std::string line = format_route(t, rs.alternatives(3, 2)[0]);
+  const std::string line = format_route(rs.materialize(3, 2, 0));
   EXPECT_NE(line.find("s3->s2"), std::string::npos);
   EXPECT_NE(line.find("itbs=1"), std::string::npos);
   EXPECT_NE(line.find("@h"), std::string::npos);

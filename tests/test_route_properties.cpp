@@ -136,7 +136,7 @@ TEST(RouteVerifierNegative, DetectsNonMinimalMinTable) {
   via2.switches = {0, 2, 1};
   alts[0] = via2;
   const RouteSet flat =
-      factorize(tb.topo(), RoutingAlgorithm::kMinimal, 0, routes);
+      factorize(tb.topo(), RoutingAlgorithm::kMinimal, routes);
   const RouteVerifyReport rep =
       verify_route_set(tb.topo(), tb.updown(), flat);
   ASSERT_EQ(rep.violations.size(), 1u);
@@ -159,8 +159,8 @@ TEST(RouteProperties, AlternativesCappedAndDistinct) {
       EXPECT_LE(alts.size(), 10u);
       for (std::size_t i = 0; i < alts.size(); ++i) {
         for (std::size_t j = i + 1; j < alts.size(); ++j) {
-          const Route a = materialize_route(alts[i]);
-          const Route b = materialize_route(alts[j]);
+          const Route a = routes.materialize(s, d, static_cast<int>(i));
+          const Route b = routes.materialize(s, d, static_cast<int>(j));
           EXPECT_FALSE(a.switches == b.switches && a.legs.size() == b.legs.size())
               << "pair " << s << "->" << d << " alternatives " << i << "/"
               << j << " identical";
@@ -181,7 +181,7 @@ RouteTable copy_itb_table(const Testbed& tb) {
 }
 
 RouteSet itb_table(const Testbed& tb, const RouteTable& routes) {
-  return factorize(tb.topo(), RoutingAlgorithm::kItb, 0, routes);
+  return factorize(tb.topo(), RoutingAlgorithm::kItb, routes);
 }
 
 std::uint64_t verify_count(const Testbed& tb, const RouteTable& routes) {

@@ -4,13 +4,14 @@
 //
 //  - Differential: every builder must install, pair for pair and
 //    alternative for alternative, exactly the reference table — on the
-//    paper testbeds and dense low-diameter graphs, with non-default ITB
-//    host salts and alternative orders, and on a pair sample of 256-switch
-//    beds.  The reference table staged through factorize must also land at
+//    paper testbeds and dense low-diameter graphs, and on a pair sample of
+//    256-switch beds.  The reference table staged through factorize must also land at
 //    the builder's footprint and materialize back unchanged.
 //  - Jobs identity: staging rows fan out across the thread pool, but every
 //    raw array is byte-identical for any jobs value.
 //  - Dedup: walking the raw arrays reconstructs every leg exactly.
+//  - Golden: digests of the raw arrays and of every composed view pin the
+//    tables across refactors.
 //  - Scale: a bench-ladder table passes the route-legality verifier.
 #include <gtest/gtest.h>
 
@@ -66,8 +67,7 @@ std::vector<NamedTestbed> dense_testbeds() {
 /// switch walk and alt tag), and `want` staged through factorize lands at
 /// the same footprint and materializes back unchanged.
 void expect_matches_reference(const std::string& name, const Topology& topo,
-                              const RouteTable& want, const RouteSet& built,
-                              std::uint64_t itb_host_salt = 0) {
+                              const RouteTable& want, const RouteSet& built) {
   const int n = built.num_switches();
   ASSERT_EQ(want.size(), static_cast<std::size_t>(n) * n) << name;
   for (SwitchId s = 0; s < n; ++s) {
@@ -76,12 +76,12 @@ void expect_matches_reference(const std::string& name, const Topology& topo,
       const AltsView got = built.alternatives(s, d);
       ASSERT_EQ(got.size(), alts.size()) << name << ": " << s << "->" << d;
       for (std::size_t a = 0; a < alts.size(); ++a) {
-        EXPECT_EQ(materialize_route(got[a]), alts[a])
+        EXPECT_EQ(built.materialize(s, d, static_cast<int>(a)), alts[a])
             << name << ": " << s << "->" << d << " alternative " << a;
       }
     }
   }
-  const RouteSet again = factorize(topo, built.algorithm(), itb_host_salt, want);
+  const RouteSet again = factorize(topo, built.algorithm(), want);
   EXPECT_EQ(again.table_bytes(), built.table_bytes()) << name;
   EXPECT_TRUE(materialize_all(again) == want) << name;
 }
@@ -152,30 +152,9 @@ TEST(RouteStoreFactorized, SampledDifferentialOnMediumTestbeds) {
       const AltsView got = built.alternatives(s, d);
       ASSERT_EQ(got.size(), want.size()) << t.name << ": " << s << "->" << d;
       for (std::size_t a = 0; a < want.size(); ++a) {
-        ASSERT_EQ(materialize_route(got[a]), want[a])
+        ASSERT_EQ(built.materialize(s, d, static_cast<int>(a)), want[a])
             << t.name << ": " << s << "->" << d << " alternative " << a;
       }
-    }
-  }
-}
-
-TEST(RouteStoreFactorized, HostMixTracksSaltAndAlternativeOrder) {
-  // The in-transit host is not stored — composition re-derives it from
-  // (s, d, alt tag, leg index, salt).  Exercise the two knobs that move it:
-  // a non-zero salt, and prefer_fewest_itbs, whose stable sort makes the
-  // alternative slot differ from the tag — the tag must drive the mix.
-  const Testbed hx(make_hyperx({8, 8}, 2), kAutoRoot);
-  for (const bool prefer : {true, false}) {
-    for (const std::uint64_t salt :
-         {std::uint64_t{0}, std::uint64_t{0x5eedf00d}}) {
-      ItbBuildOptions opts;
-      opts.prefer_fewest_itbs = prefer;
-      opts.itb_host_salt = salt;
-      expect_matches_reference(
-          "hyperx8x8 salt=" + std::to_string(salt) +
-              " prefer=" + std::to_string(prefer),
-          hx.topo(), reference_itb_table(hx.topo(), hx.updown(), opts),
-          build_itb_routes(hx.topo(), hx.updown(), opts), salt);
     }
   }
 }
@@ -206,14 +185,14 @@ TEST(RouteStoreDifferential, FactorizeRejectsRoutesThatCannotCompose) {
       break;
     }
   }
-  EXPECT_THROW((void)factorize(topo, RoutingAlgorithm::kItb, 0, other_host),
+  EXPECT_THROW((void)factorize(topo, RoutingAlgorithm::kItb, other_host),
                std::invalid_argument);
 
   // An intermediate leg whose walk leaves the switch graph.
   RouteTable off_graph = table;
   off_graph[key][0].legs[0].ports.front() =
       topo.host(topo.hosts_of_switch(3)[0]).port;
-  EXPECT_THROW((void)factorize(topo, RoutingAlgorithm::kItb, 0, off_graph),
+  EXPECT_THROW((void)factorize(topo, RoutingAlgorithm::kItb, off_graph),
                std::invalid_argument);
 
   // A corrupt final-leg walk stays representable for the verifier's
@@ -221,8 +200,8 @@ TEST(RouteStoreDifferential, FactorizeRejectsRoutesThatCannotCompose) {
   RouteTable corrupt_final = table;
   corrupt_final[key][0].legs[1].ports.front() =
       topo.host(topo.hosts_of_switch(4)[0]).port;
-  EXPECT_NO_THROW((void)factorize(topo, RoutingAlgorithm::kItb, 0,
-                                  corrupt_final));
+  EXPECT_NO_THROW(
+      (void)factorize(topo, RoutingAlgorithm::kItb, corrupt_final));
 }
 
 // --- jobs identity -------------------------------------------------------
@@ -241,10 +220,8 @@ template <typename T>
   return ::testing::AssertionSuccess();
 }
 
-void expect_stores_byte_identical(const RouteSet& a, const RouteSet& b,
+void expect_stores_byte_identical(const RouteSet& x, const RouteSet& y,
                                   const std::string& label) {
-  const RouteStore& x = a.store();
-  const RouteStore& y = b.store();
   EXPECT_TRUE(spans_byte_identical(x.port_pool(), y.port_pool(), "port_pool"))
       << label;
   EXPECT_TRUE(spans_byte_identical(x.walks(), y.walks(), "walks")) << label;
@@ -368,20 +345,19 @@ TEST(RouteStoreDedup, SharedSegmentsReconstructByteIdentical) {
   const Testbed tb(make_torus_2d(8, 8, 2));
   const RouteTable want = reference_itb_table(tb.topo(), tb.updown());
   const RouteSet built = build_itb_routes(tb.topo(), tb.updown());
-  const RouteStore& store = built.store();
 
   // Dedup must actually fire on a regular topology: many pairs share
   // dimension-ordered sub-walks.
   EXPECT_GT(built.segments_shared(), 0u);
-  EXPECT_LT(store.distinct_routes(), store.num_routes());
+  EXPECT_LT(built.distinct_routes(), built.num_routes());
 
-  const std::span<const PortId> ports = store.port_pool();
-  const std::span<const SpanRec> walks = store.walks();
-  const std::span<const std::uint32_t> route_walks = store.route_walks();
-  const std::span<const SpanRec> core_routes = store.core_routes();
-  const std::span<const std::uint32_t> alt_routes = store.alt_routes();
-  const std::span<const SpanRec> altlists = store.altlists();
-  const std::span<const std::uint32_t> pair_altlist = store.pair_altlist();
+  const std::span<const PortId> ports = built.port_pool();
+  const std::span<const SpanRec> walks = built.walks();
+  const std::span<const std::uint32_t> route_walks = built.route_walks();
+  const std::span<const SpanRec> core_routes = built.core_routes();
+  const std::span<const std::uint32_t> alt_routes = built.alt_routes();
+  const std::span<const SpanRec> altlists = built.altlists();
+  const std::span<const std::uint32_t> pair_altlist = built.pair_altlist();
 
   const int n = built.num_switches();
   for (SwitchId s = 0; s < n; ++s) {
@@ -394,8 +370,8 @@ TEST(RouteStoreDedup, SharedSegmentsReconstructByteIdentical) {
         const SpanRec& rr = core_routes[alt_routes[al.first + i]];
         const Route& w = alts[i];
         ASSERT_EQ(rr.count, w.legs.size());
-        // Default build options keep DFS order, so the baked alternative
-        // tag is the slot index.
+        // Alternatives keep DFS order, so the baked alternative tag is
+        // the slot index.
         EXPECT_EQ(rr.tag, i);
         EXPECT_EQ(rr.tag, w.alt_tag);
         for (std::size_t li = 0; li < w.legs.size(); ++li) {
@@ -425,8 +401,8 @@ TEST(RouteStoreDedup, DenseGraphSharesSegmentsAndRoundTrips) {
   EXPECT_GT(built.segments_shared(), 0u);
   const RouteTable table = materialize_all(built);
   const RouteSet again =
-      factorize(tb.topo(), RoutingAlgorithm::kItb, 0, table);
-  EXPECT_EQ(again.store().num_routes(), built.store().num_routes());
+      factorize(tb.topo(), RoutingAlgorithm::kItb, table);
+  EXPECT_EQ(again.num_routes(), built.num_routes());
   EXPECT_EQ(again.segments_shared(), built.segments_shared());
   EXPECT_EQ(again.table_bytes(), built.table_bytes());
   EXPECT_TRUE(materialize_all(again) == table);
@@ -436,8 +412,7 @@ TEST(RouteStoreDedup, DenseGraphSharesSegmentsAndRoundTrips) {
 
 /// FNV-1a 64 over the seven raw arrays, in accessor order, as one running
 /// hash: any change to ids, record layout or pool contents moves it.
-std::string raw_arrays_digest(const RouteSet& rs) {
-  const RouteStore& st = rs.store();
+std::string raw_arrays_digest(const RouteSet& st) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   const auto fold = [&h](auto span) {
     const auto* p = reinterpret_cast<const unsigned char*>(span.data());

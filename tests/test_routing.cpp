@@ -332,11 +332,12 @@ TEST(ItbSplit, SplitCountIsMinimalForThePath) {
 
 // ---- route builder ----
 
-// Follow a Route's ports hop by hop through the topology and check they
-// form a real walk ending at the right hosts.
-void check_route_walk(const Topology& t, const RouteView& r,
-                      SwitchId src_sw) {
-  SwitchId at = src_sw;
+// Follow alternative `alt` of (s, d) port by port through the topology and
+// check the ports form a real walk ending at the right hosts.
+void check_route_walk(const Topology& t, const RouteSet& rs, SwitchId s,
+                      SwitchId d, int alt) {
+  const RouteView r = rs.view(s, d, alt);
+  SwitchId at = s;
   std::vector<SwitchId> visited{at};
   for (std::size_t li = 0; li < r.legs.size(); ++li) {
     const LegView leg = r.legs[li];
@@ -356,9 +357,9 @@ void check_route_walk(const Topology& t, const RouteView& r,
     }
   }
   EXPECT_EQ(at, r.dst_switch);
-  // The store's own reconstruction (composition tables / stored walk) must
-  // agree with the topology walk above.
-  EXPECT_EQ(visited, materialize_route(r).switches);
+  // The table's own reconstruction (composition tables) must agree with
+  // the topology walk above.
+  EXPECT_EQ(visited, rs.materialize(s, d, alt).switches);
 }
 
 TEST(RouteBuilder, UpdownRoutesWalkTheTopology) {
@@ -373,7 +374,7 @@ TEST(RouteBuilder, UpdownRoutesWalkTheTopology) {
       ASSERT_EQ(alts.size(), 1u);
       EXPECT_EQ(alts[0].num_itbs(), 0);
       EXPECT_EQ(alts[0].legs.size(), 1u);
-      check_route_walk(t, alts[0], s);
+      check_route_walk(t, rs, s, d, 0);
     }
   }
 }
@@ -388,26 +389,11 @@ TEST(RouteBuilder, ItbRoutesAreMinimalAndWalk) {
       const auto& alts = rs.alternatives(s, d);
       ASSERT_FALSE(alts.empty());
       ASSERT_LE(alts.size(), 10u);
-      for (const RouteView r : alts) {
+      for (std::size_t a = 0; a < alts.size(); ++a) {
+        const RouteView r = alts[a];
         EXPECT_EQ(r.total_switch_hops, dist[uz(s) * 16 + uz(d)]);
         EXPECT_EQ(static_cast<int>(r.legs.size()), r.num_itbs() + 1);
-        check_route_walk(t, r, s);
-      }
-    }
-  }
-}
-
-TEST(RouteBuilder, PreferFewestOrdersAlternatives) {
-  const Topology t = make_torus_2d(8, 8, 2);
-  const UpDown ud(t, 0);
-  ItbBuildOptions o;
-  o.prefer_fewest_itbs = true;
-  const RouteSet rs = build_itb_routes(t, ud, o);
-  for (SwitchId s = 0; s < 64; s += 9) {
-    for (SwitchId d = 0; d < 64; ++d) {
-      const auto& alts = rs.alternatives(s, d);
-      for (std::size_t i = 1; i < alts.size(); ++i) {
-        EXPECT_LE(alts[i - 1].num_itbs(), alts[i].num_itbs());
+        check_route_walk(t, rs, s, d, static_cast<int>(a));
       }
     }
   }
@@ -496,7 +482,9 @@ TEST_P(RouteBuilderRandom, ItbTableValidOnRandomIrregular) {
     for (SwitchId d = 0; d < t.num_switches(); ++d) {
       const auto& alts = rs.alternatives(s, d);
       ASSERT_FALSE(alts.empty());
-      for (const RouteView r : alts) check_route_walk(t, r, s);
+      for (std::size_t a = 0; a < alts.size(); ++a) {
+        check_route_walk(t, rs, s, d, static_cast<int>(a));
+      }
     }
   }
 }

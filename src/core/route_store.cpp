@@ -146,30 +146,30 @@ FactorizedStoreBuilder::FactorizedStoreBuilder(const Topology& topo)
     : topo_(&topo), t0_(std::chrono::steady_clock::now()) {
   const int S = topo.num_switches();
   const int P = topo.ports_per_switch();
-  set_.num_switches_ = S;
-  set_.ports_per_switch_ = P;
-  set_.next_switch_.assign(uz(S) * uz(P), kNoSwitch);
+  store_.num_switches_ = S;
+  store_.ports_per_switch_ = P;
+  store_.next_switch_.assign(uz(S) * uz(P), kNoSwitch);
   for (SwitchId s = 0; s < S; ++s) {
     for (PortId p = 0; p < P; ++p) {
       const PortPeer& pp = topo.peer(s, p);
       if (pp.kind == PeerKind::kSwitch) {
-        set_.next_switch_[uz(s) * uz(P) + uz(p)] = pp.sw;
+        store_.next_switch_[uz(s) * uz(P) + uz(p)] = pp.sw;
       }
     }
   }
-  set_.sw_host_off_.assign(uz(S) + 1, 0);
+  store_.sw_host_off_.assign(uz(S) + 1, 0);
   for (SwitchId s = 0; s < S; ++s) {
     const auto hosts = topo.hosts_of_switch(s);
-    set_.sw_host_off_[uz(s) + 1] =
-        set_.sw_host_off_[uz(s)] + static_cast<std::uint32_t>(hosts.size());
-    set_.sw_hosts_.insert(set_.sw_hosts_.end(), hosts.begin(),
+    store_.sw_host_off_[uz(s) + 1] =
+        store_.sw_host_off_[uz(s)] + static_cast<std::uint32_t>(hosts.size());
+    store_.sw_hosts_.insert(store_.sw_hosts_.end(), hosts.begin(),
                             hosts.end());
   }
-  set_.host_port_.reserve(uz(topo.num_hosts()));
+  store_.host_port_.reserve(uz(topo.num_hosts()));
   for (HostId hst = 0; hst < topo.num_hosts(); ++hst) {
-    set_.host_port_.push_back(topo.host(hst).port);
+    store_.host_port_.push_back(topo.host(hst).port);
   }
-  set_.pair_alt_.reserve(uz(S) * uz(S));
+  store_.pair_alt_.reserve(uz(S) * uz(S));
 }
 
 namespace {
@@ -198,22 +198,22 @@ void merge_pool(const SpanPool<T>& local, SpanPool<T>& global,
 }  // namespace
 
 void FactorizedStoreBuilder::append_block(const FactorizedBlock& block) {
-  merge_pool(block.walks, set_.walks_, walk_tab_, {}, walk_remap_,
+  merge_pool(block.walks, store_.walks_, walk_tab_, {}, walk_remap_,
              scratch_ids_);
-  merge_pool(block.routes, set_.routes_, route_tab_, walk_remap_,
+  merge_pool(block.routes, store_.routes_, route_tab_, walk_remap_,
              route_remap_, scratch_ids_);
-  merge_pool(block.alts, set_.alts_, alt_tab_, route_remap_, alt_remap_,
+  merge_pool(block.alts, store_.alts_, alt_tab_, route_remap_, alt_remap_,
              scratch_ids_);
   for (const std::uint32_t lid : block.pair_alt) {
-    set_.pair_alt_.push_back(alt_remap_[lid]);
+    store_.pair_alt_.push_back(alt_remap_[lid]);
   }
-  set_.num_route_instances_ += block.route_instances;
+  store_.num_route_instances_ += block.route_instances;
   leg_instances_ += block.leg_instances;
 }
 
 RouteSet FactorizedStoreBuilder::finish(RoutingAlgorithm algo) {
   const std::size_t want = uz(topo_->num_switches()) * uz(topo_->num_switches());
-  if (set_.pair_alt_.size() != want) {
+  if (store_.pair_alt_.size() != want) {
     throw std::logic_error("FactorizedStoreBuilder: pair stream incomplete");
   }
   if (pair_transposed_) {
@@ -222,30 +222,30 @@ RouteSet FactorizedStoreBuilder::finish(RoutingAlgorithm algo) {
     std::vector<std::uint32_t> by_src(want);
     for (std::size_t d = 0; d < n; ++d) {
       for (std::size_t s = 0; s < n; ++s) {
-        by_src[s * n + d] = set_.pair_alt_[d * n + s];
+        by_src[s * n + d] = store_.pair_alt_[d * n + s];
       }
     }
-    set_.pair_alt_ = std::move(by_src);
+    store_.pair_alt_ = std::move(by_src);
   }
-  set_.core_bytes_ = vec_bytes(set_.pair_alt_);
+  store_.core_bytes_ = vec_bytes(store_.pair_alt_);
   const auto seal = [this](auto& pool) {
     pool.items.shrink_to_fit();
     pool.recs.shrink_to_fit();
-    set_.core_bytes_ += vec_bytes(pool.items) + vec_bytes(pool.recs);
+    store_.core_bytes_ += vec_bytes(pool.items) + vec_bytes(pool.recs);
   };
-  seal(set_.walks_);
-  seal(set_.routes_);
-  seal(set_.alts_);
-  set_.segments_shared_ = leg_instances_ - set_.walks_.size();
-  set_.table_bytes_ =
-      set_.core_bytes_ + vec_bytes(set_.next_switch_) +
-      vec_bytes(set_.sw_host_off_) + vec_bytes(set_.sw_hosts_) +
-      vec_bytes(set_.host_port_);
-  set_.algo_ = algo;
-  set_.build_ms_ = std::chrono::duration<double, std::milli>(
+  seal(store_.walks_);
+  seal(store_.routes_);
+  seal(store_.alts_);
+  store_.segments_shared_ = leg_instances_ - store_.walks_.size();
+  store_.table_bytes_ =
+      store_.core_bytes_ + vec_bytes(store_.next_switch_) +
+      vec_bytes(store_.sw_host_off_) + vec_bytes(store_.sw_hosts_) +
+      vec_bytes(store_.host_port_);
+  store_.algo_ = algo;
+  store_.build_ms_ = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - t0_)
                        .count();
-  return std::move(set_);
+  return std::move(store_);
 }
 
 }  // namespace itb

@@ -400,7 +400,7 @@ class FactorizedStoreBuilder {
  private:
   const Topology* topo_;
   std::chrono::steady_clock::time_point t0_;
-  RouteSet set_;
+  RouteSet store_;
   SpanInterner walk_tab_;
   SpanInterner route_tab_;
   SpanInterner alt_tab_;

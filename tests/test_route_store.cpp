@@ -5,8 +5,8 @@
 //  - Differential: every builder must install, pair for pair and
 //    alternative for alternative, exactly the reference table — on the
 //    paper testbeds and dense low-diameter graphs, and on a pair sample of
-//    256-switch beds.  The reference table staged through factorize must also land at
-//    the builder's footprint and materialize back unchanged.
+//    256-switch beds.  The reference table staged through factorize must
+//    also land at the builder's footprint and materialize back unchanged.
 //  - Jobs identity: staging rows fan out across the thread pool, but every
 //    raw array is byte-identical for any jobs value.
 //  - Dedup: walking the raw arrays reconstructs every leg exactly.

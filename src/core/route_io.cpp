@@ -29,9 +29,7 @@ std::string format_route(const Route& r) {
   return os.str();
 }
 
-void dump_routes(std::ostream& os, const Topology& topo, const RouteSet& rs,
-                 int min_itbs) {
-  (void)topo;
+void dump_routes(std::ostream& os, const RouteSet& rs, int min_itbs) {
   for (SwitchId s = 0; s < rs.num_switches(); ++s) {
     for (SwitchId d = 0; d < rs.num_switches(); ++d) {
       const AltsView alts = rs.alternatives(s, d);
@@ -45,8 +43,7 @@ void dump_routes(std::ostream& os, const Topology& topo, const RouteSet& rs,
   }
 }
 
-std::string summarize_route_set(const Topology& topo, const RouteSet& rs) {
-  (void)topo;
+std::string summarize_route_set(const RouteSet& rs) {
   long routes = 0, pairs = 0;
   std::array<long, 4> by_itbs{};  // 0, 1, 2, 3+
   for (SwitchId s = 0; s < rs.num_switches(); ++s) {

@@ -11,7 +11,6 @@
 
 #include "core/route.hpp"
 #include "core/route_store.hpp"
-#include "topo/topology.hpp"
 
 namespace itb {
 
@@ -21,11 +20,9 @@ namespace itb {
 /// Dump every pair's alternatives (optionally only pairs whose first
 /// alternative uses at least `min_itbs` in-transit hosts, to keep torus
 /// dumps readable).
-void dump_routes(std::ostream& os, const Topology& topo, const RouteSet& rs,
-                 int min_itbs = 0);
+void dump_routes(std::ostream& os, const RouteSet& rs, int min_itbs = 0);
 
 /// Summary line: route count, ITB usage histogram (0,1,2,3+).
-[[nodiscard]] std::string summarize_route_set(const Topology& topo,
-                                              const RouteSet& rs);
+[[nodiscard]] std::string summarize_route_set(const RouteSet& rs);
 
 }  // namespace itb

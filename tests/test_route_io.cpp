@@ -35,8 +35,8 @@ TEST(RouteIo, DumpFiltersByItbCount) {
   UpDown ud(t, 0);
   RouteSet rs = build_itb_routes(t, ud);
   std::ostringstream all, only_itb;
-  dump_routes(all, t, rs, 0);
-  dump_routes(only_itb, t, rs, 1);
+  dump_routes(all, rs, 0);
+  dump_routes(only_itb, rs, 1);
   EXPECT_GT(all.str().size(), only_itb.str().size());
   // Every line of the filtered dump names at least one in-transit host.
   std::istringstream is(only_itb.str());
@@ -57,7 +57,7 @@ TEST(RouteIo, SummaryCountsRoutes) {
   Topology t = make_torus_2d(4, 4, 1);
   UpDown ud(t, 0);
   RouteSet rs = build_itb_routes(t, ud);
-  const std::string s = summarize_route_set(t, rs);
+  const std::string s = summarize_route_set(rs);
   EXPECT_NE(s.find("240 pairs"), std::string::npos);  // 16*15
   EXPECT_NE(s.find("itbs 0/1/2/3+"), std::string::npos);
 }

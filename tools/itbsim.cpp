@@ -363,9 +363,9 @@ int main(int argc, char** argv) {
     Testbed tb(std::move(topo), root);
     if (dump_routes_min) {
       const RouteSet& rs = tb.routes(*scheme);
-      std::printf("# %s\n", summarize_route_set(tb.topo(), rs).c_str());
+      std::printf("# %s\n", summarize_route_set(rs).c_str());
       std::ostringstream os;
-      dump_routes(os, tb.topo(), rs, *dump_routes_min);
+      dump_routes(os, rs, *dump_routes_min);
       std::fputs(os.str().c_str(), stdout);
       return 0;
     }

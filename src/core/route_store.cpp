@@ -143,7 +143,7 @@ void FactorizedBlockStager::commit_pair(const std::uint32_t* route_ids,
 // Factorized merge
 
 FactorizedStoreBuilder::FactorizedStoreBuilder(const Topology& topo)
-    : topo_(&topo), t0_(std::chrono::steady_clock::now()) {
+    : t0_(std::chrono::steady_clock::now()) {
   const int S = topo.num_switches();
   const int P = topo.ports_per_switch();
   store_.num_switches_ = S;
@@ -169,7 +169,7 @@ FactorizedStoreBuilder::FactorizedStoreBuilder(const Topology& topo)
   for (HostId hst = 0; hst < topo.num_hosts(); ++hst) {
     store_.host_port_.push_back(topo.host(hst).port);
   }
-  store_.pair_alt_.reserve(uz(S) * uz(S));
+  store_.pair_alt_.assign(uz(S) * uz(S), 0);
 }
 
 namespace {
@@ -198,34 +198,36 @@ void merge_pool(const SpanPool<T>& local, SpanPool<T>& global,
 }  // namespace
 
 void FactorizedStoreBuilder::append_block(const FactorizedBlock& block) {
+  if (block.pair_alt.size() > store_.pair_alt_.size() - next_pair_) {
+    throw std::logic_error("FactorizedStoreBuilder: pair stream overflows");
+  }
   merge_pool(block.walks, store_.walks_, walk_tab_, {}, walk_remap_,
              scratch_ids_);
   merge_pool(block.routes, store_.routes_, route_tab_, walk_remap_,
              route_remap_, scratch_ids_);
   merge_pool(block.alts, store_.alts_, alt_tab_, route_remap_, alt_remap_,
              scratch_ids_);
+  // Stream position row * S + col; a destination-major stream (row = d,
+  // col = s) lands at s * S + d.
+  const std::size_t n = uz(store_.num_switches_);
+  std::size_t row = n == 0 ? 0 : next_pair_ / n;
+  std::size_t col = n == 0 ? 0 : next_pair_ % n;
   for (const std::uint32_t lid : block.pair_alt) {
-    store_.pair_alt_.push_back(alt_remap_[lid]);
+    store_.pair_alt_[pair_transposed_ ? col * n + row : row * n + col] =
+        alt_remap_[lid];
+    if (++col == n) {
+      col = 0;
+      ++row;
+    }
   }
+  next_pair_ += block.pair_alt.size();
   store_.num_route_instances_ += block.route_instances;
   leg_instances_ += block.leg_instances;
 }
 
 RouteSet FactorizedStoreBuilder::finish(RoutingAlgorithm algo) {
-  const std::size_t want = uz(topo_->num_switches()) * uz(topo_->num_switches());
-  if (store_.pair_alt_.size() != want) {
+  if (next_pair_ != store_.pair_alt_.size()) {
     throw std::logic_error("FactorizedStoreBuilder: pair stream incomplete");
-  }
-  if (pair_transposed_) {
-    // Pairs were streamed destination-major; readers index s * S + d.
-    const std::size_t n = uz(topo_->num_switches());
-    std::vector<std::uint32_t> by_src(want);
-    for (std::size_t d = 0; d < n; ++d) {
-      for (std::size_t s = 0; s < n; ++s) {
-        by_src[s * n + d] = store_.pair_alt_[d * n + s];
-      }
-    }
-    store_.pair_alt_ = std::move(by_src);
   }
   store_.core_bytes_ = vec_bytes(store_.pair_alt_);
   const auto seal = [this](auto& pool) {

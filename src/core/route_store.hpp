@@ -388,8 +388,9 @@ class FactorizedStoreBuilder {
   explicit FactorizedStoreBuilder(const Topology& topo);
 
   /// Declares that pairs will be committed destination-major — stream
-  /// position d * S + s instead of s * S + d.  finish() transposes the
-  /// pair index back to the (s, d)-major layout every reader assumes.
+  /// position d * S + s instead of s * S + d.  append_block writes each
+  /// such pair straight to its (s, d)-major slot, the layout every reader
+  /// assumes.
   /// Destination-major staging lets the ITB build reuse one per-destination
   /// pruned DAG across all sources (see route_builder.cpp).
   void set_pair_transposed(bool v) { pair_transposed_ = v; }
@@ -398,7 +399,6 @@ class FactorizedStoreBuilder {
   [[nodiscard]] RouteSet finish(RoutingAlgorithm algo);
 
  private:
-  const Topology* topo_;
   std::chrono::steady_clock::time_point t0_;
   RouteSet store_;
   SpanInterner walk_tab_;
@@ -409,6 +409,7 @@ class FactorizedStoreBuilder {
   std::vector<std::uint32_t> alt_remap_;
   std::vector<std::uint32_t> scratch_ids_;
   std::uint64_t leg_instances_ = 0;
+  std::size_t next_pair_ = 0;  // stream position of the next committed pair
   bool pair_transposed_ = false;
 };
 

@@ -2,14 +2,18 @@
 // (compose) cost of the switch-pair factorized store across the topology
 // ladder — the 512-host paper torus up to the 2064-switch / 16512-host
 // Dragonfly — for every table the scheme set uses (UP/DOWN, MIN, and the
-// shared ITB table of ITB-SP/RR).
+// shared ITB table of ITB-SP/RR).  rss_mb is the process's VmRSS right
+// after a rung's builds, with the table still live; it should track the
+// tables, not ratchet up the ladder.
 #include "bench_common.hpp"
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 
 #include "core/route_builder.hpp"
 #include "route/topo_minimal.hpp"
+#include "sim/memory_policy.hpp"
 
 using namespace itb;
 using namespace itb::bench;
@@ -28,6 +32,7 @@ struct Cell {
   std::uint64_t distinct_walks = 0;
   std::uint64_t distinct_routes = 0;
   double compose_ns_avg = 0.0;
+  std::optional<double> rss_mb;  // nullopt off Linux
 };
 
 /// Average wall time of one pair lookup + view composition, over a
@@ -80,6 +85,7 @@ Cell measure(const std::string& name, const Testbed& tb, RoutingScheme scheme,
     const RouteSet again = build();
     if (again.build_ms() < c.build_ms) c.build_ms = again.build_ms();
   }
+  c.rss_mb = resident_mb();
   c.table_bytes = rs.table_bytes();
   c.core_bytes = rs.core_bytes();
   c.route_instances = rs.num_routes();
@@ -125,18 +131,20 @@ int main(int argc, char** argv) {
   }
 
   TextTable table({"testbed", "sw", "hosts", "table", "build(ms)", "bytes",
-                   "core", "walks", "routes", "inst", "compose(ns)"});
+                   "core", "walks", "routes", "inst", "compose(ns)",
+                   "rss_mb"});
   for (const Cell& c : cells) {
-    char ms[32], comp[32];
+    char ms[32], comp[32], rss[32] = "-";
     std::snprintf(ms, sizeof ms, "%.1f", c.build_ms);
     std::snprintf(comp, sizeof comp, "%.1f", c.compose_ns_avg);
+    if (c.rss_mb) std::snprintf(rss, sizeof rss, "%.1f", *c.rss_mb);
     table.add_row({c.testbed, std::to_string(c.switches),
                    std::to_string(c.hosts), to_string(c.scheme), ms,
                    std::to_string(c.table_bytes),
                    std::to_string(c.core_bytes),
                    std::to_string(c.distinct_walks),
                    std::to_string(c.distinct_routes),
-                   std::to_string(c.route_instances), comp});
+                   std::to_string(c.route_instances), comp, rss});
   }
   table.print(std::cout);
 

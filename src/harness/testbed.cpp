@@ -3,6 +3,7 @@
 #include "check/route_verify.hpp"
 #include "core/route_builder.hpp"
 #include "route/topo_minimal.hpp"
+#include "sim/memory_policy.hpp"
 
 namespace itb {
 
@@ -33,7 +34,12 @@ PathPolicy policy_of(RoutingScheme s) {
 Testbed::Testbed(Topology topo, SwitchId root)
     : topo_(std::make_unique<Topology>(std::move(topo))),
       updown_(std::make_unique<UpDown>(
-          *topo_, root == kAutoRoot ? select_updown_root(*topo_) : root)) {}
+          *topo_, root == kAutoRoot ? select_updown_root(*topo_) : root)) {
+  // Every set-up and run goes through a Testbed, so this is the one place
+  // the process's malloc policy is set (see sim/memory_policy.hpp).
+  static const bool policy_applied = (apply_memory_policy(), true);
+  (void)policy_applied;
+}
 
 Testbed::Testbed(Testbed&& other) noexcept
     : topo_(std::move(other.topo_)),

@@ -1,6 +1,8 @@
 #include "core/route_builder.hpp"
 
 #include <algorithm>
+#include <mutex>
+#include <optional>
 #include <span>
 #include <stdexcept>
 
@@ -204,25 +206,32 @@ RouteSet build_factorized(const Topology& topo, RoutingAlgorithm algo,
   } else {
     // Chunked fan-out: a few blocks per worker keeps per-task overhead
     // bounded while the ordered serial merge stays O(distinct shapes).
+    // The merge runs while later blocks stage: the worker that hands in
+    // the next block in line merges it, and every block after it that is
+    // already waiting, under merge_mu, and frees each as it goes.  Only
+    // blocks staged ahead of the merge are ever held, not all of them.
     // On a pool worker the blocks run inline, in order (nested pooled_for
     // calls do; see sim/pool.hpp), so any jobs value is safe there.
     const int chunk = std::max(1, (n + jobs * 4 - 1) / (jobs * 4));
     const int num_blocks = (n + chunk - 1) / chunk;
-    std::vector<FactorizedBlock> blocks = parallel_map<FactorizedBlock>(
-        num_blocks, jobs, [&](int bi) {
-          FactorizedBlock block;
-          FactorizedBlockStager stager;
-          StageScratch sc;
-          stager.begin_block(&block);
-          const int r0 = bi * chunk;
-          const int r1 = std::min(n, r0 + chunk);
-          for (SwitchId r = r0; r < r1; ++r) stage_row(stager, sc, r);
-          return block;
-        });
-    for (FactorizedBlock& blk : blocks) {
-      b.append_block(blk);
-      blk = FactorizedBlock{};  // free staging as soon as it is merged
-    }
+    std::vector<std::optional<FactorizedBlock>> staged(idx(num_blocks));
+    std::mutex merge_mu;
+    std::size_t next = 0;  // first block not yet merged; under merge_mu
+    parallel_for_n(num_blocks, jobs, [&](int bi) {
+      FactorizedBlock block;
+      FactorizedBlockStager stager;
+      StageScratch sc;
+      stager.begin_block(&block);
+      const int r0 = bi * chunk;
+      const int r1 = std::min(n, r0 + chunk);
+      for (SwitchId r = r0; r < r1; ++r) stage_row(stager, sc, r);
+      const std::lock_guard<std::mutex> lock(merge_mu);
+      staged[idx(bi)].emplace(std::move(block));
+      for (; next < staged.size() && staged[next]; ++next) {
+        b.append_block(*staged[next]);
+        staged[next].reset();
+      }
+    });
   }
   return b.finish(algo);
 }

@@ -198,7 +198,8 @@ void merge_pool(const SpanPool<T>& local, SpanPool<T>& global,
 }  // namespace
 
 void FactorizedStoreBuilder::append_block(const FactorizedBlock& block) {
-  if (block.pair_alt.size() > store_.pair_alt_.size() - next_pair_) {
+  const std::size_t n = uz(store_.num_switches_);
+  if (block.pair_alt.size() > store_.pair_alt_.size() - (row_ * n + col_)) {
     throw std::logic_error("FactorizedStoreBuilder: pair stream overflows");
   }
   merge_pool(block.walks, store_.walks_, walk_tab_, {}, walk_remap_,
@@ -207,26 +208,21 @@ void FactorizedStoreBuilder::append_block(const FactorizedBlock& block) {
              route_remap_, scratch_ids_);
   merge_pool(block.alts, store_.alts_, alt_tab_, route_remap_, alt_remap_,
              scratch_ids_);
-  // Stream position row * S + col; a destination-major stream (row = d,
-  // col = s) lands at s * S + d.
-  const std::size_t n = uz(store_.num_switches_);
-  std::size_t row = n == 0 ? 0 : next_pair_ / n;
-  std::size_t col = n == 0 ? 0 : next_pair_ % n;
+  // A destination-major stream (row = d, col = s) lands at s * S + d.
   for (const std::uint32_t lid : block.pair_alt) {
-    store_.pair_alt_[pair_transposed_ ? col * n + row : row * n + col] =
+    store_.pair_alt_[pair_transposed_ ? col_ * n + row_ : row_ * n + col_] =
         alt_remap_[lid];
-    if (++col == n) {
-      col = 0;
-      ++row;
+    if (++col_ == n) {
+      col_ = 0;
+      ++row_;
     }
   }
-  next_pair_ += block.pair_alt.size();
   store_.num_route_instances_ += block.route_instances;
   leg_instances_ += block.leg_instances;
 }
 
 RouteSet FactorizedStoreBuilder::finish(RoutingAlgorithm algo) {
-  if (next_pair_ != store_.pair_alt_.size()) {
+  if (row_ != uz(store_.num_switches_)) {
     throw std::logic_error("FactorizedStoreBuilder: pair stream incomplete");
   }
   store_.core_bytes_ = vec_bytes(store_.pair_alt_);

@@ -409,7 +409,8 @@ class FactorizedStoreBuilder {
   std::vector<std::uint32_t> alt_remap_;
   std::vector<std::uint32_t> scratch_ids_;
   std::uint64_t leg_instances_ = 0;
-  std::size_t next_pair_ = 0;  // stream position of the next committed pair
+  std::size_t row_ = 0;  // stream position row_ * S + col_ of the next pair
+  std::size_t col_ = 0;
   bool pair_transposed_ = false;
 };
 

@@ -4,7 +4,8 @@
 // Dragonfly — for every table the scheme set uses (UP/DOWN, MIN, and the
 // shared ITB table of ITB-SP/RR).  rss_mb is the process's VmRSS right
 // after a rung's builds, with the table still live; it should track the
-// tables, not ratchet up the ladder.
+// tables, not ratchet up the ladder.  peak_mb is the process's VmHWM after
+// the cell, so it also shows a build's transient working set.
 #include "bench_common.hpp"
 
 #include <chrono>
@@ -32,7 +33,8 @@ struct Cell {
   std::uint64_t distinct_walks = 0;
   std::uint64_t distinct_routes = 0;
   double compose_ns_avg = 0.0;
-  std::optional<double> rss_mb;  // nullopt off Linux
+  std::optional<double> rss_mb;   // nullopt off Linux
+  std::optional<double> peak_mb;  // likewise
 };
 
 /// Average wall time of one pair lookup + view composition, over a
@@ -92,6 +94,7 @@ Cell measure(const std::string& name, const Testbed& tb, RoutingScheme scheme,
   c.distinct_walks = rs.distinct_walks();
   c.distinct_routes = rs.distinct_routes();
   c.compose_ns_avg = compose_ns_avg(rs, c.switches);
+  c.peak_mb = peak_resident_mb();
   return c;
 }
 
@@ -132,19 +135,20 @@ int main(int argc, char** argv) {
 
   TextTable table({"testbed", "sw", "hosts", "table", "build(ms)", "bytes",
                    "core", "walks", "routes", "inst", "compose(ns)",
-                   "rss_mb"});
+                   "rss_mb", "peak_mb"});
   for (const Cell& c : cells) {
-    char ms[32], comp[32], rss[32] = "-";
+    char ms[32], comp[32], rss[32] = "-", peak[32] = "-";
     std::snprintf(ms, sizeof ms, "%.1f", c.build_ms);
     std::snprintf(comp, sizeof comp, "%.1f", c.compose_ns_avg);
     if (c.rss_mb) std::snprintf(rss, sizeof rss, "%.1f", *c.rss_mb);
+    if (c.peak_mb) std::snprintf(peak, sizeof peak, "%.1f", *c.peak_mb);
     table.add_row({c.testbed, std::to_string(c.switches),
                    std::to_string(c.hosts), to_string(c.scheme), ms,
                    std::to_string(c.table_bytes),
                    std::to_string(c.core_bytes),
                    std::to_string(c.distinct_walks),
                    std::to_string(c.distinct_routes),
-                   std::to_string(c.route_instances), comp, rss});
+                   std::to_string(c.route_instances), comp, rss, peak});
   }
   table.print(std::cout);
 

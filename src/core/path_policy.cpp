@@ -1,7 +1,5 @@
 #include "core/path_policy.hpp"
 
-#include <cassert>
-
 namespace itb {
 
 const char* to_string(PathPolicy p) {
@@ -32,21 +30,6 @@ void PathSelector::reset(PathPolicy policy, int num_switches,
   ewma_stride_ = 0;
 }
 
-void PathSelector::draw_rotation_row() {
-  // Random starting offsets: different sources begin their rotation at
-  // different alternatives, so the load-spreading effect of round-robin
-  // appears immediately instead of only after many repeat messages to
-  // the same destination.  Round-robin reads nothing else from rng_, so
-  // drawing the whole row at the first multi-path pick gives every
-  // destination the offset an up-front draw at reset() would have.
-  const auto n = static_cast<std::size_t>(num_switches_);
-  rr_next_ = static_cast<std::uint32_t*>(
-      arena_->allocate(n * sizeof(std::uint32_t)));
-  for (std::size_t d = 0; d < n; ++d) {
-    rr_next_[d] = static_cast<std::uint32_t>(rng_.next_u64());
-  }
-}
-
 void PathSelector::ensure_ewma_stride(int alts) {
   if (alts <= ewma_stride_) return;
   const auto n = static_cast<std::size_t>(num_switches_);
@@ -63,20 +46,11 @@ void PathSelector::ensure_ewma_stride(int alts) {
   ewma_stride_ = alts;
 }
 
-int PathSelector::pick(SwitchId dst_switch, int num_alternatives) {
-  assert(num_alternatives > 0);
-  if (num_alternatives == 1) return 0;
+int PathSelector::pick_drawn(SwitchId dst_switch, int num_alternatives) {
   switch (policy_) {
     case PathPolicy::kSingle:
+    case PathPolicy::kRoundRobin:  // handled by pick()
       return 0;
-    case PathPolicy::kRoundRobin: {
-      if (rr_next_ == nullptr) draw_rotation_row();
-      auto& next = rr_next_[static_cast<std::size_t>(dst_switch)];
-      const int alt = static_cast<int>(next % static_cast<std::uint32_t>(
-                                                  num_alternatives));
-      ++next;
-      return alt;
-    }
     case PathPolicy::kRandom:
       return static_cast<int>(
           rng_.next_below(static_cast<std::uint64_t>(num_alternatives)));

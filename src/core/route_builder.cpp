@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <stdexcept>
 
 #include "route/minimal_paths.hpp"
@@ -15,39 +14,6 @@ namespace itb {
 namespace {
 
 std::size_t idx(std::int64_t v) { return static_cast<std::size_t>(v); }
-
-/// All-pairs BFS distance matrix (row-major, row = source switch), staged
-/// once per table build so the per-pair enumeration reuses rows instead of
-/// re-running a BFS per pair — the difference between minutes and seconds
-/// on dense low-diameter graphs.  Each BFS runs over the flat adjacency
-/// and writes its row in place, with one queue per block of rows.
-/// Distances are canonical values, so any jobs value yields the same
-/// matrix.
-std::vector<int> all_pairs_distances(const SwitchAdjacency& adj, int jobs) {
-  const int n = static_cast<int>(adj.off.size()) - 1;
-  std::vector<int> flat(idx(n) * idx(n), -1);
-  const int chunk =
-      std::max(1, jobs <= 1 ? n : (n + jobs * 4 - 1) / (jobs * 4));
-  parallel_for_n((n + chunk - 1) / chunk, jobs, [&](int b) {
-    std::vector<SwitchId> q;
-    q.reserve(idx(n));
-    for (int s = b * chunk; s < std::min(n, (b + 1) * chunk); ++s) {
-      int* dist = flat.data() + idx(s) * idx(n);
-      q.assign(1, static_cast<SwitchId>(s));
-      dist[idx(s)] = 0;
-      for (std::size_t head = 0; head < q.size(); ++head) {
-        const SwitchId u = q[head];
-        for (const SwitchAdjacency::Edge& e : adj.of(u)) {
-          if (dist[idx(e.sw)] == -1) {
-            dist[idx(e.sw)] = dist[idx(u)] + 1;
-            q.push_back(e.sw);
-          }
-        }
-      }
-    }
-  });
-  return flat;
-}
 
 // ---------------------------------------------------------------------------
 // Factorized staging: the builders stage switch-pair rows directly into
@@ -62,6 +28,8 @@ struct StageScratch {
   std::vector<std::uint32_t> route_ids;
   MinimalPathScratch path;
   PrunedDag dag;
+  std::vector<int> dist;  // ITB: hop distances to the current destination
+  std::vector<SwitchId> queue;
 };
 
 /// Output port of `p.sw[i]` for cable `p.cable[i]`.
@@ -125,8 +93,8 @@ void stage_minimal_row(const Topology& topo, const StructuredMinimal& sm,
 }
 
 /// Stages the column of one *destination*: all sources, in source order.
-/// Iterating destination-major lets the (cache-hostile) distance-matrix row
-/// and the pruned minimal-step DAG derived from it be built once per
+/// Iterating destination-major lets the BFS distances to the destination
+/// and the pruned minimal-step DAG derived from them be built once per
 /// destination and shared by every source's DFS — the enumeration inner
 /// loop then touches only edges known to lie on a minimal path.  Per-pair
 /// values (rotation, split scan, host-feasibility, tags) are untouched, so
@@ -258,16 +226,24 @@ RouteSet build_updown_routes(const Topology& topo, const SimpleRoutes& sr,
 RouteSet build_itb_routes(const Topology& topo, const UpDown& ud,
                           ItbBuildOptions opts, int jobs) {
   const SwitchAdjacency adj(topo);
-  const std::vector<int> all_dist = all_pairs_distances(adj, jobs);
   const std::vector<std::uint32_t> host_count = hosts_per_switch(topo);
-  const auto n = idx(topo.num_switches());
   return build_factorized(
       topo, RoutingAlgorithm::kItb, jobs, /*pair_transposed=*/true,
       [&](FactorizedBlockStager& st, StageScratch& sc, SwitchId d) {
-        // Row d of the matrix = distances from d = distances to d
-        // (undirected); the pruned DAG is rebuilt in place per destination.
-        sc.dag.build(adj,
-                     std::span<const int>(all_dist.data() + idx(d) * n, n));
+        // BFS from d = distances to d (undirected), then the pruned DAG,
+        // both rebuilt in place per destination.
+        sc.dist.assign(adj.off.size() - 1, -1);
+        sc.dist[idx(d)] = 0;
+        sc.queue.assign(1, d);
+        for (std::size_t head = 0; head < sc.queue.size(); ++head) {
+          const SwitchId u = sc.queue[head];
+          for (const SwitchAdjacency::Edge& e : adj.of(u)) {
+            if (sc.dist[idx(e.sw)] != -1) continue;
+            sc.dist[idx(e.sw)] = sc.dist[idx(u)] + 1;
+            sc.queue.push_back(e.sw);
+          }
+        }
+        sc.dag.build(adj, sc.dist);
         stage_itb_dest_row(topo, ud, opts, host_count, d, st, sc);
       });
 }

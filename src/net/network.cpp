@@ -29,6 +29,12 @@ Network::Network(Simulator& sim, const Topology& topo, const RouteSet& routes,
                  const MyrinetParams& params, PathPolicy policy,
                  std::uint64_t seed)
     : sim_(&sim) {
+  // A channel or buffer entry that outgrows these sizes costs memory on
+  // every channel of a large network (80,496 on dragonfly16) and cache
+  // footprint in the event loop; a field added on purpose raises the bound
+  // with it.
+  static_assert(sizeof(Channel) <= 304);
+  static_assert(sizeof(BufferEntry) <= 32);
   reset(topo, routes, params, policy, seed);
 }
 
@@ -95,13 +101,6 @@ void Network::reset(const Topology& topo, const RouteSet& routes,
     }
   }
 
-  // Every spill queue spills into the network's one arena.
-  for (Channel& c : channels_) {
-    c.requests.reset(&arena_);
-    c.entries.reset(&arena_);
-    c.incoming.reset(&arena_);
-  }
-
   // --- NICs ---
   Rng seeder(seed);
   nics_.resize(idx(topo.num_hosts()));
@@ -112,8 +111,8 @@ void Network::reset(const Topology& topo, const RouteSet& routes,
     n.sw = at.sw;
     n.to_switch = topo.channel_from(at.cable, false);   // host is the B side
     n.from_switch = topo.channel_from(at.cable, true);
-    n.source_queue.reset(&arena_);
-    n.itb_queue.reset(&arena_);
+    n.source_queue.reset();
+    n.itb_queue.reset();
     n.itb_pool_used = 0;
     n.selector.reset(policy, topo.num_switches(),
                      seeder.next_u64() ^ static_cast<std::uint64_t>(h),
@@ -191,13 +190,16 @@ void Network::inject(HostId src, HostId dst, int payload_bytes) {
   const AltsView alts = routes_->alternatives(ssw, dsw);
   assert(!alts.empty());
   Nic& n = nic(src);
-  p->alt_index = n.selector.pick(dsw, static_cast<int>(alts.size()));
+  p->alt_index =
+      n.selector.pick(dsw, static_cast<int>(alts.size()), [&](SwitchId d) {
+        return static_cast<int>(routes_->alternatives(ssw, d).size());
+      });
   p->route = alts[idx(p->alt_index)];
   p->delivery_port = topo_->host(dst).port;
   p->leg_wire_flits = leg_start_wire_flits(p->route, 0, p->payload_flits,
                                            params_.type_bytes);
   ++injected_;
-  n.source_queue.push_back(p);
+  n.source_queue.push_back(p, arena_);
   trace(TraceKind::kInject, p->id, -1, kNoSwitch, src);
   nic_try_start(src);
 }
@@ -237,7 +239,7 @@ void Network::nic_try_start(HostId h) {
     c.flow_eject_host = kNoHost;
     p->inject_time = sim_->now();
   }
-  c.incoming.push_back(Incoming{p, c.flow_len});
+  c.incoming.push_back(Incoming{p, c.flow_len}, arena_);
   try_send(n.to_switch);
 }
 
@@ -402,7 +404,7 @@ void Network::chunk_arrived(ChannelId ch, int k) {
     assert(!c.incoming.empty());
     const auto [pkt, len] = c.incoming.front();
     c.incoming.pop_front();
-    c.entries.push_back(BufferEntry{});
+    c.entries.push_back(BufferEntry{}, arena_);
     entry = &c.entries.back();
     entry->pkt = pkt;
     entry->total_flits = len;
@@ -507,7 +509,7 @@ void Network::request_output(ChannelId out_ch, ChannelId in_ch, PortId in_port,
     out.rr_ptr = in_port;
     grant(out_ch, in_ch, pkt);
   } else {
-    out.requests.push_back(Request{in_ch, in_port, pkt});
+    out.requests.push_back(Request{in_ch, in_port, pkt}, arena_);
   }
 }
 
@@ -537,7 +539,7 @@ void Network::grant_done(ChannelId out_ch) {
   Channel& out = chan(out_ch);
   assert(out.grant_pending && out.owner != nullptr);
   out.grant_pending = false;
-  out.incoming.push_back(Incoming{out.owner, out.flow_len});
+  out.incoming.push_back(Incoming{out.owner, out.flow_len}, arena_);
   try_send(out_ch);
 }
 
@@ -611,7 +613,7 @@ void Network::nic_header_arrived(ChannelId in_ch, BufferEntry& entry) {
   TimePs ready_delay = params_.itb_detect_delay + params_.itb_dma_delay;
   if (n.itb_pool_used + need <= params_.itb_pool_bytes) {
     n.itb_pool_used += need;
-    entry.reserved_bytes = need;
+    entry.reserved_bytes = entry.total_flits;
     if (n.itb_pool_used > params_.itb_pool_bytes) {
       checks_.record(InvariantKind::kItbPoolOverflow, sim_->now(), n.id,
                         "ITB pool reserved past capacity");
@@ -639,7 +641,7 @@ void Network::itb_ready(Packet* p) {
                                            params_.type_bytes);
   trace(TraceKind::kReinject, p->id, -1, kNoSwitch, host);
   Nic& n = nic(host);
-  n.itb_queue.push_back(p);
+  n.itb_queue.push_back(p, arena_);
   nic_try_start(host);
 }
 

@@ -216,7 +216,7 @@ class Network : public PodHandler {
     bool header_done = false; // routing byte consumed / NIC header seen
     bool is_delivery = false; // NIC entry: final leg (deliver on completion)
     ChannelId out_ch = -1;    // granted output channel (switch buffers)
-    std::int64_t reserved_bytes = 0;  // ITB pool reservation (NIC entries)
+    std::int32_t reserved_bytes = 0;  // ITB pool reservation (NIC entries)
   };
 
   struct Request {
@@ -232,27 +232,13 @@ class Network : public PodHandler {
     int len = 0;
   };
 
+  /// Fields are grouped by size within each role so that the bools and
+  /// 2-byte fields fill what would otherwise be padding (network.cpp pins
+  /// the size).
   struct Channel {
-    // static wiring
-    TimePs prop_delay = 0;
-    bool from_switch = false;   // sender is a switch input buffer
-    bool into_switch = false;   // receiver is a switch input buffer
-    SwitchId src_sw = kNoSwitch;
-    SwitchId dst_sw = kNoSwitch;
-    PortId dst_port = kNoPort;  // input port at dst_sw (into_switch)
-    PortId src_port = kNoPort;  // output port at src_sw (from_switch)
-    HostId src_host = kNoHost;
-    HostId dst_host = kNoHost;
-
     // sender-side dynamic state
     Packet* owner = nullptr;
     ChannelId src_in_ch = -1;  // feeding input buffer (switch senders)
-    // Delivery tail-burst coalescing: when the flow streams a packet's
-    // final leg into a NIC, intermediate arrivals are pure sinks — suppress
-    // them, accumulate their flits, and land everything with the tail chunk
-    // as one kBurstArrived.
-    bool coalesce_flow = false;
-    int burst_flits = 0;       // suppressed flits awaiting the tail event
     // NIC senders: kNoHost when the flow streams from resident NIC memory
     // (a locally generated packet); otherwise the in-transit host whose
     // ejection entry bounds how much may be re-injected.  Snapshotted at
@@ -262,26 +248,43 @@ class Network : public PodHandler {
     HostId flow_eject_host = kNoHost;
     int flow_len = 0;          // flits this owner sends on this channel
     int sent = 0;
+    // Delivery tail-burst coalescing: when the flow streams a packet's
+    // final leg into a NIC, intermediate arrivals are pure sinks — suppress
+    // them, accumulate their flits, and land everything with the tail chunk
+    // as one kBurstArrived.
+    int burst_flits = 0;       // suppressed flits awaiting the tail event
+    bool coalesce_flow = false;
     bool sending = false;      // a chunk-transmit event is outstanding
     bool grant_pending = false;  // routing delay running, cannot send yet
     bool sender_stopped = false; // last flow-control word was "stop"
+
+    // static wiring
+    TimePs prop_delay = 0;
+    SwitchId src_sw = kNoSwitch;
+    SwitchId dst_sw = kNoSwitch;
+    HostId src_host = kNoHost;
+    HostId dst_host = kNoHost;
+    PortId dst_port = kNoPort;  // input port at dst_sw (into_switch)
+    PortId src_port = kNoPort;  // output port at src_sw (from_switch)
+    bool from_switch = false;   // sender is a switch input buffer
+    bool into_switch = false;   // receiver is a switch input buffer
 
     // output arbitration (channels leaving a switch or a NIC).  These
     // FIFO/list members hold 1-4 elements in steady state, so they live
     // inline in the Channel and spill to the network's arena only under
     // deep backlogs — steady-state simulation never touches the heap.
-    ShortQueue<Request, 2> requests;
     PortId rr_ptr = 0;
+    ShortQueue<Request, 2> requests;
 
     // receiver-side state: the input FIFO this channel feeds
     ShortQueue<BufferEntry, 2> entries;
+    ShortQueue<Incoming, 2> incoming;  // announced flows in wire order
     int occupancy = 0;      // flits resident in the buffer
     bool stop_sent = false; // receiver has signalled stop upstream
-    ShortQueue<Incoming, 2> incoming;  // announced flows in wire order
 
     // always-on ledgers (checked tier 1)
-    std::int64_t wire_flits = 0;  // flits sent but not yet landed
     bool drop_next_go = false;    // test_drop_next_go fault armed
+    std::int64_t wire_flits = 0;  // flits sent but not yet landed
 
     // statistics
     TimePs busy_accum = 0;

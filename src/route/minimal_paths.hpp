@@ -30,11 +30,12 @@ namespace itb {
 
 /// Same enumeration, but with the BFS distances *to d* supplied by the
 /// caller (`dist_to_d[u]` = hop distance from u to d; the graph is
-/// undirected, so Topology::switch_distances_from(d) serves).  The large
-/// table builds pass rows of a precomputed all-pairs matrix here so the
-/// per-pair BFS — which dwarfs the DFS on dense low-diameter graphs —
-/// happens once per destination instead of once per pair.  The emitted
-/// paths and their order are identical to the overload above.
+/// undirected, so Topology::switch_distances_from(d) serves).  A caller
+/// that walks many sources toward one destination BFSes once and passes
+/// the same row to each, so the BFS — which dwarfs the DFS on dense
+/// low-diameter graphs — runs once per destination instead of once per
+/// pair.  The emitted paths and their order are identical to the overload
+/// above.
 [[nodiscard]] std::vector<SwitchPath> enumerate_minimal_paths(
     const Topology& topo, SwitchId s, SwitchId d, int max_paths,
     unsigned port_rotation, std::span<const int> dist_to_d);
@@ -95,9 +96,7 @@ struct MinimalPathScratch {
 /// dist_to_d[u] - 1), in port order, each remembering its index in the
 /// full port list.  Built once per destination and shared by every
 /// source's DFS, this removes all distance lookups from the enumeration
-/// inner loop — the dominant cost of large-table builds, where the
-/// distance matrix is far bigger than cache but one destination's pruned
-/// DAG is not.
+/// inner loop — the dominant cost of large-table builds.
 struct PrunedDag {
   struct Edge {
     SwitchId sw;

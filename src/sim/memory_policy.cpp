@@ -20,15 +20,24 @@ void apply_memory_policy() {
 #endif
 }
 
-std::optional<double> resident_mb() {
+namespace {
+
+/// The value of a "Vm...:" line of /proc/self/status in MB.
+std::optional<double> status_mb(const std::string& key) {
   std::ifstream status("/proc/self/status");
   std::string line;
   while (std::getline(status, line)) {
-    if (line.rfind("VmRSS:", 0) == 0) {
-      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    if (line.rfind(key, 0) == 0) {
+      return std::strtod(line.c_str() + key.size(), nullptr) / 1024.0;
     }
   }
   return std::nullopt;
 }
+
+}  // namespace
+
+std::optional<double> resident_mb() { return status_mb("VmRSS:"); }
+
+std::optional<double> peak_resident_mb() { return status_mb("VmHWM:"); }
 
 }  // namespace itb

@@ -26,4 +26,7 @@ void apply_memory_policy();
 /// nullopt where that file is missing or has no VmRSS line.
 [[nodiscard]] std::optional<double> resident_mb();
 
+/// The process's peak resident set (VmHWM) in MB, the same way.
+[[nodiscard]] std::optional<double> peak_resident_mb();
+
 }  // namespace itb

@@ -6,9 +6,11 @@
 // std::deque/std::vector paid a heap allocation (or a deque block walk) for
 // state that fits in the parent struct.  This container keeps those
 // elements inline, and when a queue does grow past N (deep backlogs past
-// saturation) the buffer comes from the owning Network's monotonic Arena —
-// never the global heap — so steady-state simulation performs no malloc at
-// all (see arena.hpp).
+// saturation) the buffer comes from the monotonic Arena that push_back is
+// given — the owning Network's, never the global heap — so steady-state
+// simulation performs no malloc at all (see arena.hpp).  The queue keeps
+// no pointer to that arena: thousands of queues live in the Network's
+// channel and NIC arrays, and every push site has the one arena at hand.
 //
 // Contract:
 //  * T must be trivially copyable (elements move by memcpy, no destructors).
@@ -16,8 +18,8 @@
 //    (vector resize during Network::reset) carries inline elements along
 //    and spilled buffers by pointer.  Callers never copy a live queue into
 //    a second live owner.
-//  * reset(arena) drops any spilled buffer WITHOUT freeing (the arena owns
-//    the memory) — call it before Arena::rewind, never after.
+//  * reset() drops any spilled buffer WITHOUT freeing (the arena owns the
+//    memory) — call it before Arena::rewind, never after.
 //  * pop_front is O(1) (a cursor bump); the buffer is compacted or grown
 //    only when push_back hits the physical end.  Growth policy is a pure
 //    function of the element counts, so reused and fresh containers behave
@@ -41,10 +43,9 @@ class ShortQueue {
   static_assert(N >= 1);
 
  public:
-  /// Drop every element and any spilled buffer and (re)bind the arena used
-  /// for future spills.  The spilled buffer is abandoned to the arena.
-  void reset(Arena* arena) {
-    arena_ = arena;
+  /// Drop every element and any spilled buffer.  The spilled buffer is
+  /// abandoned to the arena it came from.
+  void reset() {
     heap_ = nullptr;
     cap_ = N;
     begin_ = 0;
@@ -86,8 +87,10 @@ class ShortQueue {
     return data()[begin_ + static_cast<std::int32_t>(i)];
   }
 
-  void push_back(const T& v) {
-    if (end_ == cap_) make_room();
+  /// Append `v`; a full buffer spills into `arena` (always the same arena
+  /// between two resets).
+  void push_back(const T& v, Arena& arena) {
+    if (end_ == cap_) make_room(arena);
     data()[end_++] = v;
   }
 
@@ -118,16 +121,15 @@ class ShortQueue {
   /// Out of physical room at the back: slide the live range to the front
   /// when at most half the buffer is occupied, otherwise double into the
   /// arena.  Pure function of (begin_, end_, cap_) — deterministic.
-  void make_room() {
+  void make_room(Arena& arena) {
     const std::int32_t live = end_ - begin_;
     if (begin_ > 0 && live * 2 <= cap_) {
       std::memmove(data(), data() + begin_,
                    static_cast<std::size_t>(live) * sizeof(T));
     } else {
-      assert(arena_ != nullptr && "ShortQueue spilled before reset(arena)");
       const std::int32_t new_cap = cap_ * 2;
       T* nb = static_cast<T*>(
-          arena_->allocate(static_cast<std::size_t>(new_cap) * sizeof(T)));
+          arena.allocate(static_cast<std::size_t>(new_cap) * sizeof(T)));
       std::memcpy(nb, data() + begin_,
                   static_cast<std::size_t>(live) * sizeof(T));
       heap_ = nb;  // the previous spill (if any) is abandoned to the arena
@@ -138,7 +140,6 @@ class ShortQueue {
   }
 
   T* heap_ = nullptr;        // nullptr: elements live in inline_
-  Arena* arena_ = nullptr;   // spill source; bound by reset()
   std::int32_t cap_ = N;     // physical slots in the active buffer
   std::int32_t begin_ = 0;   // first live slot
   std::int32_t end_ = 0;     // one past the last live slot

@@ -232,12 +232,18 @@ class Network : public PodHandler {
     int len = 0;
   };
 
-  /// Fields are grouped by size within each role so that the bools and
-  /// 2-byte fields fill what would otherwise be padding (network.cpp pins
-  /// the size).
+  /// Hot scalars first: every sender, receiver and flow-control field that
+  /// a chunk, stop/go or grant event reads fills the first 64 bytes, then
+  /// the queues, then what is read once per packet or less (wiring,
+  /// statistics, test hooks).  Grouping by size inside each part leaves no
+  /// padding; network.cpp pins the size.  On a torus ITB-RR point this
+  /// order timed level with the parent's 368 B layout, while an order
+  /// grouped by role at the same 304 B read about 4% slower.
   struct Channel {
-    // sender-side dynamic state
-    Packet* owner = nullptr;
+    Packet* owner = nullptr;   // flow being sent, or null
+    TimePs prop_delay = 0;
+    std::int64_t wire_flits = 0;  // ledger: flits sent but not yet landed
+    TimePs busy_accum = 0;        // statistics: cumulative transmit time
     ChannelId src_in_ch = -1;  // feeding input buffer (switch senders)
     // NIC senders: kNoHost when the flow streams from resident NIC memory
     // (a locally generated packet); otherwise the in-transit host whose
@@ -253,43 +259,34 @@ class Network : public PodHandler {
     // them, accumulate their flits, and land everything with the tail chunk
     // as one kBurstArrived.
     int burst_flits = 0;       // suppressed flits awaiting the tail event
+    int occupancy = 0;         // flits resident in the input buffer
     bool coalesce_flow = false;
     bool sending = false;      // a chunk-transmit event is outstanding
     bool grant_pending = false;  // routing delay running, cannot send yet
     bool sender_stopped = false; // last flow-control word was "stop"
+    bool from_switch = false;  // sender is a switch input buffer
+    bool into_switch = false;  // receiver is a switch input buffer
+    bool stop_sent = false;    // receiver has signalled stop upstream
+    bool drop_next_go = false;  // test_drop_next_go fault armed
 
-    // static wiring
-    TimePs prop_delay = 0;
+    // The input FIFO this channel feeds, the flows announced on it in wire
+    // order, and output arbitration (channels leaving a switch or a NIC).
+    // These hold 1-4 elements in steady state, so they live inline in the
+    // Channel and spill to the network's arena only under deep backlogs —
+    // steady-state simulation never touches the heap.
+    ShortQueue<BufferEntry, 2> entries;
+    ShortQueue<Incoming, 2> incoming;
+    ShortQueue<Request, 2> requests;
+
+    TimePs stopped_accum = 0;
+    TimePs stopped_since = -1;
     SwitchId src_sw = kNoSwitch;
     SwitchId dst_sw = kNoSwitch;
     HostId src_host = kNoHost;
     HostId dst_host = kNoHost;
     PortId dst_port = kNoPort;  // input port at dst_sw (into_switch)
     PortId src_port = kNoPort;  // output port at src_sw (from_switch)
-    bool from_switch = false;   // sender is a switch input buffer
-    bool into_switch = false;   // receiver is a switch input buffer
-
-    // output arbitration (channels leaving a switch or a NIC).  These
-    // FIFO/list members hold 1-4 elements in steady state, so they live
-    // inline in the Channel and spill to the network's arena only under
-    // deep backlogs — steady-state simulation never touches the heap.
-    PortId rr_ptr = 0;
-    ShortQueue<Request, 2> requests;
-
-    // receiver-side state: the input FIFO this channel feeds
-    ShortQueue<BufferEntry, 2> entries;
-    ShortQueue<Incoming, 2> incoming;  // announced flows in wire order
-    int occupancy = 0;      // flits resident in the buffer
-    bool stop_sent = false; // receiver has signalled stop upstream
-
-    // always-on ledgers (checked tier 1)
-    bool drop_next_go = false;    // test_drop_next_go fault armed
-    std::int64_t wire_flits = 0;  // flits sent but not yet landed
-
-    // statistics
-    TimePs busy_accum = 0;
-    TimePs stopped_accum = 0;
-    TimePs stopped_since = -1;
+    PortId rr_ptr = 0;          // output arbitration's round-robin pointer
   };
 
   struct Nic {

@@ -1,5 +1,9 @@
 #include "core/path_policy.hpp"
 
+#include <algorithm>
+#include <cassert>
+#include <new>
+
 namespace itb {
 
 const char* to_string(PathPolicy p) {
@@ -24,10 +28,44 @@ void PathSelector::reset(PathPolicy policy, int num_switches,
   num_switches_ = num_switches;
   arena_ = &arena;
   rr_next_ = nullptr;
+  rr_marks_ = nullptr;
   // All destinations unexplored; the flat table regrows its stride on
   // demand (capacity is kept, so a reset-and-rerun reuses the storage).
   ewma_.clear();
   ewma_stride_ = 0;
+}
+
+void PathSelector::draw_rotation_row() {
+  const auto n = static_cast<std::size_t>(num_switches_);
+  const std::size_t marks = (n + kMarkEvery - 1) / kMarkEvery;
+  rr_next_ = static_cast<std::uint16_t*>(
+      arena_->allocate(n * sizeof(std::uint16_t)));
+  std::fill_n(rr_next_, n, kUnset);
+  rr_marks_ = static_cast<Rng*>(arena_->allocate(marks * sizeof(Rng)));
+  Rng stream = rng_;
+  for (std::size_t d = 0; d < n; ++d) {
+    if (d % kMarkEvery == 0) new (rr_marks_ + d / kMarkEvery) Rng(stream);
+    stream.next_u64();
+  }
+}
+
+std::uint16_t PathSelector::rotation_start(SwitchId dst_switch, int n) const {
+  // Random starting offsets: different sources begin their rotation at
+  // different alternatives, so the load-spreading effect of round-robin
+  // appears immediately instead of only after many repeat messages to
+  // the same destination.  Round-robin reads nothing else from rng_, so
+  // destination d's offset is the d-th value of the selector's stream
+  // whenever its first pick comes; reducing it then, when the pair's
+  // count is known, keeps the row at 2 bytes per destination without
+  // reading every destination's count up front.
+  const auto d = static_cast<std::size_t>(dst_switch);
+  Rng stream = rr_marks_[d / kMarkEvery];
+  for (std::size_t i = d / kMarkEvery * kMarkEvery; i < d; ++i) {
+    stream.next_u64();
+  }
+  return static_cast<std::uint16_t>(static_cast<std::uint32_t>(
+                                        stream.next_u64()) %
+                                    static_cast<std::uint32_t>(n));
 }
 
 void PathSelector::ensure_ewma_stride(int alts) {
@@ -46,11 +84,26 @@ void PathSelector::ensure_ewma_stride(int alts) {
   ewma_stride_ = alts;
 }
 
-int PathSelector::pick_drawn(SwitchId dst_switch, int num_alternatives) {
+int PathSelector::pick(SwitchId dst_switch, int num_alternatives) {
+  assert(num_alternatives > 0);
+  if (num_alternatives == 1) return 0;
   switch (policy_) {
     case PathPolicy::kSingle:
-    case PathPolicy::kRoundRobin:  // handled by pick()
       return 0;
+    case PathPolicy::kRoundRobin: {
+      if (rr_next_ == nullptr) draw_rotation_row();
+      std::uint16_t& next = rr_next_[static_cast<std::size_t>(dst_switch)];
+      if (next == kUnset) next = rotation_start(dst_switch, num_alternatives);
+      // Advancing cyclically picks what the 32-bit counter taken modulo n
+      // that this replaces picked, until that counter wrapped at 2^32:
+      // after 2^32 - draw picks into one pair, which P picks reach with
+      // chance P / 2^32.
+      assert(next < num_alternatives);
+      const int alt = next;
+      next = static_cast<std::uint16_t>(alt + 1 == num_alternatives ? 0
+                                                                    : alt + 1);
+      return alt;
+    }
     case PathPolicy::kRandom:
       return static_cast<int>(
           rng_.next_below(static_cast<std::uint64_t>(num_alternatives)));

@@ -5,8 +5,6 @@
 // provided as that extension and exercised by bench_adaptive_policy.
 #pragma once
 
-#include <cassert>
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -32,10 +30,11 @@ enum class PathPolicy : std::uint8_t {
 /// can steer toward currently faster alternatives — the "adaptivity at the
 /// source host" the paper's future-work section sketches.
 ///
-/// kRoundRobin's rotation row (one 2-byte cursor per destination switch)
-/// is drawn from `arena` on the first pick with more than one alternative,
-/// so it lives until the arena's next rewind.  Most sources of a large
-/// network never make such a pick in a point and never pay for a row.
+/// kRoundRobin's rotation row (one 2-byte cursor per destination switch,
+/// plus a stream mark every kMarkEvery destinations) is drawn from `arena`
+/// on the first pick with more than one alternative, so it lives until the
+/// arena's next rewind.  Most sources of a large network never make such a
+/// pick in a point and never pay for a row.
 class PathSelector {
  public:
   /// An empty selector (no destinations); reset() before use.
@@ -53,50 +52,17 @@ class PathSelector {
 
   [[nodiscard]] PathPolicy policy() const { return policy_; }
 
-  /// `count_of(d)` is the alternative count (at least 1) toward switch d
-  /// from this NIC's switch, so `num_alternatives == count_of(dst_switch)`.
-  /// kRoundRobin reads every destination's count when it draws its row.
-  template <typename CountOf>
-  int pick(SwitchId dst_switch, int num_alternatives,
-           const CountOf& count_of) {
-    assert(num_alternatives > 0);
-    if (num_alternatives == 1) return 0;
-    if (policy_ != PathPolicy::kRoundRobin) {
-      return pick_drawn(dst_switch, num_alternatives);
-    }
-    if (rr_next_ == nullptr) {
-      // Random starting offsets, one per destination in destination order
-      // from the selector's own stream, spread the alternatives across
-      // sources from the first message on.  Round-robin reads nothing else
-      // from rng_, so a row drawn at the first multi-path pick holds what
-      // an up-front draw at reset() would.
-      rr_next_ = static_cast<std::uint16_t*>(arena_->allocate(
-          static_cast<std::size_t>(num_switches_) * sizeof(std::uint16_t)));
-      for (int d = 0; d < num_switches_; ++d) {
-        const auto n = static_cast<std::uint32_t>(count_of(SwitchId{d}));
-        rr_next_[d] = static_cast<std::uint16_t>(
-            static_cast<std::uint32_t>(rng_.next_u64()) % n);
-      }
-    }
-    // Each cursor stays reduced modulo its pair's count, a SpanRec count
-    // and so at most 65535.  The 32-bit counter taken modulo n that this
-    // replaces made the same picks until it wrapped at 2^32, after
-    // 2^32 - draw picks into one pair: with a uniform draw, P picks into a
-    // pair reach that with chance P / 2^32.
-    std::uint16_t& next = rr_next_[dst_switch];
-    assert(next < num_alternatives);
-    const int alt = next;
-    next = static_cast<std::uint16_t>(alt + 1 == num_alternatives ? 0
-                                                                  : alt + 1);
-    return alt;
-  }
-
+  int pick(SwitchId dst_switch, int num_alternatives);
   void feedback(SwitchId dst_switch, int alternative, TimePs latency);
 
  private:
-  /// kSingle, kRandom and kAdaptive, for picks with more than one
-  /// alternative.
-  int pick_drawn(SwitchId dst_switch, int num_alternatives);
+  /// Draw the rotation row: every cursor unset, and the selector's stream
+  /// state before destination k * kMarkEvery for each k.
+  void draw_rotation_row();
+  /// Destination `dst_switch`'s starting offset among `n` alternatives:
+  /// its value of the stream, in destination order, modulo n.
+  [[nodiscard]] std::uint16_t rotation_start(SwitchId dst_switch,
+                                             int n) const;
 
   /// Grow the EWMA table's row stride to at least `alts` columns,
   /// re-laying existing rows out in place (new cells read "unexplored").
@@ -111,7 +77,15 @@ class PathSelector {
   Rng rng_;
   int num_switches_ = 0;
   Arena* arena_ = nullptr;            // rotation-row source; bound by reset()
-  std::uint16_t* rr_next_ = nullptr;  // per destination switch, or not drawn
+  // Per destination switch, the next alternative, kept reduced modulo the
+  // pair's count (a SpanRec count, so at most 65535), or kUnset before the
+  // first pick to it.
+  std::uint16_t* rr_next_ = nullptr;  // or no row drawn yet
+  Rng* rr_marks_ = nullptr;
+  static constexpr std::uint16_t kUnset = 0xffff;
+  // A first pick steps the stream from the mark below its destination:
+  // fewer than kMarkEvery steps, for 32 B of row per kMarkEvery cursors.
+  static constexpr int kMarkEvery = 128;
   // One flat num_switches x ewma_stride_ array (row-major, -1.0 means
   // unexplored) instead of a vector per destination: the same
   // pointer-chasing fix as the route store, selector-local.  The stride

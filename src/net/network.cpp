@@ -190,10 +190,7 @@ void Network::inject(HostId src, HostId dst, int payload_bytes) {
   const AltsView alts = routes_->alternatives(ssw, dsw);
   assert(!alts.empty());
   Nic& n = nic(src);
-  p->alt_index =
-      n.selector.pick(dsw, static_cast<int>(alts.size()), [&](SwitchId d) {
-        return static_cast<int>(routes_->alternatives(ssw, d).size());
-      });
+  p->alt_index = n.selector.pick(dsw, static_cast<int>(alts.size()));
   p->route = alts[idx(p->alt_index)];
   p->delivery_port = topo_->host(dst).port;
   p->leg_wire_flits = leg_start_wire_flits(p->route, 0, p->payload_flits,

@@ -37,35 +37,16 @@ void PathSelector::reset(PathPolicy policy, int num_switches,
 
 void PathSelector::draw_rotation_row() {
   const auto n = static_cast<std::size_t>(num_switches_);
-  const std::size_t marks = (n + kMarkEvery - 1) / kMarkEvery;
   rr_next_ = static_cast<std::uint16_t*>(
       arena_->allocate(n * sizeof(std::uint16_t)));
   std::fill_n(rr_next_, n, kUnset);
-  rr_marks_ = static_cast<Rng*>(arena_->allocate(marks * sizeof(Rng)));
+  rr_marks_ = static_cast<Rng*>(
+      arena_->allocate((n / kMarkEvery + 1) * sizeof(Rng)));
   Rng stream = rng_;
   for (std::size_t d = 0; d < n; ++d) {
     if (d % kMarkEvery == 0) new (rr_marks_ + d / kMarkEvery) Rng(stream);
     stream.next_u64();
   }
-}
-
-std::uint16_t PathSelector::rotation_start(SwitchId dst_switch, int n) const {
-  // Random starting offsets: different sources begin their rotation at
-  // different alternatives, so the load-spreading effect of round-robin
-  // appears immediately instead of only after many repeat messages to
-  // the same destination.  Round-robin reads nothing else from rng_, so
-  // destination d's offset is the d-th value of the selector's stream
-  // whenever its first pick comes; reducing it then, when the pair's
-  // count is known, keeps the row at 2 bytes per destination without
-  // reading every destination's count up front.
-  const auto d = static_cast<std::size_t>(dst_switch);
-  Rng stream = rr_marks_[d / kMarkEvery];
-  for (std::size_t i = d / kMarkEvery * kMarkEvery; i < d; ++i) {
-    stream.next_u64();
-  }
-  return static_cast<std::uint16_t>(static_cast<std::uint32_t>(
-                                        stream.next_u64()) %
-                                    static_cast<std::uint32_t>(n));
 }
 
 void PathSelector::ensure_ewma_stride(int alts) {
@@ -93,11 +74,21 @@ int PathSelector::pick(SwitchId dst_switch, int num_alternatives) {
     case PathPolicy::kRoundRobin: {
       if (rr_next_ == nullptr) draw_rotation_row();
       std::uint16_t& next = rr_next_[static_cast<std::size_t>(dst_switch)];
-      if (next == kUnset) next = rotation_start(dst_switch, num_alternatives);
-      // Advancing cyclically picks what the 32-bit counter taken modulo n
-      // that this replaces picked, until that counter wrapped at 2^32:
-      // after 2^32 - draw picks into one pair, which P picks reach with
-      // chance P / 2^32.
+      if (next == kUnset) {
+        // Random starting offsets spread the alternatives across sources
+        // from the first message on.  Round-robin reads nothing else from
+        // rng_, so d's offset is the d-th value of its stream, stepped to
+        // from the mark below d and reduced once the pair's count is known.
+        const auto d = static_cast<std::size_t>(dst_switch);
+        Rng stream = rr_marks_[d / kMarkEvery];
+        for (std::size_t i = d % kMarkEvery; i > 0; --i) stream.next_u64();
+        next = static_cast<std::uint16_t>(
+            static_cast<std::uint32_t>(stream.next_u64()) %
+            static_cast<std::uint32_t>(num_alternatives));
+      }
+      // Advancing cyclically picks what the 32-bit counter modulo n this
+      // replaces picked until that counter wrapped at 2^32, after 2^32 -
+      // draw picks into one pair: P picks get there with chance P / 2^32.
       assert(next < num_alternatives);
       const int alt = next;
       next = static_cast<std::uint16_t>(alt + 1 == num_alternatives ? 0

@@ -59,10 +59,6 @@ class PathSelector {
   /// Draw the rotation row: every cursor unset, and the selector's stream
   /// state before destination k * kMarkEvery for each k.
   void draw_rotation_row();
-  /// Destination `dst_switch`'s starting offset among `n` alternatives:
-  /// its value of the stream, in destination order, modulo n.
-  [[nodiscard]] std::uint16_t rotation_start(SwitchId dst_switch,
-                                             int n) const;
 
   /// Grow the EWMA table's row stride to at least `alts` columns,
   /// re-laying existing rows out in place (new cells read "unexplored").
@@ -77,15 +73,12 @@ class PathSelector {
   Rng rng_;
   int num_switches_ = 0;
   Arena* arena_ = nullptr;            // rotation-row source; bound by reset()
-  // Per destination switch, the next alternative, kept reduced modulo the
-  // pair's count (a SpanRec count, so at most 65535), or kUnset before the
-  // first pick to it.
+  // Per destination switch, the next alternative modulo the pair's count
+  // (a SpanRec count, at most 65535), or kUnset before the first pick.
   std::uint16_t* rr_next_ = nullptr;  // or no row drawn yet
   Rng* rr_marks_ = nullptr;
   static constexpr std::uint16_t kUnset = 0xffff;
-  // A first pick steps the stream from the mark below its destination:
-  // fewer than kMarkEvery steps, for 32 B of row per kMarkEvery cursors.
-  static constexpr int kMarkEvery = 128;
+  static constexpr int kMarkEvery = 128;  // < 128 steps per first pick
   // One flat num_switches x ewma_stride_ array (row-major, -1.0 means
   // unexplored) instead of a vector per destination: the same
   // pointer-chasing fix as the route store, selector-local.  The stride

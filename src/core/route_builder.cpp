@@ -28,8 +28,6 @@ struct StageScratch {
   std::vector<std::uint32_t> route_ids;
   MinimalPathScratch path;
   PrunedDag dag;
-  std::vector<int> dist;  // ITB: hop distances to the current destination
-  std::vector<SwitchId> queue;
 };
 
 /// Output port of `p.sw[i]` for cable `p.cable[i]`.
@@ -230,20 +228,7 @@ RouteSet build_itb_routes(const Topology& topo, const UpDown& ud,
   return build_factorized(
       topo, RoutingAlgorithm::kItb, jobs, /*pair_transposed=*/true,
       [&](FactorizedBlockStager& st, StageScratch& sc, SwitchId d) {
-        // BFS from d = distances to d (undirected), then the pruned DAG,
-        // both rebuilt in place per destination.
-        sc.dist.assign(adj.off.size() - 1, -1);
-        sc.dist[idx(d)] = 0;
-        sc.queue.assign(1, d);
-        for (std::size_t head = 0; head < sc.queue.size(); ++head) {
-          const SwitchId u = sc.queue[head];
-          for (const SwitchAdjacency::Edge& e : adj.of(u)) {
-            if (sc.dist[idx(e.sw)] != -1) continue;
-            sc.dist[idx(e.sw)] = sc.dist[idx(u)] + 1;
-            sc.queue.push_back(e.sw);
-          }
-        }
-        sc.dag.build(adj, sc.dist);
+        sc.dag.build(adj, d);  // rebuilt in place per destination
         stage_itb_dest_row(topo, ud, opts, host_count, d, st, sc);
       });
 }

@@ -30,12 +30,10 @@ namespace itb {
 
 /// Same enumeration, but with the BFS distances *to d* supplied by the
 /// caller (`dist_to_d[u]` = hop distance from u to d; the graph is
-/// undirected, so Topology::switch_distances_from(d) serves).  A caller
-/// that walks many sources toward one destination BFSes once and passes
-/// the same row to each, so the BFS — which dwarfs the DFS on dense
-/// low-diameter graphs — runs once per destination instead of once per
-/// pair.  The emitted paths and their order are identical to the overload
-/// above.
+/// undirected, so Topology::switch_distances_from(d) serves), so that a
+/// caller walking many sources toward one destination BFSes once — the BFS
+/// dwarfs the DFS on dense low-diameter graphs.  The emitted paths and
+/// their order are identical to the overload above.
 [[nodiscard]] std::vector<SwitchPath> enumerate_minimal_paths(
     const Topology& topo, SwitchId s, SwitchId d, int max_paths,
     unsigned port_rotation, std::span<const int> dist_to_d);
@@ -92,11 +90,11 @@ struct MinimalPathScratch {
 };
 
 /// Per-destination pruned DAG: for each switch u, the subset of its fabric
-/// edges that step toward a fixed destination d (dist_to_d[e.sw] ==
-/// dist_to_d[u] - 1), in port order, each remembering its index in the
-/// full port list.  Built once per destination and shared by every
-/// source's DFS, this removes all distance lookups from the enumeration
-/// inner loop — the dominant cost of large-table builds.
+/// edges that step toward a fixed destination d (dist[e.sw] == dist[u] - 1),
+/// in port order, each remembering its index in the full port list.  Built
+/// once per destination and shared by every source's DFS, this removes all
+/// distance lookups from the enumeration inner loop — the dominant cost of
+/// large-table builds.
 struct PrunedDag {
   struct Edge {
     SwitchId sw;
@@ -105,20 +103,31 @@ struct PrunedDag {
     std::uint16_t base;  // index in the full port-order edge list
   };
 
-  /// Rebuilds for destination rows on the fly; buffers are reused.
-  void build(const SwitchAdjacency& adj, std::span<const int> dist_to_d) {
+  /// Rebuilds for destination d, BFS included (distances from d are
+  /// distances to d: the graph is undirected); buffers are reused.
+  void build(const SwitchAdjacency& adj, SwitchId d) {
+    const auto uz = [](std::int64_t v) { return static_cast<std::size_t>(v); };
     const std::size_t n = adj.off.size() - 1;
+    dist.assign(n, -1);
+    dist[uz(d)] = 0;
+    queue.assign(1, d);
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      for (const SwitchAdjacency::Edge& e : adj.of(queue[head])) {
+        if (dist[uz(e.sw)] != -1) continue;
+        dist[uz(e.sw)] = dist[uz(queue[head])] + 1;
+        queue.push_back(e.sw);
+      }
+    }
     off.assign(n + 1, 0);
     edges.clear();
     full_deg.clear();
-    dist = dist_to_d;
     for (std::size_t u = 0; u < n; ++u) {
       const std::span<const SwitchAdjacency::Edge> full =
           adj.of(static_cast<SwitchId>(u));
-      const int want = dist_to_d[u] - 1;
+      const int want = dist[u] - 1;
       for (std::size_t k = 0; k < full.size(); ++k) {
         const SwitchAdjacency::Edge& e = full[k];
-        if (dist_to_d[static_cast<std::size_t>(e.sw)] != want) continue;
+        if (dist[uz(e.sw)] != want) continue;
         edges.push_back(
             Edge{e.sw, e.cable, e.port, static_cast<std::uint16_t>(k)});
       }
@@ -135,7 +144,8 @@ struct PrunedDag {
   std::vector<std::uint32_t> off;
   std::vector<Edge> edges;
   std::vector<std::uint16_t> full_deg;  // full fabric-port count per switch
-  std::span<const int> dist;            // the row the DAG was built from
+  std::vector<int> dist;                // hop distance to d, -1: unreachable
+  std::vector<SwitchId> queue;          // BFS order
 };
 
 /// Allocation-free minimal-path enumeration over a pruned DAG: emits each

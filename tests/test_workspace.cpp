@@ -193,7 +193,8 @@ TEST(Workspace, LazyRotationRowsDoNotLeakAcrossPoints) {
   EXPECT_GT(last.delivered, 0u);
   EXPECT_EQ(last.invariant_violations, 0u);
   EXPECT_EQ(last.arena_bytes_peak, ref.arena_bytes_peak);
-  // An up-front row for every NIC would take 2112 x 264 x 2 B ~ 1.1 MB.
+  // Up-front rows for every NIC would take 2112 x 264 x 2 B ~ 1.1 MB of
+  // cursors alone.
   const std::size_t eager = std::size_t{2112} * 264 * sizeof(std::uint16_t);
   EXPECT_LT(last.arena_bytes_peak, eager / 10);
   EXPECT_GT(busy.arena_bytes_peak, last.arena_bytes_peak);

@@ -1,13 +1,14 @@
 // Shared setup for the reproduction benches: paper topologies, default
 // measurement windows, and printing helpers.
 //
-// Every bench binary accepts --fast / --full / --csv FILE and honours the
-// ITB_BENCH_FAST environment variable.  FAST mode shrinks the simulated
-// windows and sweep resolution so the whole suite smoke-tests in well
-// under a minute; FULL mode (the default) uses windows long enough for
-// stable averages at the paper's scale.
+// Every bench binary accepts --fast / --full / --record FILE (bench_paper
+// writes the record) and honours the ITB_BENCH_FAST environment variable.
+// FAST mode shrinks the simulated windows and sweep resolution so the whole
+// suite smoke-tests in well under a minute; FULL mode (the default) uses
+// windows long enough for stable averages at the paper's scale.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -18,6 +19,7 @@
 #include "harness/runner.hpp"
 #include "harness/sweep.hpp"
 #include "harness/testbed.hpp"
+#include "sim/rng.hpp"
 #include "topo/generators.hpp"
 #include "traffic/patterns.hpp"
 
@@ -72,6 +74,21 @@ inline const std::vector<RoutingScheme>& paper_schemes() {
   static const std::vector<RoutingScheme> kSchemes = {
       RoutingScheme::kUpDown, RoutingScheme::kItbSp, RoutingScheme::kItbRr};
   return kSchemes;
+}
+
+/// `count` distinct hotspot hosts, drawn from a fixed seed: Tables 1-3 use
+/// the first 10 (3 at --fast), Fig. 11 and the gate's G5 a prefix of the
+/// same draw.
+inline std::vector<HostId> hotspot_locations(int num_hosts, int count,
+                                             std::uint64_t seed = 2000) {
+  Rng rng(seed);
+  std::vector<HostId> out;
+  while (static_cast<int>(out.size()) < count) {
+    const auto h = static_cast<HostId>(
+        rng.next_below(static_cast<std::uint64_t>(num_hosts)));
+    if (std::find(out.begin(), out.end(), h) == out.end()) out.push_back(h);
+  }
+  return out;
 }
 
 /// Print a measured-vs-paper anchor line.

@@ -9,7 +9,7 @@
 //   G5  hotspot 10%: ITB gain smaller than at 5% (hotspot limits ITB)
 //   G6  local traffic: ITB never loses (>= 0.9x UP/DOWN)
 //   G7  flow control: no slack overflow anywhere above
-#include "bench_hotspot_common.hpp"
+#include "bench_common.hpp"
 
 #include "core/route_stats.hpp"
 #include "metrics/link_util.hpp"

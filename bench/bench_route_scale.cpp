@@ -1,4 +1,4 @@
-// Route-table scale grid: serial build time, table footprint and lookup
+// Route-table scale grid: build time at --jobs N, table footprint and lookup
 // (compose) cost of the switch-pair factorized store across the topology
 // ladder — the 512-host paper torus up to the 2064-switch / 16512-host
 // Dragonfly — for every table the scheme set uses (UP/DOWN, MIN, and the
@@ -63,7 +63,7 @@ double compose_ns_avg(const RouteSet& rs, int num_switches) {
 }
 
 Cell measure(const std::string& name, const Testbed& tb, RoutingScheme scheme,
-             int reps) {
+             int reps, int jobs) {
   Cell c;
   c.testbed = name;
   c.switches = tb.topo().num_switches();
@@ -72,13 +72,13 @@ Cell measure(const std::string& name, const Testbed& tb, RoutingScheme scheme,
 
   auto build = [&]() -> RouteSet {
     if (scheme == RoutingScheme::kUpDown) {
-      const SimpleRoutes sr(tb.topo(), tb.updown());
-      return build_updown_routes(tb.topo(), sr, 1);
+      const SimpleRoutes sr(tb.topo(), tb.updown(), {}, jobs);
+      return build_updown_routes(tb.topo(), sr, jobs);
     }
     if (scheme == RoutingScheme::kMinimal) {
-      return build_minimal_routes(tb.topo(), 1);
+      return build_minimal_routes(tb.topo(), jobs);
     }
-    return build_itb_routes(tb.topo(), tb.updown(), {}, 1);
+    return build_itb_routes(tb.topo(), tb.updown(), {}, jobs);
   };
 
   RouteSet rs = build();
@@ -102,9 +102,10 @@ Cell measure(const std::string& name, const Testbed& tb, RoutingScheme scheme,
 
 int main(int argc, char** argv) {
   const BenchOptions opts = parse_bench_args(argc, argv);
-  print_header("Route-table scale",
-               "factorized store: build / footprint / compose across the "
-               "topology ladder");
+  const std::string what =
+      "factorized store: build / footprint / compose across the topology "
+      "ladder, tables built with --jobs " + std::to_string(opts.jobs);
+  print_header("Route-table scale", what.c_str());
 
   // SimpleRoutes (the paper's own algorithm) is quadratic in switches;
   // UP/DOWN tables ride only on the small cells, the same rule as
@@ -129,7 +130,7 @@ int main(int argc, char** argv) {
     }
     schemes.push_back(RoutingScheme::kItbRr);  // table shared with ITB-SP
     for (const RoutingScheme s : schemes) {
-      cells.push_back(measure(name, tb, s, reps));
+      cells.push_back(measure(name, tb, s, reps, opts.jobs));
     }
   }
 

@@ -116,11 +116,11 @@ namespace {
   if (!error.empty()) std::cerr << "error: " << error << "\n\n";
   std::cerr << "usage: " << (argv0 != nullptr ? argv0 : "bench")
             << " [options]\n"
-               "  --fast       smoke-speed windows (also ITB_BENCH_FAST=1)\n"
-               "  --full       full-length windows (the default)\n"
-               "  --csv FILE   append every measured point as CSV\n"
-               "  --jobs N     worker threads for parallel runs, 1 to 1024\n"
-               "               (also ITB_BENCH_JOBS; default: hardware "
+               "  --fast         smoke-speed windows (also ITB_BENCH_FAST=1)\n"
+               "  --full         full-length windows (the default)\n"
+               "  --record FILE  write the reproduction record (bench_paper)\n"
+               "  --jobs N       worker threads for parallel runs, 1 to 1024\n"
+               "                 (also ITB_BENCH_JOBS; default: hardware "
                "concurrency)\n";
   std::exit(2);
 }
@@ -139,9 +139,9 @@ BenchOptions parse_bench_args(int argc, char** argv) {
       opts.fast = true;
     } else if (std::strcmp(argv[i], "--full") == 0) {
       opts.fast = false;
-    } else if (std::strcmp(argv[i], "--csv") == 0) {
-      if (i + 1 >= argc) bench_usage(argv0, "--csv needs a file path");
-      opts.csv = argv[++i];
+    } else if (std::strcmp(argv[i], "--record") == 0) {
+      if (i + 1 >= argc) bench_usage(argv0, "--record needs a file path");
+      opts.record = argv[++i];
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
       if (i + 1 >= argc) bench_usage(argv0, "--jobs needs a count");
       char* end = nullptr;

@@ -40,13 +40,14 @@ class TextTable {
 [[nodiscard]] std::string fmt_pct(double v);       // 12.3%
 
 /// Options shared by all bench binaries: ITB_BENCH_FAST=1 or --fast shrink
-/// simulated windows; --csv FILE dumps raw points; --jobs N (or
+/// simulated windows; --record FILE names the file bench_paper writes its
+/// reproduction record (REPRO.json) to; --jobs N (or
 /// ITB_BENCH_JOBS) sets the worker count for the parallel drivers
 /// (default: hardware concurrency).  Unknown flags abort with a usage
 /// message (exit code 2).
 struct BenchOptions {
   bool fast = false;
-  std::string csv;
+  std::string record;
   int jobs = 1;  // parse_bench_args fills in the real default
 };
 [[nodiscard]] BenchOptions parse_bench_args(int argc, char** argv);

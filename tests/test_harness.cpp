@@ -226,12 +226,12 @@ TEST(Report, ParseBenchArgs) {
   const char* argv1[] = {"bench", "--fast"};
   auto o1 = parse_bench_args(2, const_cast<char**>(argv1));
   EXPECT_TRUE(o1.fast);
-  const char* argv2[] = {"bench", "--csv", "/tmp/x.csv"};
+  const char* argv2[] = {"bench", "--record", "/tmp/x.record"};
   auto o2 = parse_bench_args(3, const_cast<char**>(argv2));
-  EXPECT_EQ(o2.csv, "/tmp/x.csv");
+  EXPECT_EQ(o2.record, "/tmp/x.record");
   const char* argv3[] = {"bench"};
   auto o3 = parse_bench_args(1, const_cast<char**>(argv3));
-  EXPECT_EQ(o3.csv, "");
+  EXPECT_EQ(o3.record, "");
 }
 
 }  // namespace
